@@ -27,6 +27,7 @@ from .rootsystem import (
     golden_det,
     golden_identity,
     highest_root,
+    integer_form,
     mat_mul,
     mat_vec,
     simple_reflection_matrix,
@@ -71,8 +72,9 @@ class AffineOperator:
                     return False
         return True
 
-    def compiled(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Flatten to integer-linear form on (a1, b1, ..., ak, bk) tuples."""
+    def compiled(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integer-linear form (M, off) on (a1, b1, ..., ak, bk) rows, so
+        that the image of a row x is M x + off; see ``kernel.apply``."""
         return _compile(self.matrix, self.offset)
 
 
@@ -82,27 +84,9 @@ def identity_operator(group: GroupId) -> AffineOperator:
 
 
 def _compile(matrix: Matrix, offset: tuple[GoldenInt, ...]):
-    k = len(matrix)
-    rows = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(k):
-        for j in range(k):
-            x, y = matrix[i][j].a, matrix[i][j].b
-            rows[2 * i][2 * j] += x
-            rows[2 * i][2 * j + 1] += y
-            rows[2 * i + 1][2 * j] += y
-            rows[2 * i + 1][2 * j + 1] += x + y
-    off: list[int] = []
-    for t in offset:
-        off.append(t.a)
-        off.append(t.b)
-    return tuple(tuple(r) for r in rows), tuple(off)
-
-
-def apply_compiled(op, flat: tuple[int, ...]) -> tuple[int, ...]:
-    rows, off = op
-    return tuple(
-        sum(f * v for f, v in zip(row, flat)) + o for row, o in zip(rows, off)
-    )
+    rows = np.array(integer_form(matrix), dtype=np.int64)
+    off = np.array([c for t in offset for c in (t.a, t.b)], dtype=np.int64)
+    return rows, off
 
 
 @dataclass(frozen=True)
@@ -120,13 +104,6 @@ class OperatorSet:
         if extended:
             return (self.root_reflection,) + self.reflections
         return self.reflections
-
-    def all(self) -> tuple[AffineOperator, ...]:
-        return self.reflections + (
-            self.root_reflection,
-            self.affine_reflection,
-            self.translation,
-        )
 
 
 def _root_reflection_matrix(group: GroupId, root_omega: OmegaVector) -> Matrix:

@@ -93,6 +93,9 @@ def cmd_generate(args) -> int:
     if args.n < 0:
         sys.stderr.write("error: --n must be non-negative\n")
         return USAGE_ERROR
+    if args.cap < 1:
+        sys.stderr.write("error: --cap must be positive\n")
+        return USAGE_ERROR
     if args.format == "svg" and group is not GroupId.H2:
         sys.stderr.write("error: svg output is only available for --group h2\n")
         return USAGE_ERROR

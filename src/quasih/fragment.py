@@ -8,46 +8,74 @@ the union of reflection closures
     S_0 = {O},   S_{m+1} = closure(T(S_m)),   fragment = S_0 u ... u S_n.
 
 The independent oracle builds the same set as all sums of at most n roots.
-Hot loops run on flattened integer tuples (a1, b1, ..., ak, bk); points are
-deduplicated exactly and the final ordering is lexicographic on those
-tuples, so output is reproducible bit for bit.
+
+A ``Fragment`` stores its points as one read-only (N, 2k) int64 array of
+Z[tau] coefficient pairs (a1, b1, ..., ak, bk), rows in lexicographic
+order, so output is reproducible bit for bit.  ``points``, the tuple of
+``OmegaVector`` the public API and the checks use, is built from it on
+first access only.  Closure, orbits and shells run on that array through
+``quasih.kernel``; sets of points are deduplicated as packed uint64 row
+keys with 64 // 2k bits per coefficient (16 for rank 2, 10 for H3, 8 for
+H4).  A coefficient outside that range raises ``ResourceLimitError``
+instead of wrapping; points of cut-off n have coefficients of at most 2n
+in absolute value, far inside the range at any size the cap admits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 
-from .golden import CycloInt, GoldenRational, xi_pow
+import numpy as np
+
+from . import kernel
+from .golden import CycloInt, GoldenInt, GoldenRational, xi_pow
+from .kernel import ResourceLimitError
 from .rootsystem import (
     GroupId,
     OmegaVector,
+    cartan,
     cyclo_from_omega,
-    norm_sq,
+    golden_det,
     roots_omega,
 )
-from .affine import apply_compiled, operators
+from .affine import operators
 
 DEFAULT_CAP = 10_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a generated point set would exceed the configured cap."""
-
 
 Flat = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fragment:
+    """A point set with its cut-off and construction method.
+
+    ``coeffs`` is the read-only (N, 2k) int64 coefficient array.  A
+    sequence of ``OmegaVector`` is accepted in its place and kept in the
+    given order.
+    """
+
     group: GroupId
     n: int
-    points: tuple[OmegaVector, ...]
+    coeffs: np.ndarray
     method: str
+
+    def __post_init__(self) -> None:
+        coeffs = self.coeffs
+        if not isinstance(coeffs, np.ndarray):
+            self.__dict__["points"] = tuple(coeffs)
+            coeffs = [p.flat() for p in self.points]
+        coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, 2 * self.group.rank).view()
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def points(self) -> tuple[OmegaVector, ...]:
+        return tuple(OmegaVector.from_flat(self.group, row) for row in self.coeffs.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.coeffs)
 
     def point_set(self) -> frozenset[OmegaVector]:
         return frozenset(self.points)
@@ -58,45 +86,25 @@ class Fragment:
         return tuple(cyclo_from_omega(v) for v in self.points)
 
 
-def _finish(group: GroupId, n: int, flats: set[Flat], method: str) -> Fragment:
-    ordered = sorted(flats)
-    return Fragment(
-        group, n, tuple(OmegaVector.from_flat(group, f) for f in ordered), method
-    )
-
-
-def _closure(seeds: set[Flat], refl, cap: int) -> set[Flat]:
-    points = set(seeds)
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        for op in refl:
-            w = apply_compiled(op, v)
-            if w not in points:
-                points.add(w)
-                stack.append(w)
-                if len(points) > cap:
-                    raise ResourceLimitError(f"reflection closure exceeded cap {cap}")
-    return points
-
-
 def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
     """Breadth-first fragment of the affine group action (word definition)."""
     if n < 0:
         raise ValueError("cut-off must be non-negative")
+    if cap < 1:
+        raise ResourceLimitError(f"fragment exceeded cap {cap}")
     ops = operators(group)
     refl = [r.compiled() for r in ops.reflections]
     trans = ops.translation.compiled()
-    origin: Flat = (0,) * (2 * group.rank)
-    total: set[Flat] = {origin}
-    level: set[Flat] = {origin}
+    cols = 2 * group.rank
+    total = level = kernel.pack_rows(np.zeros((1, cols), dtype=np.int64))
     for _ in range(n):
-        shifted = {apply_compiled(trans, v) for v in level}
-        level = _closure(shifted, refl, cap)
-        total |= level
-        if len(total) > cap:
+        # a translation keeps rows distinct and in lexicographic order
+        shifted = kernel.pack_rows(kernel.apply(trans, kernel.unpack_keys(level, cols)))
+        level = kernel.closure(shifted, refl, cols, cap)
+        total = np.union1d(total, level)
+        if total.size > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
-    return _finish(group, n, total, "word_bfs")
+    return Fragment(group, n, kernel.unpack_keys(total, cols), "word_bfs")
 
 
 def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
@@ -119,7 +127,7 @@ def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment
         if len(total) > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
         frontier = new
-    return _finish(group, n, total, "root_sum")
+    return Fragment(group, n, np.array(sorted(total)), "root_sum")
 
 
 def to_dominant(v: OmegaVector) -> tuple[OmegaVector, tuple[int, ...]]:
@@ -162,18 +170,26 @@ class OrbitRecord:
     members: tuple[OmegaVector, ...]
 
 
+def _groups(labels: np.ndarray, count: int) -> list[np.ndarray]:
+    """Row indices carrying each label 0..count-1, in row order."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
 def orbits(fragment: Fragment) -> tuple[OrbitRecord, ...]:
     """Partition into reflection-group orbits keyed by dominant point."""
-    by_dominant: dict[OmegaVector, list[OmegaVector]] = {}
-    for p in fragment.points:
-        dom, _ = to_dominant(p)
-        by_dominant.setdefault(dom, []).append(p)
-    records = [
-        OrbitRecord(dom, len(members), tuple(sorted(members, key=OmegaVector.flat)))
-        for dom, members in by_dominant.items()
-    ]
-    records.sort(key=lambda r: r.dominant.flat())
-    return tuple(records)
+    refl = [r.compiled() for r in operators(fragment.group).reflections]
+    dom = kernel.dominant_rows(fragment.coeffs, refl)
+    _, first, labels = np.unique(kernel.pack_rows(dom), return_index=True, return_inverse=True)
+    points = fragment.points
+    return tuple(
+        OrbitRecord(
+            OmegaVector.from_flat(fragment.group, dom[i].tolist()),
+            len(idx),
+            tuple(points[j] for j in idx.tolist()),
+        )
+        for i, idx in zip(first, _groups(labels, len(first)))
+    )
 
 
 @dataclass(frozen=True)
@@ -186,17 +202,29 @@ class Shell:
         return len(self.members)
 
 
+def shell_labels(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
+    """The distinct exact squared norms in ascending order, and for every
+    row the index of its norm in that list."""
+    group = fragment.group
+    q = kernel.quadratic_form_rows(group, fragment.coeffs)
+    _, first, labels = np.unique(kernel.pack_rows(q), return_index=True, return_inverse=True)
+    # (v|v) = v^T adj(A) v / det(A), halved for the unit-root H-groups
+    det = golden_det(cartan(group).entries) * (2 if group.is_h else 1)
+    norms = [GoldenRational(GoldenInt(*q[i].tolist())) / det for i in first]
+    order = sorted(range(len(norms)), key=cmp_to_key(lambda s, t: (norms[s] - norms[t]).sign()))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [norms[i] for i in order], rank[labels]
+
+
 def shells(fragment: Fragment) -> tuple[Shell, ...]:
     """Concentric shells: points grouped by exact squared distance."""
-    by_norm: dict[GoldenRational, list[OmegaVector]] = {}
-    for p in fragment.points:
-        by_norm.setdefault(norm_sq(p), []).append(p)
-    out = [
-        Shell(norm, tuple(sorted(members, key=OmegaVector.flat)))
-        for norm, members in by_norm.items()
-    ]
-    out.sort(key=cmp_to_key(lambda s, t: (s.norm - t.norm).sign()))
-    return tuple(out)
+    norms, labels = shell_labels(fragment)
+    points = fragment.points
+    return tuple(
+        Shell(norm, tuple(points[j] for j in idx.tolist()))
+        for norm, idx in zip(norms, _groups(labels, len(norms)))
+    )
 
 
 def check_tenfold(fragment: Fragment) -> bool:

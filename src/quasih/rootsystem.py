@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +40,7 @@ class GroupId(enum.Enum):
 
     @property
     def rank(self) -> int:
-        return {GroupId.A2: 2, GroupId.H2: 2, GroupId.H3: 3, GroupId.H4: 4}[self]
+        return int(self.value[1])  # the digit of "a2", "h2", "h3", "h4"
 
     @property
     def is_h(self) -> bool:
@@ -203,6 +204,21 @@ def golden_adjugate(m: Matrix) -> Matrix:
     return tuple(tuple(cof[j][i] for j in range(k)) for i in range(k))
 
 
+def integer_form(m: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix acting on flat coefficients (a1, b1, ..., ak, bk)
+    as m acts on Z[tau]^k: (x + y tau)(a + b tau) = xa + yb + (ya + (x+y)b) tau."""
+    k = len(m)
+    rows = [[0] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        for j in range(k):
+            x, y = m[i][j].a, m[i][j].b
+            rows[2 * i][2 * j] += x
+            rows[2 * i][2 * j + 1] += y
+            rows[2 * i + 1][2 * j] += y
+            rows[2 * i + 1][2 * j + 1] += x + y
+    return tuple(tuple(r) for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # Cartan data
 
@@ -239,13 +255,22 @@ def omega_from_alpha(v: AlphaVector) -> OmegaVector:
     return OmegaVector(v.group, coords)
 
 
+@lru_cache(maxsize=None)
+def _alpha_numerators(group: GroupId) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows taking flat omega coefficients to those of
+    adj(A) v conj(det A), and the integer N(det A)."""
+    m = cartan(group).entries
+    det = golden_det(m)
+    scaled = tuple(tuple(e * det.conj() for e in row) for row in golden_adjugate(m))
+    return integer_form(scaled), det.norm()
+
+
 def alpha_from_omega(v: OmegaVector) -> tuple[GoldenRational, ...]:
-    inv = cartan_inverse(v.group)
-    k = v.group.rank
-    return tuple(
-        sum((inv[i][j] * v.coords[j] for j in range(k)), GoldenRational(0))
-        for i in range(k)
-    )
+    """Exact A^{-1} v = adj(A) v conj(det A) / N(det A), in integer arithmetic."""
+    rows, norm = _alpha_numerators(v.group)
+    flat = v.flat()
+    nums = iter([sum(map(operator.mul, row, flat)) for row in rows])
+    return tuple(GoldenRational(GoldenInt(a, b), norm) for a, b in zip(nums, nums))
 
 
 def alpha_vector_from_omega(v: OmegaVector) -> AlphaVector:
@@ -336,6 +361,8 @@ _A2_SIMPLE = (
     (math.sqrt(2.0), 0.0),
     (-math.sqrt(2.0) / 2.0, math.sqrt(6.0) / 2.0),
 )
+_MODELS = {GroupId.A2: _A2_SIMPLE, GroupId.H3: _H3_SIMPLE, GroupId.H4: _H4_SIMPLE}
+_H2_R = math.sqrt(1.0 - PHI * PHI / 4.0)
 
 
 def cartesian(v: OmegaVector, normalize: bool = True) -> tuple[float, ...]:
@@ -351,17 +378,13 @@ def cartesian(v: OmegaVector, normalize: bool = True) -> tuple[float, ...]:
     if v.group is GroupId.H2:
         v1 = v.coords[0].embed()
         v2 = v.coords[1].embed()
-        r = math.sqrt(1.0 - PHI * PHI / 4.0)
-        x = (r * v2, v1 + PHI * v2 / 2.0)
+        x = (_H2_R * v2, v1 + PHI * v2 / 2.0)
         if normalize:
             x = (x[0] / _SQRT_3_MINUS_TAU, x[1] / _SQRT_3_MINUS_TAU)
         return x
-    model = {GroupId.A2: _A2_SIMPLE, GroupId.H3: _H3_SIMPLE, GroupId.H4: _H4_SIMPLE}[v.group]
+    model = _MODELS[v.group]
     coeffs = [c.embed() for c in alpha_from_omega(v)]
-    dim = len(model[0])
-    return tuple(
-        sum(coeffs[j] * model[j][d] for j in range(len(model))) for d in range(dim)
-    )
+    return tuple(sum(map(operator.mul, coeffs, column)) for column in zip(*model))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import math
 
-from .fragment import Fragment, orbits, shells
-from .rootsystem import GroupId, cartesian
+from .fragment import Fragment, orbits, shell_labels, shells
+from .rootsystem import GroupId, OmegaVector, cartesian
 
 _AXES = ("x", "y", "z", "w")
 
@@ -26,14 +26,21 @@ def _fmt(value: float) -> str:
     return "0.000000000000" if out == "-0.000000000000" else out
 
 
+def _rows(fragment: Fragment, normalize: bool):
+    """Flat coefficients and Cartesian coordinates of each point in order;
+    the vectors are built one at a time, not kept."""
+    for flat in fragment.coeffs.tolist():
+        yield flat, cartesian(OmegaVector.from_flat(fragment.group, flat), normalize)
+
+
 def fragment_csv(fragment: Fragment, normalize: bool = True) -> str:
     k = fragment.group.rank
     header = [f"{c}{i + 1}" for i in range(k) for c in ("a", "b")]
     header += list(_AXES[:k])
     lines = [",".join(header)]
-    for p in fragment.points:
-        cells = [str(v) for v in p.flat()]
-        cells += [_fmt(c) for c in cartesian(p, normalize)]
+    for flat, cart in _rows(fragment, normalize):
+        cells = [str(v) for v in flat]
+        cells += [_fmt(c) for c in cart]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -44,10 +51,10 @@ def fragment_json(fragment: Fragment, normalize: bool = True) -> str:
         "n": fragment.n,
         "points": [
             {
-                "omega": [[c.a, c.b] for c in p.coords],
-                "cart": [round(c, 12) + 0.0 for c in cartesian(p, normalize)],
+                "omega": [flat[i:i + 2] for i in range(0, len(flat), 2)],
+                "cart": [round(c, 12) + 0.0 for c in cart],
             }
-            for p in fragment.points
+            for flat, cart in _rows(fragment, normalize)
         ],
         "orbits": [
             {"dominant": [[c.a, c.b] for c in o.dominant.coords], "size": o.size}
@@ -70,24 +77,19 @@ def fragment_svg(fragment: Fragment, normalize: bool = True) -> str:
     4 px dots colored per shell."""
     if fragment.group is not GroupId.H2:
         raise ValueError("SVG rendering is only defined for H2 fragments")
-    shell_list = shells(fragment)
-    radius = max(
-        (math.hypot(*cartesian(p, normalize)) for p in fragment.points), default=0.0
-    )
+    _, labels = shell_labels(fragment)
+    cart = [xy for _, xy in _rows(fragment, normalize)]
+    radius = max((math.hypot(x, y) for x, y in cart), default=0.0)
     scale = 450.0 / radius if radius > 1e-12 else 1.0
-    shell_of = {
-        p: idx for idx, s in enumerate(shell_list) for p in s.members
-    }
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" '
         'viewBox="0 0 1000 1000">',
         '<rect width="1000" height="1000" fill="white"/>',
     ]
-    for p in fragment.points:
-        x, y = cartesian(p, normalize)
+    for (x, y), shell in zip(cart, labels.tolist()):
         cx = 500.0 + scale * x
         cy = 500.0 - scale * y
-        color = _SHELL_COLORS[shell_of[p] % len(_SHELL_COLORS)]
+        color = _SHELL_COLORS[shell % len(_SHELL_COLORS)]
         parts.append(
             f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="4" fill="{color}"/>'
         )

@@ -65,6 +65,18 @@ class TestGenerate:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_usage_error(self, capsys, cap):
+        code, out, err = run_cli(capsys, "generate", "--group", "h2", "--n", "0", "--cap", cap)
+        assert code == 1 and out == ""
+        assert err == "error: --cap must be positive\n"
+
+    def test_cap_of_one_admits_the_origin_only(self, capsys):
+        code, out, _ = run_cli(capsys, "generate", "--group", "h2", "--n", "0", "--cap", "1")
+        assert code == 0 and len(out.splitlines()) == 2
+        code, _, err = run_cli(capsys, "generate", "--group", "h2", "--n", "1", "--cap", "1")
+        assert code == 2 and err == "error: reflection closure exceeded cap 1\n"
+
     def test_unknown_group_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "generate", "--group", "h5", "--n", "1")

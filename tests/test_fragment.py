@@ -65,6 +65,19 @@ class TestGenerate:
         with pytest.raises(ResourceLimitError):
             generate(GroupId.H2, 3, cap=50)
 
+    def test_cap_boundaries(self):
+        # H2 n=1: the reflection closure holds the 10 roots, the fragment 11 points
+        with pytest.raises(ResourceLimitError, match="^reflection closure exceeded cap 9$"):
+            generate(GroupId.H2, 1, cap=9)
+        with pytest.raises(ResourceLimitError, match="^fragment exceeded cap 10$"):
+            generate(GroupId.H2, 1, cap=10)
+        assert generate(GroupId.H2, 1, cap=11).size == 11
+
+    def test_cap_counts_the_origin(self):
+        with pytest.raises(ResourceLimitError, match="fragment exceeded cap 0"):
+            generate(GroupId.H2, 0, cap=0)
+        assert generate(GroupId.H2, 0, cap=1).size == 1
+
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             generate(GroupId.H2, -1)

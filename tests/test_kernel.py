@@ -1,0 +1,168 @@
+"""The int64 Z[tau] kernel against the scalar GoldenInt/GoldenRational classes."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasih import kernel
+from quasih.affine import operators
+from quasih.fragment import (
+    Fragment,
+    ResourceLimitError,
+    generate,
+    generate_rootsum,
+    shell_labels,
+    to_dominant,
+)
+from quasih.golden import GoldenInt, GoldenRational
+from quasih.rootsystem import (
+    _MODELS,
+    GroupId,
+    OmegaVector,
+    alpha_from_omega,
+    cartan_inverse,
+    cartesian,
+    norm_sq,
+)
+
+GROUPS = tuple(GroupId)
+SIGN_LIMIT = (1 << 29) - 1
+
+
+def _fibonacci(count):
+    out = [0, 1]
+    while len(out) < count:
+        out.append(out[-1] + out[-2])
+    return out
+
+
+def _rows(group, bound):
+    cols = 2 * group.rank
+    coeff = st.integers(-bound, bound)
+    return st.lists(st.lists(coeff, min_size=cols, max_size=cols), min_size=1, max_size=30)
+
+
+@st.composite
+def group_rows(draw, bound=6, groups=GROUPS):
+    group = draw(st.sampled_from(groups))
+    return group, np.array(draw(_rows(group, bound)), dtype=np.int64)
+
+
+class TestGoldenSign:
+    @given(st.lists(st.tuples(st.integers(-SIGN_LIMIT, SIGN_LIMIT),
+                              st.integers(-SIGN_LIMIT, SIGN_LIMIT)), min_size=1))
+    def test_matches_scalar(self, pairs):
+        a, b = np.array(pairs, dtype=np.int64).T
+        expect = [GoldenInt(int(x), int(y)).sign() for x, y in pairs]
+        assert kernel.golden_sign(a, b).tolist() == expect
+
+    def test_near_zero_fibonacci_pairs(self):
+        # F(m+1) - F(m)*tau -> 0 with alternating sign
+        fib = [f for f in _fibonacci(60) if f <= SIGN_LIMIT]
+        pairs = []
+        for lo, hi in zip(fib, fib[1:]):
+            pairs += [(hi, -lo), (-hi, lo), (lo, -hi), (hi - 1, -lo), (hi + 1, -lo)]
+        a, b = np.array(pairs, dtype=np.int64).T
+        expect = [GoldenInt(x, y).sign() for x, y in pairs]
+        assert kernel.golden_sign(a, b).tolist() == expect
+
+    def test_out_of_range_raises(self):
+        with pytest.raises(ResourceLimitError):
+            kernel.golden_sign(np.array([1 << 29]), np.array([0]))
+
+
+class TestPackedKeys:
+    @given(group_rows(bound=127))
+    def test_key_order_is_row_order(self, case):
+        _, rows = case
+        keys = kernel.pack_rows(rows)
+        assert sorted(map(tuple, rows.tolist())) == [
+            tuple(r) for r in rows[np.argsort(keys, kind="stable")].tolist()
+        ]
+        assert (kernel.unpack_keys(keys, rows.shape[1]) == rows).all()
+
+    def test_column_width_bound_raises(self):
+        rows = np.zeros((2, 8), dtype=np.int64)  # 8 columns: 8 bits each
+        rows[1, 3] = 128
+        with pytest.raises(ResourceLimitError, match="8-bit packed-key range"):
+            kernel.pack_rows(rows)
+        rows[1, 3] = -128
+        assert (kernel.unpack_keys(kernel.pack_rows(rows), 8) == rows).all()
+
+    def test_operator_image_bound_raises(self):
+        op = operators(GroupId.H2).reflections[0].compiled()
+        with pytest.raises(ResourceLimitError):
+            kernel.apply(op, np.array([[1 << 61, 0, 0, 0]], dtype=np.int64))
+
+
+class TestClosure:
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("n", range(4))
+    def test_equals_rootsum_oracle(self, group, n):
+        word = generate(group, n)
+        assert np.array_equal(word.coeffs, generate_rootsum(group, n).coeffs)
+
+    def test_coeffs_read_only(self):
+        with pytest.raises(ValueError):
+            generate(GroupId.H2, 1).coeffs[0, 0] = 1
+
+
+class TestDominantSweep:
+    @given(group_rows())
+    @settings(max_examples=60)
+    def test_matches_to_dominant(self, case):
+        group, rows = case
+        refl = [r.compiled() for r in operators(group).reflections]
+        swept = kernel.dominant_rows(rows, refl)
+        for row, dom in zip(rows.tolist(), swept.tolist()):
+            assert to_dominant(OmegaVector.from_flat(group, row))[0].flat() == tuple(dom)
+
+
+class TestShellKeys:
+    @given(group_rows())
+    @settings(max_examples=60)
+    def test_norms_match_norm_sq(self, case):
+        group, rows = case
+        points = [OmegaVector.from_flat(group, r) for r in rows.tolist()]
+        norms, labels = shell_labels(Fragment(group, 0, points, "test"))
+        assert [norms[i] for i in labels.tolist()] == [norm_sq(p) for p in points]
+        assert all((b - a).sign() > 0 for a, b in zip(norms, norms[1:]))
+
+
+def _reference_alpha(v):
+    """A^{-1} v summed term by term in GoldenRational arithmetic."""
+    inv = cartan_inverse(v.group)
+    k = v.group.rank
+    return tuple(
+        sum((inv[i][j] * v.coords[j] for j in range(k)), GoldenRational(0))
+        for i in range(k)
+    )
+
+
+def _reference_cartesian(v):
+    """The embedding of ``_reference_alpha`` against the orthonormal model."""
+    model = _MODELS[v.group]
+    coeffs = [c.embed() for c in _reference_alpha(v)]
+    return tuple(
+        sum(coeffs[j] * model[j][d] for j in range(len(model)))
+        for d in range(len(model[0]))
+    )
+
+
+class TestCartesian:
+    # H2 embeds the omega coordinates directly, the others go through alpha
+    @given(group_rows(bound=40, groups=(GroupId.A2, GroupId.H3, GroupId.H4)))
+    @settings(max_examples=60)
+    def test_bitwise_equal_to_golden_rational_path(self, case):
+        group, rows = case
+        for row in rows.tolist():
+            v = OmegaVector.from_flat(group, row)
+            assert alpha_from_omega(v) == _reference_alpha(v)
+            assert cartesian(v) == _reference_cartesian(v)
+
+    def test_alpha_coordinates_need_reduction(self):
+        # omega_1 of H3 has non-integral alpha coordinates
+        v = OmegaVector.make(GroupId.H3, (1, 0, 0))
+        assert not all(c.is_integral() for c in alpha_from_omega(v))
+        assert cartesian(v) == _reference_cartesian(v)

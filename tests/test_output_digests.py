@@ -1,0 +1,56 @@
+"""Byte-identity gate: sha256 digests of CLI stdout.
+
+The digests were recorded from the scalar GoldenInt implementation before
+fragments moved to int64 coefficient arrays.  Any change to a rendered
+byte (point order, a float digit, JSON layout) fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from quasih.cli import main
+
+DIGESTS = (
+    ("generate --group a2 --n 0 --format csv", "f1cbea90d96165a5cc90ba5673c72e778a33c12d3e204019b4defd94f4fda404"),
+    ("generate --group a2 --n 0 --format json", "190c7fdd344dde9c8d9445c0f96b61db7bfd9a2b92dc782477790c3173529f09"),
+    ("generate --group a2 --n 1 --format csv", "f961b479434fdbdfbf0e4dfa696364947edc2acf3faff7785f4e5fb3989c89dd"),
+    ("generate --group a2 --n 1 --format json", "3ed7a7b7ffabf2e49a216e642a974ac4500cdcaba957599f7b74fb7241882f34"),
+    ("generate --group a2 --n 2 --format csv", "a861cb5afc9ec2f660f586d9344445ab0e1887751440a5ec96ebf8308e72e866"),
+    ("generate --group a2 --n 2 --format json", "213a251d6481897c326b20e470d13aaf0db5e10fba5021b28c65c4140d8fbba0"),
+    ("generate --group h2 --n 0 --format csv", "f1cbea90d96165a5cc90ba5673c72e778a33c12d3e204019b4defd94f4fda404"),
+    ("generate --group h2 --n 0 --format json", "00d1a2ecc7b78bdccdb231e822f8038f636e02edd789e71238c211fbec4567b2"),
+    ("generate --group h2 --n 1 --format csv", "d746abf753efc1343658fd694691150c886ce709bad1e7c8d6429bf00898fc74"),
+    ("generate --group h2 --n 1 --format json", "ced38dac40b1f5c3d1c0f07714bfa60b448d39ef553be7e0ddef1fd72bc6abdc"),
+    ("generate --group h2 --n 2 --format csv", "7c47778ad058008bb08a113e507a47f7599df15aa222a047866f5c83290cf088"),
+    ("generate --group h2 --n 2 --format json", "d0a3b2dea4c46f1d4f5c5c63f84a2bcb5f609e5ec7a102c3e51efe64e5cf327c"),
+    ("generate --group h3 --n 0 --format csv", "286844e20a71a3e23abbf6fd4a1569dd376c8d4edc0741f9b94d4ec3f9f9be19"),
+    ("generate --group h3 --n 0 --format json", "b1955a86085fd736b3d635f7b67a9378cb965188346788385c9f764ed1b0dde9"),
+    ("generate --group h3 --n 1 --format csv", "5cf4db2f24ef1b0d3d4e1af18a21beb187a6c047b7ed234186f72e162a9cf6ae"),
+    ("generate --group h3 --n 1 --format json", "e56c635817714633efab63978a45617fdc9396319c4c3ba76eadc88c488fb0a3"),
+    ("generate --group h3 --n 2 --format csv", "8bee215bf2cd67dcbd50c01667cffa90523664d58ad73cab9a7c170e57789a5a"),
+    ("generate --group h3 --n 2 --format json", "a692899bc71e24937280ba972923b9992c87bde7608773c4eff527dbb65694fc"),
+    ("generate --group h4 --n 0 --format csv", "3cdf4b8d5eefb3537f67637d39e900b133eea135e2eb5cc5286d064fa2a5a999"),
+    ("generate --group h4 --n 0 --format json", "88afd8a0df39de4c85d73aa33aa2e349a7f4dbb481ccd6a042215ee8eb8242e1"),
+    ("generate --group h4 --n 1 --format csv", "3eaf012ad174feaef944095ed83afb54e20af5cd005292277407ad59bda665de"),
+    ("generate --group h4 --n 1 --format json", "f3dd5cc752e6e6cd33062363eecbfd7609d54d76bf10d0b71d1c5026b547468e"),
+    ("generate --group h4 --n 2 --format csv", "5f710211439f23db2ec3ad5bfdccb6464d5c290e4adb322b0e049d9062516010"),
+    ("generate --group h4 --n 2 --format json", "327979da0b315e76344b142629ed4f66cafa17d03c16cf8d44eb7000b6d15bea"),
+    ("generate --group h2 --n 0 --format svg", "1d3ac75f2183d815e1264914ce83504e3e5bb8b45ff3bb3f6507c5e6cbdfb1be"),
+    ("generate --group h2 --n 1 --format svg", "63d4d7cc0fbb09f709c7bb24295f2031be398c3a48c5f8c7a7e54a0da9e1824c"),
+    ("generate --group h2 --n 2 --format svg", "26937fdeda6a92710242d4578359fb5f3fc1471f5e62fb7a50d5027608e1df4a"),
+    ("generate --group h2 --n 3 --format svg", "7dd10d833000dd2519a08d1af70cafe911d539cc09d1823d8f985289c741af84"),
+    ("generate --group h2 --n 2 --normalize false", "3862249959bdcb00924312569c59e5d8fced0f40e19979c382852cd035cab7c9"),
+    ("generate --group h2 --n 2 --format svg --normalize false", "26937fdeda6a92710242d4578359fb5f3fc1471f5e62fb7a50d5027608e1df4a"),
+    ("line --n 6 --format json", "a56e671c976a0edd21faffbc832fb9870df03a3a42b829f43e46b2257617b5f8"),
+    ("line --n 6 --format csv", "e1cca240b17d8e7b73ab5069bdef867bdda7d91320e415fe374560d4ea98c471"),
+    ("compare --n 3", "3a0a6e2e680a1fe6d2de1d0fb8a3c4d850aa1535c10f1386f6b0dd53cde02d17"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", DIGESTS, ids=[argv for argv, _ in DIGESTS])
+def test_stdout_digest(capsys, argv, digest):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
