@@ -400,14 +400,3 @@ def reference_diff(group: GroupId, coeff_bound: int = 3) -> TableDiff:
     return TableDiff(
         group, coeff_bound, missing, extras, len(table), result.count, result.psd_count
     )
-
-
-# ---------------------------------------------------------------------------
-# crystallographic sanity fragment
-
-def a2_lattice_demo(n: int) -> "Fragment":
-    """A2 analog of fragment generation; every point lies in the root
-    lattice (integer alpha coordinates), unlike the dense H-group orbits."""
-    from .fragment import generate
-
-    return generate(GroupId.A2, n)

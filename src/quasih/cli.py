@@ -13,7 +13,7 @@ import json
 import sys
 
 from .rootsystem import GroupId
-from .fragment import ResourceLimitError, generate
+from .fragment import ResourceLimitError, cached_fragment, generate
 from .lineanalysis import (
     Window1D,
     deficiencies_1d,
@@ -169,9 +169,13 @@ def cmd_compare(args) -> int:
         sys.stderr.write("error: --n must be positive\n")
         return USAGE_ERROR
     n = args.n
-    sigma = sigma_2d(n)
-    fragment = generate(GroupId.H2, n)
-    defic = deficiencies_2d(n)
+    try:
+        sigma = sigma_2d(n)
+        fragment = cached_fragment(GroupId.H2, n)
+        defic = deficiencies_2d(n)
+    except ResourceLimitError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return CHECK_ERROR
     doc = {
         "group": args.group,
         "n": n,

@@ -1,22 +1,25 @@
 """Planar cut-and-project sets with decagonal windows.
 
-The module of candidate points is Z[tau]*1 + Z[tau]*xi^4 = Z[xi]; a point
-is accepted when it and its star image both lie in the regular decagon
-D(n) of circumradius n whose vertices sit at n*xi^j (so the outermost
-fragment shell lands exactly on window vertices).  Membership of module
-points is decided by exact sign tests of Z[tau]-linear edge forms: for a
-cyclotomic z the sign of Im(z) equals the sign of its xi-coefficient.
+The module of candidate points is Z[xi] = Z[tau]*1 + Z[tau]*xi; a point is
+accepted when it and its star image both lie in the regular decagon D(n)
+of circumradius n whose vertices sit at n*xi^j (so the outermost fragment
+shell lands exactly on window vertices).  Membership of module points is
+decided by exact sign tests of Z[tau]-linear edge forms: for a cyclotomic z
+the sign of Im(z) equals the sign of its xi-coefficient.  ``sigma_2d``
+compiles the same forms to integer rows and scans a provably sufficient
+integer box with the int64 kernel, so no float decides a member or the
+scan range.  ``decagon_contains`` is a float reference for tests only.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .golden import CycloInt, GoldenInt, xi_pow
-from .fragment import Fragment, ResourceLimitError, cached_fragment
+from .fragment import Fragment, cached_fragment
+from .kernel import ResourceLimitError, box_nonnegative, compile_forms
 from .rootsystem import GroupId
 
 DEFAULT_BOX_CAP = 10_000_000
@@ -32,7 +35,8 @@ class DecagonWindow:
         return tuple(xi_pow(j) * self.n for j in range(10))
 
     def vertices_complex(self) -> tuple[complex, ...]:
-        return tuple(v.embed() for v in self.vertices())
+        """The vertices n*exp(i*pi*j/5) as floats, for ``decagon_contains``."""
+        return tuple(cmath.rect(self.n, cmath.pi * j / 5) for j in range(10))
 
 
 def decagon_contains(p: complex, n: int, tol: float = 1e-9) -> bool:
@@ -51,21 +55,22 @@ def decagon_contains(p: complex, n: int, tol: float = 1e-9) -> bool:
     return True
 
 
-def decagon_contains_exact(x: CycloInt, n: int) -> bool:
-    """Exact membership for module points (closed decagon).
+def _edge_forms(x: CycloInt, n: int) -> tuple[GoldenInt, ...]:
+    """The ten edge forms of D(n) at x, each >= 0 exactly on the inner side.
 
-    Inside means every edge cross product Im(conj(V_{j+1}-V_j)*(x-V_j)) is
-    non-negative; dropping the positive factor n this is the xi-coefficient
-    of xi^(-j) * (xi^9 - 1) * (x - n*xi^j).
+    The edge cross product Im(conj(V_{j+1}-V_j)*(x-V_j)) with the positive
+    factor n dropped is the xi-coefficient of
+    xi^(-j) * (xi^9 - 1) * (x - n*xi^j), which is Z[tau]-linear in x.
     """
+    edge_conj = xi_pow(9) - xi_pow(0)
+    return tuple((xi_pow(-j) * edge_conj * (x - xi_pow(j) * n)).q for j in range(10))
+
+
+def decagon_contains_exact(x: CycloInt, n: int) -> bool:
+    """Exact membership for module points (closed decagon)."""
     if n < 1:
         raise ValueError("window radius must be positive")
-    edge_conj = xi_pow(9) - xi_pow(0)
-    for j in range(10):
-        w = xi_pow(-j) * edge_conj * (x - xi_pow(j) * n)
-        if w.q.sign() < 0:
-            return False
-    return True
+    return all(w.sign() >= 0 for w in _edge_forms(x, n))
 
 
 @dataclass(frozen=True)
@@ -81,71 +86,43 @@ class CutProjectSet2D:
         return frozenset(self.points)
 
 
-def _embedding_bounds(n: int) -> list[int]:
-    """Integer bounds on (x1, x2, x3, x4) from the Minkowski box [-n, n]^4.
-
-    E maps the integer coordinates of x = (x1+tau*x2) + (x3+tau*x4)*xi^4
-    to (Re x, Im x, Re x*, Im x*); the rows of E^{-1} applied to the box
-    bound each coordinate by n * sum_j |E^{-1}_ij|.
-    """
-    basis = [
-        xi_pow(0),
-        xi_pow(0) * GoldenInt(0, 1),
-        xi_pow(4),
-        xi_pow(4) * GoldenInt(0, 1),
-    ]
-    e = np.array(
-        [
-            [b.embed().real for b in basis],
-            [b.embed().imag for b in basis],
-            [b.star().embed().real for b in basis],
-            [b.star().embed().imag for b in basis],
-        ]
-    )
-    inv = np.linalg.inv(e)
-    limits = np.abs(inv).sum(axis=1) * n
-    return [math.floor(lim + 1e-6) + 1 for lim in limits]
+def _point(coords) -> CycloInt:
+    a, b, c, d = coords
+    return CycloInt(GoldenInt(a, b), GoldenInt(c, d))
 
 
+@lru_cache(maxsize=None)
 def sigma_2d(n: int, box_cap: int = DEFAULT_BOX_CAP) -> CutProjectSet2D:
     """Sigma(D(n)) intersected with D(n): both x and star(x) in the window.
 
-    A cheap float circumradius prefilter trims the integer box; survivors
-    are decided exactly.
+    Points x = p + q*xi are scanned over their coordinates
+    (p.a, p.b, q.a, q.b) in the box |x_i| <= 5n//4 + 1, whose lexicographic
+    order is ``CycloInt.sort_key`` order; the twenty edge forms of x and
+    star(x) decide membership exactly.  The box holds every member: with
+    ' the Galois conjugation, Im(x) = q*sin36 and Im(x*) = -q'*sin72, and
+    both |x| and |x*| are at most n, so |q| <= n/sin36 and |q'| <= n/sin72.
+    From q.b = (q - q')/sqrt5, q.a = (tau*q' - tau'*q)/sqrt5 and
+    sin72 = tau*sin36,
+
+        |q.a|, |q.b| <= (1/sin36 + 1/sin72) * n/sqrt5 < 1.232n.
+
+    The same holds for p, read off x*xi^9 = p*xi^9 + q, whose imaginary
+    parts are -p*sin36 and, under star (xi^9 -> xi^3), p'*sin72.  Results
+    are memoized; a set is immutable.
     """
     if n < 1:
         raise ValueError("window radius must be positive")
-    b1, b2, b3, b4 = _embedding_bounds(n)
-    volume = (2 * b1 + 1) * (2 * b2 + 1) * (2 * b3 + 1) * (2 * b4 + 1)
+    bound = 5 * n // 4 + 1
+    volume = (2 * bound + 1) ** 4
     if volume > box_cap:
         raise ResourceLimitError(f"enumeration box of {volume} points exceeds cap")
 
-    alpha1 = xi_pow(0).embed()
-    alpha2 = xi_pow(4).embed()
-    a1s = xi_pow(0).star().embed()
-    a2s = xi_pow(8).embed()  # star of xi^4
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    phi_c = (1.0 - math.sqrt(5.0)) / 2.0
-    radius = n + 1e-6
+    def window_forms(coords):
+        x = _point(coords)
+        return _edge_forms(x, n) + _edge_forms(x.star(), n)
 
-    points: list[CycloInt] = []
-    for x1 in range(-b1, b1 + 1):
-        for x2 in range(-b2, b2 + 1):
-            c1 = x1 + phi * x2
-            c1s = x1 + phi_c * x2
-            for x3 in range(-b3, b3 + 1):
-                for x4 in range(-b4, b4 + 1):
-                    z = c1 * alpha1 + (x3 + phi * x4) * alpha2
-                    if abs(z) > radius:
-                        continue
-                    zs = c1s * a1s + (x3 + phi_c * x4) * a2s
-                    if abs(zs) > radius:
-                        continue
-                    x = CycloInt.from_golden(GoldenInt(x1, x2)) + xi_pow(4) * GoldenInt(x3, x4)
-                    if decagon_contains_exact(x, n) and decagon_contains_exact(x.star(), n):
-                        points.append(x)
-    points.sort(key=CycloInt.sort_key)
-    return CutProjectSet2D(n, tuple(points))
+    rows = box_nonnegative(bound, 4, compile_forms(window_forms, 4))
+    return CutProjectSet2D(n, tuple(_point(r) for r in rows.tolist()))
 
 
 def deficiencies_2d(n: int) -> tuple[CycloInt, ...]:

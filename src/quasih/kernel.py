@@ -113,6 +113,40 @@ def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
     return x
 
 
+def compile_forms(fn, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, off) of ``fn``, a function of ``dims`` integers returning Z[tau]
+    values and integer-affine in its arguments: off is its value at the
+    origin and column j of M its change along unit vector j, both on flat
+    (a1, b1, ...) rows, the shape of ``AffineOperator.compiled()``."""
+
+    def flat(point):
+        return np.array([c for v in fn(point) for c in (v.a, v.b)], dtype=np.int64)
+
+    off = flat((0,) * dims)
+    cols = [flat(tuple(int(i == j) for i in range(dims))) - off for j in range(dims)]
+    return np.stack(cols, axis=1), off
+
+
+def box_nonnegative(bound: int, dims: int, forms) -> np.ndarray:
+    """Rows of the integer box [-bound, bound]^dims, in lexicographic order,
+    at which every Z[tau] value of the compiled ``forms`` is >= 0.  The box
+    is scanned one slab of the first coordinate at a time, so memory is
+    O((2*bound + 1)^(dims - 1))."""
+    side = 2 * bound + 1
+    rest = np.indices((side,) * (dims - 1), dtype=np.int64)
+    rest = rest.reshape(dims - 1, side ** (dims - 1)).T - bound
+    m, off = forms
+    kept = []
+    for first in range(-bound, bound + 1):
+        rows = np.concatenate([np.full((len(rest), 1), first, dtype=np.int64), rest], axis=1)
+        # form by form on the rows still inside: no (rows x forms) array is built
+        for j in range(0, len(off), 2):
+            value = apply((m[j:j + 2], off[j:j + 2]), rows)
+            rows = rows[golden_sign(value[:, 0], value[:, 1]) >= 0]
+        kept.append(rows)
+    return np.concatenate(kept)
+
+
 @lru_cache(maxsize=None)
 def _adjugate(group: GroupId) -> tuple[np.ndarray, np.ndarray]:
     """adj(A) as an operator on coefficient rows, with zero offset."""

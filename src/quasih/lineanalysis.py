@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .golden import CycloInt, GoldenInt, PHI, PHI_CONJ, TAU, xi_pow
+from .golden import CycloInt, GoldenInt, TAU, xi_pow
+from .kernel import box_nonnegative, compile_forms
 
 
 def _sorted_values(values) -> tuple[GoldenInt, ...]:
@@ -70,23 +71,11 @@ def line_contains(x: GoldenInt, n: int) -> bool:
 
 
 def line_bruteforce(n: int) -> LineSet:
-    """Independent derivation: scan all sums of at most n decagonal roots
-    and keep the ones landing exactly on the real axis."""
+    """Independent derivation: the sums of at most n decagonal roots found
+    by ``rootsum_witnesses`` that land exactly on the real axis."""
     if n < 0:
         raise ValueError("cut-off must be non-negative")
-    roots = [xi_pow(j) for j in range(10)]
-    total: set[CycloInt] = {CycloInt()}
-    frontier: set[CycloInt] = {CycloInt()}
-    for _ in range(n):
-        new: set[CycloInt] = set()
-        for s in frontier:
-            for r in roots:
-                t = s + r
-                if t not in total:
-                    new.add(t)
-        total |= new
-        frontier = new
-    return LineSet(n, _sorted_values(x.p for x in total if x.is_real()))
+    return LineSet(n, _sorted_values(x.p for x in rootsum_witnesses(n) if x.is_real()))
 
 
 def levels(n: int) -> tuple[tuple[int, tuple[GoldenInt, ...]], ...]:
@@ -133,23 +122,23 @@ class Window1D:
 def sigma_1d(window: Window1D, region: Window1D) -> tuple[GoldenInt, ...]:
     """{x in Z[tau] : x in region and conj(x) in window}, exactly.
 
-    Candidate (x1, x2) ranges come from the two real embeddings
-    (x - conj(x) = x2*sqrt(5) is pinned by the interval difference); the
-    float ranges only pre-trim the scan, final membership is exact.
+    x = x1 + x2*tau is scanned over the integer box |x1|, |x2| <= B with B
+    the largest |a| + 2|b| of the four endpoints a + b*tau, and the four
+    forms x - lo, hi - x (region) and conj(x) - lo, hi - conj(x) (window)
+    decide membership.  The box holds every member: an endpoint has
+    |a + b*tau| <= B, so |x| and |conj(x)| are at most B, and
+    x2 = (x - conj(x))/sqrt5 and
+    x1 = (tau*conj(x) - tau'*x)/sqrt5 obey |x2| <= 2B/sqrt5 and
+    |x1| <= (tau + |tau'|)*B/sqrt5 = B.
     """
-    rlo, rhi = region.lo.embed(), region.hi.embed()
-    wlo, whi = window.lo.embed(), window.hi.embed()
-    x2_min = math.floor((rlo - whi) / math.sqrt(5.0)) - 1
-    x2_max = math.ceil((rhi - wlo) / math.sqrt(5.0)) + 1
-    out = []
-    for x2 in range(x2_min, x2_max + 1):
-        lo = max(rlo - x2 * PHI, wlo - x2 * PHI_CONJ)
-        hi = min(rhi - x2 * PHI, whi - x2 * PHI_CONJ)
-        for x1 in range(math.floor(lo) - 1, math.ceil(hi) + 2):
-            x = GoldenInt(x1, x2)
-            if region.contains(x) and window.contains_conj(x):
-                out.append(x)
-    return _sorted_values(out)
+    bound = max(abs(e.a) + 2 * abs(e.b) for e in (region.lo, region.hi, window.lo, window.hi))
+
+    def forms(coords):
+        x = GoldenInt(*coords)
+        return (x - region.lo, region.hi - x, x.conj() - window.lo, window.hi - x.conj())
+
+    rows = box_nonnegative(bound, 2, compile_forms(forms, 2))
+    return _sorted_values(GoldenInt(a, b) for a, b in rows.tolist())
 
 
 def deficiencies_1d(n: int) -> tuple[GoldenInt, ...]:
@@ -317,5 +306,4 @@ def min_distance_compare(n: int) -> tuple[float, float, bool]:
     w = Window1D.symmetric(n)
     d_line = _min_gap(line_closed_form(n).values)
     d_sigma = _min_gap(sigma_1d(w, w))
-    ok = d_line.embed() >= d_sigma.embed() - 1e-12
-    return d_line.embed(), d_sigma.embed(), ok
+    return d_line.embed(), d_sigma.embed(), (d_line - d_sigma).sign() >= 0

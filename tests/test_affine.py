@@ -16,7 +16,6 @@ from quasih.rootsystem import (
 )
 from quasih.affine import (
     CartanCandidate,
-    a2_lattice_demo,
     reference_diff,
     reference_table,
     enumerate_generalized,
@@ -26,6 +25,7 @@ from quasih.affine import (
     verify_conditions,
     verify_identities,
 )
+from quasih.fragment import generate
 
 ALL_GROUPS = (GroupId.A2,) + H_GROUPS
 
@@ -280,13 +280,13 @@ class TestReferenceTables:
 
 class TestA2Demo:
     def test_n0(self):
-        f = a2_lattice_demo(0)
+        f = generate(GroupId.A2, 0)
         assert f.size == 1 and f.points[0].is_zero()
 
     def test_n1_is_origin_plus_root_orbit(self):
         from quasih.rootsystem import roots_omega
 
-        f = a2_lattice_demo(1)
+        f = generate(GroupId.A2, 1)
         assert f.size == 7
         assert f.point_set() == set(roots_omega(GroupId.A2)) | {
             OmegaVector.zero(GroupId.A2)
@@ -294,7 +294,7 @@ class TestA2Demo:
 
     def test_points_lie_in_root_lattice(self):
         for n in range(4):
-            for p in a2_lattice_demo(n).points:
+            for p in generate(GroupId.A2, n).points:
                 coords = alpha_from_omega(p)
                 assert all(c.is_integral() and c.as_golden().b == 0 for c in coords)
 

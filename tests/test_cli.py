@@ -171,6 +171,16 @@ class TestCompareCommand:
         assert doc["deficiency_count"] == 0
         assert doc["sigma_count"] == doc["fragment_count"] == 61
 
+    def test_box_cap_is_exit_2(self, capsys, monkeypatch):
+        # the 103^4 box is refused before any scan starts
+        def no_scan(*args):
+            raise AssertionError("scan started past the box cap")
+
+        monkeypatch.setattr("quasih.cutproject.box_nonnegative", no_scan)
+        code, out, err = run_cli(capsys, "compare", "--n", "40")
+        assert code == 2 and out == ""
+        assert err == "error: enumeration box of 112550881 points exceeds cap\n"
+
 
 class TestVerifyCommand:
     def test_single_check_passes(self, capsys):

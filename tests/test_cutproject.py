@@ -1,8 +1,13 @@
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasih import cutproject, kernel
 from quasih.golden import CycloInt, GoldenInt, TAU, xi_pow
 from quasih.rootsystem import GroupId, cyclo_from_omega, roots_omega
 from quasih.fragment import ResourceLimitError, generate
@@ -14,6 +19,26 @@ from quasih.cutproject import (
     fragment_in_window,
     sigma_2d,
 )
+
+
+def _module_point(x1, x2, x3, x4):
+    return CycloInt.from_golden(GoldenInt(x1, x2)) + xi_pow(4) * GoldenInt(x3, x4)
+
+
+@st.composite
+def _window_samples(draw):
+    """A radius n <= 4 and module points: some anywhere in the box
+    |x_i| <= 2n, some one unit step or less from a member of Sigma(D(n))."""
+    n = draw(st.integers(1, 4))
+    coord = st.integers(-2 * n, 2 * n)
+    box = draw(st.lists(st.tuples(coord, coord, coord, coord), max_size=20))
+    points = [_module_point(*c) for c in box]
+    members = sigma_2d(n).points
+    step = st.integers(-1, 1)
+    for i, c in draw(st.lists(st.tuples(st.integers(0, len(members) - 1),
+                                        st.tuples(step, step, step, step)), max_size=20)):
+        points.append(members[i] + _module_point(*c))
+    return n, points
 
 
 class TestWindow:
@@ -103,6 +128,47 @@ class TestSigma2D:
     def test_box_cap(self):
         with pytest.raises(ResourceLimitError):
             sigma_2d(5, box_cap=10)
+
+    def test_largest_n_under_default_cap(self, monkeypatch):
+        # |x_i| <= 5n//4 + 1: 55^4 boxes fit at n = 21, 57^4 do not at n = 22;
+        # the uncached function with a stub scan checks the cap alone
+        empty = np.zeros((0, 4), dtype=np.int64)
+        monkeypatch.setattr(cutproject, "box_nonnegative", lambda *args: empty)
+        assert sigma_2d.__wrapped__(21).size == 0
+        with pytest.raises(ResourceLimitError, match="10556001 points"):
+            sigma_2d.__wrapped__(22)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_equals_scalar_scan(self, n):
+        # every module point (x1 + x2 tau) + (x3 + x4 tau) xi^4 in |x_i| <= 2n,
+        # a box in another basis than the scan's, tested edge by edge
+        bound = 2 * n
+        expect = set()
+        for x1, x2, x3, x4 in itertools.product(range(-bound, bound + 1), repeat=4):
+            x = _module_point(x1, x2, x3, x4)
+            if decagon_contains_exact(x, n) and decagon_contains_exact(x.star(), n):
+                expect.add(x)
+        assert sigma_2d(n).point_set() == expect
+
+    @given(_window_samples())
+    @settings(max_examples=60)
+    def test_membership_matches_scalar(self, case):
+        n, points = case
+        members = sigma_2d(n).point_set()
+        for x in points:
+            inside = decagon_contains_exact(x, n) and decagon_contains_exact(x.star(), n)
+            assert (x in members) == inside
+
+    @given(st.integers(1, 6),
+           st.lists(st.tuples(*[st.integers(-40, 40)] * 4), min_size=1, max_size=20))
+    def test_edge_forms_compile(self, n, coords):
+        def forms(c):
+            x = CycloInt(GoldenInt(c[0], c[1]), GoldenInt(c[2], c[3]))
+            return cutproject._edge_forms(x, n) + cutproject._edge_forms(x.star(), n)
+
+        rows = np.array(coords, dtype=np.int64)
+        values = kernel.apply(kernel.compile_forms(forms, 4), rows)
+        assert values.tolist() == [[c for v in forms(p) for c in (v.a, v.b)] for p in coords]
 
 
 class TestDeficiencies2D:

@@ -1,5 +1,7 @@
 """The int64 Z[tau] kernel against the scalar GoldenInt/GoldenRational classes."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,3 +168,47 @@ class TestCartesian:
         v = OmegaVector.make(GroupId.H3, (1, 0, 0))
         assert not all(c.is_integral() for c in alpha_from_omega(v))
         assert cartesian(v) == _reference_cartesian(v)
+
+
+@st.composite
+def affine_forms(draw, max_dims=3, coeff=5):
+    """A random Z[tau]-affine map of ``dims`` integers as a scalar function:
+    form f is off_f + sum_j lin_fj * c_j with GoldenInt coefficients."""
+    dims = draw(st.integers(1, max_dims))
+    count = draw(st.integers(1, 4))
+    golden = st.builds(GoldenInt, st.integers(-coeff, coeff), st.integers(-coeff, coeff))
+    off = draw(st.lists(golden, min_size=count, max_size=count))
+    row = st.lists(golden, min_size=dims, max_size=dims)
+    lin = draw(st.lists(row, min_size=count, max_size=count))
+
+    def fn(point):
+        return tuple(
+            o + sum((c * x for c, x in zip(row, point)), GoldenInt(0)) for o, row in zip(off, lin)
+        )
+
+    return dims, fn
+
+
+def _flat(values):
+    return [c for v in values for c in (v.a, v.b)]
+
+
+class TestCompiledForms:
+    @given(affine_forms(), st.lists(st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+                                    min_size=1, max_size=20))
+    def test_compile_matches_scalar(self, case, points):
+        dims, fn = case
+        rows = np.array([p[:dims] for p in points], dtype=np.int64)
+        values = kernel.apply(kernel.compile_forms(fn, dims), rows)
+        assert values.tolist() == [_flat(fn(tuple(r))) for r in rows.tolist()]
+
+    @given(affine_forms(), st.integers(0, 4))
+    @settings(max_examples=60)
+    def test_box_scan_matches_scalar(self, case, bound):
+        dims, fn = case
+        rows = kernel.box_nonnegative(bound, dims, kernel.compile_forms(fn, dims))
+        expect = [
+            list(p) for p in itertools.product(range(-bound, bound + 1), repeat=dims)
+            if all(v.sign() >= 0 for v in fn(p))
+        ]
+        assert rows.tolist() == expect

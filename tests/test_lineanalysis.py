@@ -133,6 +133,33 @@ class TestSigma1D:
         assert GoldenInt(1, 1) in set(out)
 
 
+@st.composite
+def _windows(draw):
+    """A closed Z[tau] window with endpoint coefficients in [-4, 4]."""
+    ends = sorted(
+        (GoldenInt(draw(st.integers(-4, 4)), draw(st.integers(-4, 4))) for _ in range(2)),
+        key=GoldenInt.embed,
+    )
+    return Window1D.make(*ends)
+
+
+class TestSigma1DScan:
+    # |endpoint| <= 4 + 4 tau < 10.5, so every member has |x1| <= 10.5 and
+    # |x2| <= 21 / sqrt5 < 10: the box |x_i| <= 12 holds them all
+    @given(_windows(), _windows())
+    @settings(max_examples=60)
+    def test_matches_scalar_box_scan(self, window, region):
+        expect = [
+            GoldenInt(a, b)
+            for a in range(-12, 13)
+            for b in range(-12, 13)
+            if region.contains(GoldenInt(a, b)) and window.contains_conj(GoldenInt(a, b))
+        ]
+        got = sigma_1d(window, region)
+        assert set(got) == set(expect) and len(got) == len(expect)
+        assert all((y - x).sign() > 0 for x, y in zip(got, got[1:]))
+
+
 class TestDeficiencies1D:
     def test_empty_below_three(self):
         assert deficiencies_1d(0) == ()

@@ -1,8 +1,10 @@
 """Byte-identity gate: sha256 digests of CLI stdout.
 
 The digests were recorded from the scalar GoldenInt implementation before
-fragments moved to int64 coefficient arrays.  Any change to a rendered
-byte (point order, a float digit, JSON layout) fails here.
+fragments moved to int64 coefficient arrays; ``compare --n 5`` and
+``line --n 12 --format csv`` were recorded before the cut-and-project sets
+moved from float-bounded scans to the exact integer box scan.  Any change
+to a rendered byte (point order, a float digit, JSON layout) fails here.
 """
 
 import hashlib
@@ -45,6 +47,8 @@ DIGESTS = (
     ("line --n 6 --format json", "a56e671c976a0edd21faffbc832fb9870df03a3a42b829f43e46b2257617b5f8"),
     ("line --n 6 --format csv", "e1cca240b17d8e7b73ab5069bdef867bdda7d91320e415fe374560d4ea98c471"),
     ("compare --n 3", "3a0a6e2e680a1fe6d2de1d0fb8a3c4d850aa1535c10f1386f6b0dd53cde02d17"),
+    ("compare --n 5", "c8fb873f4b45c8bddcadca227baf64fb5f54d663f4a38ae00fb44a8088877ace"),
+    ("line --n 12 --format csv", "37367c6c5663f36165bed1b178d107365394e72a5cc2dc48c92570d4e87a0a49"),
 )
 
 
