@@ -15,6 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .golden import GoldenInt, ONE, ZERO
+from .kernel import _INT64_HEADROOM, ResourceLimitError, _require
 from .rootsystem import (
     AlphaVector,
     CartanMatrix,
@@ -247,6 +248,10 @@ def verify_identities(group: GroupId, extended: bool = False) -> IdentityReport:
 # ---------------------------------------------------------------------------
 # brute-force enumeration of generalized Cartan matrices
 
+# Largest solved grid (2b + 1)^(2k - 1) the enumeration scans; the same
+# value as the cut-and-project box cap.  H4 admits coeff_bound <= 4.
+ENUMERATION_CAP = 10_000_000
+
 @dataclass(frozen=True)
 class CartanCandidate:
     group: GroupId
@@ -273,17 +278,18 @@ class EnumerationResult:
         return len(self.candidates)
 
 
-def _quadratic_forms(group: GroupId):
-    """Integer matrices G0, G1 with w^T adj(A) w = u G0 u + tau * (u G1 u)
-    for w_i = x_i + tau y_i and u = (x_1..x_k, y_1..y_k)."""
+def _quadratic_forms(group: GroupId) -> np.ndarray:
+    """Integer matrices (G0, G1), stacked, with
+    w^T adj(A) w = u G0 u + tau * (u G1 u) for w_i = x_i + tau y_i and
+    u = (x_1, y_1, ..., x_k, y_k)."""
     k = group.rank
     adj = golden_adjugate(cartan(group).entries)
-    g0 = np.zeros((2 * k, 2 * k), dtype=np.int64)
-    g1 = np.zeros((2 * k, 2 * k), dtype=np.int64)
+    forms = np.zeros((2, 2 * k, 2 * k), dtype=np.int64)
+    g0, g1 = forms  # views: the loop fills ``forms``
     for i in range(k):
         for j in range(k):
             al, be = adj[i][j].a, adj[i][j].b
-            xi, yi, xj, yj = i, k + i, j, k + j
+            xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
             g0[xi, xj] += al
             g0[yi, yj] += al + be
             g0[xi, yj] += be
@@ -292,7 +298,7 @@ def _quadratic_forms(group: GroupId):
             g1[yi, xj] += al + be
             g1[yi, yj] += al + 2 * be
             g1[xi, xj] += be
-    return g0, g1
+    return forms
 
 
 @lru_cache(maxsize=8)
@@ -300,45 +306,65 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
     """All bordered Cartan templates with exact determinant 0.
 
     det of the bordered matrix is 2 det(A) - w^T adj(A) w by the Schur
-    complement, a pair of integer quadratic forms in the 2k border
-    coefficients; the grid is scanned with int64 vector arithmetic (values
-    stay tiny, thousands at most) and every hit is re-checked with the
-    GoldenInt cofactor determinant.
+    complement, a pair of integer quadratic forms q0, q1 in the 2k border
+    coefficients u = (x1, y1, ..., xk, yk), each |u_i| <= coeff_bound; the
+    determinant vanishes exactly when q0(u) = 2 det(A).a and
+    q1(u) = 2 det(A).b.  Each form is quadratic in the last coefficient t,
+    q = c + b*t + a*t^2, so the last coefficient is solved rather than
+    scanned: the grid of the 2k - 2 middle coefficients is built once with
+    its quadratic part and its linear coefficients against the lead and
+    the last coefficient, and for each lead value all 2b + 1 values of t
+    are tested at once by broadcasting.  This is int64 arithmetic only,
+    bound-checked in front, and memory is O((2b + 1)^(2k - 1)) per lead
+    value: 16 bytes a point of the solved grid.  A solved grid of more than ``ENUMERATION_CAP`` points raises
+    ``ResourceLimitError`` before anything is allocated.  Every hit is
+    re-checked with the GoldenInt cofactor determinant.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
     k = group.rank
+    side = 2 * coeff_bound + 1
+    volume = side ** (2 * k - 1)
+    if volume > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"generalized-Cartan grid of {volume} points exceeds cap {ENUMERATION_CAP}"
+        )
     det_a = golden_det(cartan(group).entries)
-    g0, g1 = _quadratic_forms(group)
-    target0, target1 = 2 * det_a.a, 2 * det_a.b
+    target = np.array([2 * det_a.a, 2 * det_a.b], dtype=np.int64)
+    forms = _quadratic_forms(group)  # column 0 is the lead, column -1 the last
+    _require(2 * int(np.abs(forms).sum()) * coeff_bound**2, _INT64_HEADROOM, "Cartan form")
+    cross = forms + forms.transpose(0, 2, 1)
 
     vals = np.arange(-coeff_bound, coeff_bound + 1, dtype=np.int64)
-    nvals = len(vals)
+    mid = np.indices((side,) * (2 * k - 2), dtype=np.int64)
+    mid = mid.reshape(2 * k - 2, side ** (2 * k - 2)).T - coeff_bound
+    # per form, over the middle grid: quadratic part and linear coefficients
+    mid_quad = np.stack([((mid @ g) * mid).sum(axis=1) for g in forms[:, 1:-1, 1:-1]])
+    lead_lin = cross[:, 0, 1:-1] @ mid.T
+    last_lin = cross[:, -1, 1:-1] @ mid.T
+    last_quad = forms[:, -1, -1, None, None] * vals**2
+    q = np.empty((2, len(mid), side), dtype=np.int64)  # one buffer for every lead
     hits: list[tuple[int, ...]] = []
-    # Slab over the first coefficient to bound memory for the 8-variable case.
-    rest = np.stack(
-        np.meshgrid(*([vals] * (2 * k - 1)), indexing="ij"), axis=-1
-    ).reshape(-1, 2 * k - 1)
-    for lead in vals:
-        u_packed = np.concatenate(
-            [np.full((rest.shape[0], 1), lead, dtype=np.int64), rest], axis=1
+    for lead in vals.tolist():
+        c = mid_quad + lead * lead_lin + (forms[:, 0, 0] * lead * lead)[:, None]
+        b = last_lin + (cross[:, 0, -1] * lead)[:, None]
+        np.multiply(b[..., None], vals, out=q)
+        q += c[..., None]
+        q += last_quad
+        rows, last = np.nonzero((q == target[:, None, None]).all(axis=0))
+        hits.extend(
+            (lead, *middle, t) for middle, t in zip(mid[rows].tolist(), vals[last].tolist())
         )
-        # packed order is (x1, y1, x2, y2, ...); the forms use (x..., y...)
-        u = np.concatenate([u_packed[:, 0::2], u_packed[:, 1::2]], axis=1)
-        q0 = np.einsum("ni,ij,nj->n", u, g0, u)
-        q1 = np.einsum("ni,ij,nj->n", u, g1, u)
-        mask = (q0 == target0) & (q1 == target1)
-        hits.extend(map(tuple, u_packed[mask]))
     hits.sort()
 
     candidates = []
     for coeffs in hits:
         it = iter(coeffs)
-        border = tuple(GoldenInt(int(x), int(y)) for x, y in zip(it, it))
+        border = tuple(GoldenInt(x, y) for x, y in zip(it, it))
         matrix = _border_matrix(group, border)
         if not golden_det(matrix.entries).is_zero():
             raise AssertionError(f"Schur/cofactor determinant mismatch at {coeffs}")
-        candidates.append(CartanCandidate(group, tuple(int(c) for c in coeffs), matrix))
+        candidates.append(CartanCandidate(group, coeffs, matrix))
 
     psd_count = sum(1 for c in candidates if _is_psd(c.matrix))
     return EnumerationResult(group, coeff_bound, tuple(candidates), psd_count)

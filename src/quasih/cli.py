@@ -114,6 +114,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.coeff_bound < 1:
+        sys.stderr.write("error: --coeff-bound must be positive\n")
+        return USAGE_ERROR
     results = run_checks(only=args.only, coeff_bound=args.coeff_bound)
     report = {
         "passed": all(r.passed for r in results),

@@ -5,10 +5,11 @@ accepted when it and its star image both lie in the regular decagon D(n)
 of circumradius n whose vertices sit at n*xi^j (so the outermost fragment
 shell lands exactly on window vertices).  Membership of module points is
 decided by exact sign tests of Z[tau]-linear edge forms: for a cyclotomic z
-the sign of Im(z) equals the sign of its xi-coefficient.  ``sigma_2d``
-compiles the same forms to integer rows and scans a provably sufficient
-integer box with the int64 kernel, so no float decides a member or the
-scan range.  ``decagon_contains`` is a float reference for tests only.
+the sign of Im(z) equals the sign of its xi-coefficient.  The same forms
+compiled to integer rows decide, with the int64 kernel, a provably
+sufficient integer box in ``sigma_2d`` and a fragment's points in
+``fragment_in_window``, so no float decides a member or the scan range.
+``decagon_contains`` is a float reference for tests only.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .golden import CycloInt, GoldenInt, xi_pow
 from .fragment import Fragment, cached_fragment
-from .kernel import ResourceLimitError, box_nonnegative, compile_forms
+from .kernel import ResourceLimitError, box_nonnegative, compile_forms, nonnegative_rows
 from .rootsystem import GroupId
 
 DEFAULT_BOX_CAP = 10_000_000
@@ -91,6 +94,18 @@ def _point(coords) -> CycloInt:
     return CycloInt(GoldenInt(a, b), GoldenInt(c, d))
 
 
+def _window_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The twenty edge forms of x and star(x) against D(n), compiled on
+    (p.a, p.b, q.a, q.b) rows: all are >= 0 exactly when x and star(x)
+    both lie in D(n)."""
+
+    def forms(coords):
+        x = _point(coords)
+        return _edge_forms(x, n) + _edge_forms(x.star(), n)
+
+    return compile_forms(forms, 4)
+
+
 @lru_cache(maxsize=None)
 def sigma_2d(n: int, box_cap: int = DEFAULT_BOX_CAP) -> CutProjectSet2D:
     """Sigma(D(n)) intersected with D(n): both x and star(x) in the window.
@@ -116,12 +131,7 @@ def sigma_2d(n: int, box_cap: int = DEFAULT_BOX_CAP) -> CutProjectSet2D:
     volume = (2 * bound + 1) ** 4
     if volume > box_cap:
         raise ResourceLimitError(f"enumeration box of {volume} points exceeds cap")
-
-    def window_forms(coords):
-        x = _point(coords)
-        return _edge_forms(x, n) + _edge_forms(x.star(), n)
-
-    rows = box_nonnegative(bound, 4, compile_forms(window_forms, 4))
+    rows = box_nonnegative(bound, 4, _window_forms(n))
     return CutProjectSet2D(n, tuple(_point(r) for r in rows.tolist()))
 
 
@@ -137,8 +147,7 @@ def fragment_in_window(fragment: Fragment) -> bool:
     the decagon window of the fragment's cut-off (trivial at n = 0)."""
     if fragment.n < 1:
         return True
-    return all(
-        decagon_contains_exact(x, fragment.n)
-        and decagon_contains_exact(x.star(), fragment.n)
-        for x in fragment.cyclo_points()
-    )
+    rows = np.array(
+        [(x.p.a, x.p.b, x.q.a, x.q.b) for x in fragment.cyclo_points()], dtype=np.int64
+    ).reshape(-1, 4)
+    return len(nonnegative_rows(_window_forms(fragment.n), rows)) == len(rows)

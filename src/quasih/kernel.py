@@ -127,6 +127,17 @@ def compile_forms(fn, dims: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(cols, axis=1), off
 
 
+def nonnegative_rows(forms, rows: np.ndarray) -> np.ndarray:
+    """The rows, in order, at which every Z[tau] value of the compiled
+    ``forms`` is >= 0; form by form on the rows still inside, so no
+    (rows x forms) array is built."""
+    m, off = forms
+    for j in range(0, len(off), 2):
+        value = apply((m[j:j + 2], off[j:j + 2]), rows)
+        rows = rows[golden_sign(value[:, 0], value[:, 1]) >= 0]
+    return rows
+
+
 def box_nonnegative(bound: int, dims: int, forms) -> np.ndarray:
     """Rows of the integer box [-bound, bound]^dims, in lexicographic order,
     at which every Z[tau] value of the compiled ``forms`` is >= 0.  The box
@@ -135,15 +146,10 @@ def box_nonnegative(bound: int, dims: int, forms) -> np.ndarray:
     side = 2 * bound + 1
     rest = np.indices((side,) * (dims - 1), dtype=np.int64)
     rest = rest.reshape(dims - 1, side ** (dims - 1)).T - bound
-    m, off = forms
     kept = []
     for first in range(-bound, bound + 1):
         rows = np.concatenate([np.full((len(rest), 1), first, dtype=np.int64), rest], axis=1)
-        # form by form on the rows still inside: no (rows x forms) array is built
-        for j in range(0, len(off), 2):
-            value = apply((m[j:j + 2], off[j:j + 2]), rows)
-            rows = rows[golden_sign(value[:, 0], value[:, 1]) >= 0]
-        kept.append(rows)
+        kept.append(nonnegative_rows(forms, rows))
     return np.concatenate(kept)
 
 

@@ -56,18 +56,20 @@ def line_closed_form(n: int) -> LineSet:
     return LineSet(n, _sorted_values(values))
 
 
-def line_contains(x: GoldenInt, n: int) -> bool:
-    """O(1) membership test for the closed form.
+def _level(x: GoldenInt) -> int:
+    """The least n with x in L(n).
 
     x = u + v*tau lies in L(n) iff some integer c satisfies
     |u - c| + 2|v + c| + 2|c| <= n; the left side is convex piecewise
     linear in c, so its minimum sits at a breakpoint c in {u, -v, 0}.
     """
     u, v = x.a, x.b
-    cost = min(
-        abs(u - c) + 2 * abs(v + c) + 2 * abs(c) for c in {u, -v, 0}
-    )
-    return cost <= n
+    return min(abs(u - c) + 2 * abs(v + c) + 2 * abs(c) for c in {u, -v, 0})
+
+
+def line_contains(x: GoldenInt, n: int) -> bool:
+    """O(1) membership test for the closed form."""
+    return _level(x) <= n
 
 
 def line_bruteforce(n: int) -> LineSet:
@@ -79,14 +81,12 @@ def line_bruteforce(n: int) -> LineSet:
 
 
 def levels(n: int) -> tuple[tuple[int, tuple[GoldenInt, ...]], ...]:
-    """Growth levels: level m holds line(m) minus line(m-1)."""
-    out = []
-    previous: frozenset[GoldenInt] = frozenset()
-    for m in range(n + 1):
-        current = line_closed_form(m).value_set()
-        out.append((m, _sorted_values(current - previous)))
-        previous = current
-    return tuple(out)
+    """Growth levels: level m holds line(m) minus line(m-1), sorted.  The
+    sorted L(n) is bucketed by the level of each value in one pass."""
+    buckets: list[list[GoldenInt]] = [[] for _ in range(n + 1)]
+    for x in line_closed_form(n).values:
+        buckets[_level(x)].append(x)
+    return tuple((m, tuple(bucket)) for m, bucket in enumerate(buckets))
 
 
 # ---------------------------------------------------------------------------

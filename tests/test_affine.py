@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasih.golden import GoldenInt, ONE, TAU, TAU_CONJ, ZERO
 from quasih.rootsystem import (
@@ -14,8 +16,10 @@ from quasih.rootsystem import (
     highest_root,
     omega_from_alpha,
 )
+from quasih import affine
 from quasih.affine import (
     CartanCandidate,
+    _border_matrix,
     reference_diff,
     reference_table,
     enumerate_generalized,
@@ -26,6 +30,7 @@ from quasih.affine import (
     verify_identities,
 )
 from quasih.fragment import generate
+from quasih.kernel import ResourceLimitError
 
 ALL_GROUPS = (GroupId.A2,) + H_GROUPS
 
@@ -265,6 +270,56 @@ class TestEnumeration:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             enumerate_generalized(GroupId.H2, 0)
+
+    @pytest.mark.parametrize(
+        "group,bound",
+        [(GroupId.H2, 1), (GroupId.H2, 2), (GroupId.H2, 3), (GroupId.H3, 1)],
+    )
+    def test_equals_scalar_scan(self, group, bound):
+        # every border of the box, in lexicographic order, through the
+        # GoldenInt cofactor determinant
+        expect = []
+        for coeffs in itertools.product(range(-bound, bound + 1), repeat=2 * group.rank):
+            if _det_of_border(group, coeffs).is_zero():
+                expect.append(coeffs)
+        assert [c.coeffs for c in enumerate_generalized(group, bound).candidates] == expect
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_h4_candidate_exactly_when_determinant_zero(self, data):
+        found = [c.coeffs for c in enumerate_generalized(GroupId.H4, 3).candidates]
+        coeff = st.integers(-3, 3)
+        coeffs = data.draw(st.one_of(st.sampled_from(found), st.tuples(*[coeff] * 8)))
+        if data.draw(st.booleans()):  # a neighbour of a drawn border
+            i = data.draw(st.integers(0, 7))
+            coeffs = coeffs[:i] + (data.draw(coeff),) + coeffs[i + 1:]
+        assert (coeffs in found) == _det_of_border(GroupId.H4, coeffs).is_zero()
+
+
+def _det_of_border(group, coeffs):
+    it = iter(coeffs)
+    border = tuple(GoldenInt(x, y) for x, y in zip(it, it))
+    return golden_det(_border_matrix(group, border).entries)
+
+
+class TestEnumerationCap:
+    # the uncached function, so a cached result cannot hide the check
+    def test_cap_admits_up_to_its_volume(self, monkeypatch):
+        monkeypatch.setattr(affine, "ENUMERATION_CAP", 7**3)
+        assert enumerate_generalized.__wrapped__(GroupId.H2, 3).count == 10
+        with pytest.raises(ResourceLimitError, match="grid of 729 points exceeds cap 343"):
+            enumerate_generalized.__wrapped__(GroupId.H2, 4)
+
+    def test_h4_refused_at_five(self):
+        # 9^7 fits the default cap, 11^7 does not; refused before allocating
+        assert 9**7 <= affine.ENUMERATION_CAP
+        with pytest.raises(ResourceLimitError, match="grid of 19487171 points"):
+            enumerate_generalized.__wrapped__(GroupId.H4, 5)
+
+    def test_int64_bound_checked_before_the_grid(self, monkeypatch):
+        monkeypatch.setattr(affine, "ENUMERATION_CAP", 1 << 200)
+        with pytest.raises(ResourceLimitError, match="unsafe for int64"):
+            enumerate_generalized.__wrapped__(GroupId.H2, 1 << 31)
 
 
 class TestReferenceTables:

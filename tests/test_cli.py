@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -205,6 +206,24 @@ class TestVerifyCommand:
         h3 = doc["checks"][0]["details"]["h3"]
         assert len(h3["missing"]) == 4
         assert "cartan-tables" in err
+
+    def test_coeff_bound_over_cap_is_exit_2(self, capsys):
+        # H2 fits at bound 40, the H3 grid of 81^5 points is refused unbuilt
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--only", "conditions", "--coeff-bound", "40")
+        elapsed = time.perf_counter() - t0
+        assert code == 2
+        assert json.loads(out)["checks"][0]["details"]["error"] == (
+            "ResourceLimitError: generalized-Cartan grid of 3486784401 points exceeds cap 10000000"
+        )
+        assert err == "verification failed: conditions\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("bound", ("0", "-3"))
+    def test_coeff_bound_below_one_usage_error(self, capsys, bound):
+        code, out, err = run_cli(capsys, "verify", "--coeff-bound", bound)
+        assert code == 1 and out == ""
+        assert err == "error: --coeff-bound must be positive\n"
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

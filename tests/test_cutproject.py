@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quasih import cutproject, kernel
 from quasih.golden import CycloInt, GoldenInt, TAU, xi_pow
 from quasih.rootsystem import GroupId, cyclo_from_omega, roots_omega
-from quasih.fragment import ResourceLimitError, generate
+from quasih.fragment import Fragment, ResourceLimitError, generate
 from quasih.cutproject import (
     DecagonWindow,
     decagon_contains,
@@ -199,6 +199,25 @@ class TestFragmentInWindow:
     @pytest.mark.parametrize("n", range(6))
     def test_window_containment(self, n):
         assert fragment_in_window(generate(GroupId.H2, n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_scalar_all_points_test(self, n):
+        # the points of the cut-off n fragment against D(n - 1): all of
+        # them, those with x inside (star(x) alone decides) and those with
+        # star(x) inside (x alone decides)
+        whole = generate(GroupId.H2, n)
+        cutoff = max(n - 1, 1)
+        inside = np.array([
+            (decagon_contains_exact(x, cutoff), decagon_contains_exact(x.star(), cutoff))
+            for x in whole.cyclo_points()
+        ])
+        for keep in (slice(None), inside[:, 0], inside[:, 1]):
+            f = Fragment(GroupId.H2, cutoff, whole.coeffs[keep], "test")
+            assert fragment_in_window(f) == inside[keep].all()
+
+    def test_rejects_points_outside_the_window(self):
+        f = Fragment(GroupId.H2, 2, generate(GroupId.H2, 3).coeffs, "test")
+        assert not fragment_in_window(f)
 
     def test_outermost_shell_touches_vertices(self):
         # the dominant outer point n*alpha_H maps to the window vertex n*xi^2

@@ -1,4 +1,5 @@
 import math
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,19 @@ class TestLevels:
             assert not (union & set(members))
             union |= set(members)
         assert union == line_closed_form(5).value_set()
+
+    def test_equals_difference_of_closed_forms(self):
+        # the definition: level m is L(m) minus L(m-1), sorted exactly
+        def exact_sorted(values):
+            return tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
+
+        expect, previous = [], frozenset()
+        for m in range(21):
+            current = line_closed_form(m).value_set()
+            expect.append((m, exact_sorted(current - previous)))
+            previous = current
+        for n in range(21):
+            assert levels(n) == tuple(expect[: n + 1])
 
 
 class TestSigma1D:

@@ -3,8 +3,10 @@
 The digests were recorded from the scalar GoldenInt implementation before
 fragments moved to int64 coefficient arrays; ``compare --n 5`` and
 ``line --n 12 --format csv`` were recorded before the cut-and-project sets
-moved from float-bounded scans to the exact integer box scan.  Any change
-to a rendered byte (point order, a float digit, JSON layout) fails here.
+moved from float-bounded scans to the exact integer box scan, and
+``line --n 20 --format json`` before the growth levels were computed in
+one pass over L(n).  Any change to a rendered byte (point order, a float
+digit, JSON layout) fails here.
 """
 
 import hashlib
@@ -49,6 +51,7 @@ DIGESTS = (
     ("compare --n 3", "3a0a6e2e680a1fe6d2de1d0fb8a3c4d850aa1535c10f1386f6b0dd53cde02d17"),
     ("compare --n 5", "c8fb873f4b45c8bddcadca227baf64fb5f54d663f4a38ae00fb44a8088877ace"),
     ("line --n 12 --format csv", "37367c6c5663f36165bed1b178d107365394e72a5cc2dc48c92570d4e87a0a49"),
+    ("line --n 20 --format json", "bb7b7a9902e21e3fca7be7d80e6ec0df1adf980de856377760e06a9bf4e6ff80"),
 )
 
 
