@@ -5,8 +5,11 @@ fragments moved to int64 coefficient arrays; ``compare --n 5`` and
 ``line --n 12 --format csv`` were recorded before the cut-and-project sets
 moved from float-bounded scans to the exact integer box scan, and
 ``line --n 20 --format json`` before the growth levels were computed in
-one pass over L(n).  Any change to a rendered byte (point order, a float
-digit, JSON layout) fails here.
+one pass over L(n).  The five model-group digests at n >= 3 (h3 n=3 csv
+and json, h4 n=3 csv with and without ``--normalize false``, a2 n=6 json)
+were recorded before the Cartesian coordinates and the CSV/JSON rows were
+computed on the coefficient array and written in chunks.  Any change to a
+rendered byte (point order, a float digit, JSON layout) fails here.
 """
 
 import hashlib
@@ -52,6 +55,11 @@ DIGESTS = (
     ("compare --n 5", "c8fb873f4b45c8bddcadca227baf64fb5f54d663f4a38ae00fb44a8088877ace"),
     ("line --n 12 --format csv", "37367c6c5663f36165bed1b178d107365394e72a5cc2dc48c92570d4e87a0a49"),
     ("line --n 20 --format json", "bb7b7a9902e21e3fca7be7d80e6ec0df1adf980de856377760e06a9bf4e6ff80"),
+    ("generate --group h3 --n 3 --format csv", "b82ccda4b9e85bab38d8f57a5b7ab52623817c0e75f1e9238a3c0a7af39978cf"),
+    ("generate --group h3 --n 3 --format json", "2436d1d0d4893edd67eeca3d99f625ffac7bb1b8a2085bf23619e5fe9fda6b05"),
+    ("generate --group h4 --n 3 --format csv", "11ac2bde8dc72598ac2ab03d16f8e52e7cc8211b716099937c5f38cd9e666364"),
+    ("generate --group h4 --n 3 --format csv --normalize false", "11ac2bde8dc72598ac2ab03d16f8e52e7cc8211b716099937c5f38cd9e666364"),
+    ("generate --group a2 --n 6 --format json", "4754a0ba941fd51da6ccfb27ac59ca2a69c858e1f5d89045531aa3ad01a0be38"),
 )
 
 
