@@ -3,7 +3,8 @@ comparisons.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure or resource
 cap.  Output goes to --out when given, stdout otherwise, and is byte-stable
-across runs.
+across runs; fragment CSV and JSON are written chunk by chunk as they are
+formatted.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from .rootsystem import GroupId
 from .fragment import ResourceLimitError, cached_fragment, generate
 from .lineanalysis import (
+    LINE_CAP,
     Window1D,
     deficiencies_1d,
     levels,
@@ -24,8 +26,8 @@ from .lineanalysis import (
 from .cutproject import deficiencies_2d, sigma_2d
 from .checks import check_names, run_checks
 from .serialize import (
-    fragment_csv,
-    fragment_json,
+    fragment_csv_chunks,
+    fragment_json_chunks,
     fragment_svg,
     line_report_csv,
     line_report_json,
@@ -80,12 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write each text chunk as it comes, to ``out`` or to stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_generate(args) -> int:
@@ -105,11 +108,11 @@ def cmd_generate(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return CHECK_ERROR
     if args.format == "csv":
-        _emit(fragment_csv(fragment, args.normalize), args.out)
+        _emit(fragment_csv_chunks(fragment, args.normalize), args.out)
     elif args.format == "json":
-        _emit(fragment_json(fragment, args.normalize), args.out)
+        _emit(fragment_json_chunks(fragment, args.normalize), args.out)
     else:
-        _emit(fragment_svg(fragment, args.normalize), args.out)
+        _emit([fragment_svg(fragment, args.normalize)], args.out)
     return 0
 
 
@@ -130,7 +133,7 @@ def cmd_verify(args) -> int:
             for r in results
         ],
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit([json.dumps(report, indent=2) + "\n"], args.out)
     if not report["passed"]:
         failing = ", ".join(r.name for r in results if not r.passed)
         sys.stderr.write(f"verification failed: {failing}\n")
@@ -142,6 +145,9 @@ def cmd_line(args) -> int:
     if args.n < 1:
         sys.stderr.write("error: --n must be positive\n")
         return USAGE_ERROR
+    if args.n > LINE_CAP:
+        sys.stderr.write(f"error: line --n {args.n} exceeds cap {LINE_CAP}\n")
+        return CHECK_ERROR
     n = args.n
     window = Window1D.symmetric(n)
     sigma = sigma_1d(window, window)
@@ -163,7 +169,7 @@ def cmd_line(args) -> int:
         ],
     }
     text = line_report_json(doc) if args.format == "json" else line_report_csv(doc)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 
@@ -187,7 +193,7 @@ def cmd_compare(args) -> int:
         "deficiency_count": len(defic),
         "deficiencies": [str(x) for x in defic],
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     return 0
 
 

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rootsystem import GroupId, cartan, golden_adjugate, integer_form
+from .golden import PHI
+from .rootsystem import _MODELS, GroupId, _alpha_numerators, cartan, golden_adjugate, integer_form
 
 _INT64_HEADROOM = 1 << 62
 
@@ -169,3 +170,25 @@ def quadratic_form_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
     a, b, c, d = x[:, 0::2], x[:, 1::2], w[:, 0::2], w[:, 1::2]
     bd = b * d
     return np.stack([(a * c + bd).sum(axis=1), (a * d + b * c + bd).sum(axis=1)], axis=1)
+
+
+def cartesian_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
+    """(N, dim) Cartesian coordinates of the rows of a model group (A2, H3,
+    H4), bit for bit those of the scalar ``rootsystem.cartesian``: each
+    simple-root coordinate a + b*tau over N(det A) is reduced by its gcd as
+    ``GoldenRational`` does, embedded as (a + b*PHI) / den, and the model
+    columns are summed term by term from 0.0, the order of ``sum``."""
+    rows, norm = _alpha_numerators(group)
+    assert norm > 0, f"{group}: N(det A) = {norm}"
+    num = apply((np.array(rows, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)), x)
+    a, b = num[:, 0::2], num[:, 1::2]
+    g = np.gcd(np.gcd(a, b), norm)
+    alpha = (a // g + (b // g) * PHI) / (norm // g)
+    model = _MODELS[group]
+    out = np.empty((len(x), len(model[0])))
+    for j, column in enumerate(zip(*model)):
+        acc = 0.0
+        for i, entry in enumerate(column):
+            acc = acc + alpha[:, i] * entry
+        out[:, j] = acc
+    return out

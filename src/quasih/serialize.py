@@ -3,6 +3,14 @@
 Every writer is a pure function from values to text; point order comes from
 the canonical fragment ordering and floats are printed with fixed width, so
 repeated runs produce byte-identical output.
+
+The fragment CSV and JSON writers stream: ``fragment_csv_chunks`` and
+``fragment_json_chunks`` yield the text ``CHUNK_ROWS`` points at a time,
+and ``fragment_csv``/``fragment_json`` join the same chunks.  A chunk's
+Cartesian coordinates come from ``kernel.cartesian_rows`` on the slice of
+the coefficient array, and each row is one ``%`` format, so no per-point
+object is built.  H2 keeps the scalar ``cartesian`` per point: its planar
+map is not one of the orthonormal models.
 """
 
 from __future__ import annotations
@@ -11,7 +19,10 @@ import json
 import math
 
 from .fragment import Fragment, orbits, shell_labels, shells
+from .kernel import cartesian_rows
 from .rootsystem import GroupId, OmegaVector, cartesian
+
+CHUNK_ROWS = 8192
 
 _AXES = ("x", "y", "z", "w")
 
@@ -26,36 +37,57 @@ def _fmt(value: float) -> str:
     return "0.000000000000" if out == "-0.000000000000" else out
 
 
-def _rows(fragment: Fragment, normalize: bool):
-    """Flat coefficients and Cartesian coordinates of each point in order;
-    the vectors are built one at a time, not kept."""
-    for flat in fragment.coeffs.tolist():
-        yield flat, cartesian(OmegaVector.from_flat(fragment.group, flat), normalize)
+def _chunks(fragment: Fragment, normalize: bool):
+    """(coefficient rows, Cartesian rows) as lists, CHUNK_ROWS points at a
+    time, in fragment order."""
+    group = fragment.group
+    for start in range(0, len(fragment.coeffs), CHUNK_ROWS):
+        block = fragment.coeffs[start:start + CHUNK_ROWS]
+        flats = block.tolist()
+        if group is GroupId.H2:
+            carts = [cartesian(OmegaVector.from_flat(group, f), normalize) for f in flats]
+        else:
+            carts = cartesian_rows(group, block).tolist()
+        yield flats, carts
+
+
+def fragment_csv_chunks(fragment: Fragment, normalize: bool = True):
+    """The CSV text in pieces: the header, then one piece per chunk.  A
+    Cartesian cell is never first in its row, so a rounded negative zero
+    always reads ",-0.000000000000" and is fixed in the joined chunk."""
+    k = fragment.group.rank
+    header = [f"{c}{i + 1}" for i in range(k) for c in ("a", "b")]
+    yield ",".join(header + list(_AXES[:k])) + "\n"
+    row = ",".join(["%d"] * (2 * k) + ["%.12f"] * k) + "\n"
+    for flats, carts in _chunks(fragment, normalize):
+        text = "".join([row % (*f, *c) for f, c in zip(flats, carts)])
+        yield text.replace(",-0.000000000000", ",0.000000000000")
 
 
 def fragment_csv(fragment: Fragment, normalize: bool = True) -> str:
+    return "".join(fragment_csv_chunks(fragment, normalize))
+
+
+def fragment_json_chunks(fragment: Fragment, normalize: bool = True):
+    """The JSON text in pieces, byte for byte ``json.dumps(doc, indent=2)``:
+    the head and the orbits/shells tail go through ``json.dumps``, each
+    chunk of points through one template of that layout; floats print as
+    ``json`` prints them, the repr of round(c, 12) + 0.0."""
     k = fragment.group.rank
-    header = [f"{c}{i + 1}" for i in range(k) for c in ("a", "b")]
-    header += list(_AXES[:k])
-    lines = [",".join(header)]
-    for flat, cart in _rows(fragment, normalize):
-        cells = [str(v) for v in flat]
-        cells += [_fmt(c) for c in cart]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def fragment_json(fragment: Fragment, normalize: bool = True) -> str:
-    doc = {
-        "group": fragment.group.value,
-        "n": fragment.n,
-        "points": [
-            {
-                "omega": [flat[i:i + 2] for i in range(0, len(flat), 2)],
-                "cart": [round(c, 12) + 0.0 for c in cart],
-            }
-            for flat, cart in _rows(fragment, normalize)
-        ],
+    head = json.dumps({"group": fragment.group.value, "n": fragment.n}, indent=2)
+    yield head[:-2] + ',\n  "points": ['
+    pair = "        [\n          %d,\n          %d\n        ]"
+    point = (
+        '    {\n      "omega": [\n' + ",\n".join([pair] * k) + '\n      ],\n'
+        '      "cart": [\n' + ",\n".join(["        %r"] * k) + "\n      ]\n    }"
+    )
+    sep = "\n"
+    for flats, carts in _chunks(fragment, normalize):
+        yield sep + ",\n".join([
+            point % (*f, *[round(c, 12) + 0.0 for c in cs]) for f, cs in zip(flats, carts)
+        ])
+        sep = ",\n"
+    tail = {
         "orbits": [
             {"dominant": [[c.a, c.b] for c in o.dominant.coords], "size": o.size}
             for o in orbits(fragment)
@@ -69,7 +101,12 @@ def fragment_json(fragment: Fragment, normalize: bool = True) -> str:
             for s in shells(fragment)
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    close = "\n  ]" if fragment.size else "]"
+    yield close + ",\n" + json.dumps(tail, indent=2)[2:] + "\n"
+
+
+def fragment_json(fragment: Fragment, normalize: bool = True) -> str:
+    return "".join(fragment_json_chunks(fragment, normalize))
 
 
 def fragment_svg(fragment: Fragment, normalize: bool = True) -> str:
@@ -78,7 +115,7 @@ def fragment_svg(fragment: Fragment, normalize: bool = True) -> str:
     if fragment.group is not GroupId.H2:
         raise ValueError("SVG rendering is only defined for H2 fragments")
     _, labels = shell_labels(fragment)
-    cart = [xy for _, xy in _rows(fragment, normalize)]
+    cart = [xy for _, carts in _chunks(fragment, normalize) for xy in carts]
     radius = max((math.hypot(x, y) for x, y in cart), default=0.0)
     scale = 450.0 / radius if radius > 1e-12 else 1.0
     parts = [

@@ -10,6 +10,7 @@ except ImportError:  # pragma: no cover
 
 from quasih.cli import main
 from quasih.fragment import generate
+from quasih.lineanalysis import LINE_CAP
 from quasih.rootsystem import GroupId
 from quasih.serialize import fragment_csv, fragment_json, fragment_svg
 
@@ -91,6 +92,15 @@ class TestGenerate:
         assert code == 0 and out == ""
         assert target.read_text().count("\n") == 12
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_out_file_equals_stdout(self, capsys, tmp_path, fmt):
+        args = ("generate", "--group", "h2", "--n", "3", "--format", fmt)
+        _, stdout, _ = run_cli(capsys, *args)
+        target = tmp_path / f"frag.{fmt}"
+        code, out, _ = run_cli(capsys, *args, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == stdout.encode()
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "generate", "--group", "h2", "--n", "3", "--format", "json")
         _, second, _ = run_cli(capsys, "generate", "--group", "h2", "--n", "3", "--format", "json")
@@ -156,6 +166,22 @@ class TestLineCommand:
         assert by_value["0"] == 0
         assert by_value["1"] == 1
         assert by_value["tau"] == 2
+
+
+    def test_cap_is_exit_2_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started past the line cap")
+
+        monkeypatch.setattr("quasih.cli.LINE_CAP", 5)
+        monkeypatch.setattr("quasih.cli.sigma_1d", no_work)
+        monkeypatch.setattr("quasih.cli.levels", no_work)
+        code, out, err = run_cli(capsys, "line", "--n", "6")
+        assert code == 2 and out == ""
+        assert err == "error: line --n 6 exceeds cap 5\n"
+
+    def test_cap_admits_the_benchmark_and_verify_sizes(self):
+        # line --n 48 is benchmarked; verify reaches L(20) through scaling_check(10)
+        assert LINE_CAP >= 48
 
 
 class TestCompareCommand:

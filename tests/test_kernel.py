@@ -170,6 +170,35 @@ class TestCartesian:
         assert cartesian(v) == _reference_cartesian(v)
 
 
+class TestCartesianRows:
+    # A2 has N(det A) = 9 and H3 has 4, so the factors 2 and 3 give shared
+    # factors of numerator and denominator that the gcd must cancel
+    @given(group_rows(bound=40, groups=(GroupId.A2, GroupId.H3, GroupId.H4)),
+           st.sampled_from((1, 2, 3, 6)), st.booleans())
+    @settings(max_examples=80)
+    def test_bitwise_equal_to_scalar(self, case, factor, normalize):
+        group, rows = case
+        rows = rows * factor
+        got = kernel.cartesian_rows(group, rows).tolist()
+        for row, cart in zip(rows.tolist(), got):
+            expect = cartesian(OmegaVector.from_flat(group, row), normalize)
+            assert [c.hex() for c in cart] == [c.hex() for c in expect]
+
+    @pytest.mark.parametrize("group", [GroupId.A2, GroupId.H3, GroupId.H4])
+    def test_fragment_rows_bitwise_equal(self, group):
+        # fragment rows hold the exact zeros whose sign the sum order fixes
+        coeffs = generate(group, 2).coeffs
+        got = kernel.cartesian_rows(group, coeffs).tolist()
+        for row, cart in zip(coeffs.tolist(), got):
+            expect = cartesian(OmegaVector.from_flat(group, row))
+            assert [c.hex() for c in cart] == [c.hex() for c in expect]
+
+    def test_past_int64_guard_raises(self):
+        rows = np.array([[1 << 61, 0, 0, 0, 0, 0]], dtype=np.int64)
+        with pytest.raises(ResourceLimitError):
+            kernel.cartesian_rows(GroupId.H3, rows)
+
+
 @st.composite
 def affine_forms(draw, max_dims=3, coeff=5):
     """A random Z[tau]-affine map of ``dims`` integers as a scalar function:

@@ -36,6 +36,9 @@ class TestClosedForm:
         new = line_closed_form(2).value_set() - line_closed_form(1).value_set()
         assert new == gset({(2, 0), (-2, 0), (0, 1), (0, -1), (1, -1), (-1, 1)})
 
+    def test_repeat_call_is_memoized(self):
+        assert line_closed_form(7) is line_closed_form(7)
+
     def test_example_not_in_n3(self):
         assert GoldenInt(-1, 2) not in line_closed_form(3).value_set()
 
@@ -111,6 +114,11 @@ class TestLevels:
 
 
 class TestSigma1D:
+    def test_repeat_call_is_memoized(self):
+        # equal windows, not the same objects: the cache keys on value
+        assert sigma_1d(Window1D.symmetric(4), Window1D.make(-4, 4)) is sigma_1d(
+            Window1D.symmetric(4), Window1D.symmetric(4))
+
     def test_unit_window(self):
         w = Window1D.symmetric(1)
         assert set(sigma_1d(w, w)) == gset({(-1, 0), (0, 0), (1, 0)})

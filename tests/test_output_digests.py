@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 
+from quasih import serialize
 from quasih.cli import main
 
 DIGESTS = (
@@ -65,6 +66,21 @@ DIGESTS = (
 
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=[argv for argv, _ in DIGESTS])
 def test_stdout_digest(capsys, argv, digest):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CHUNKED = [(argv, digest) for argv, digest in DIGESTS
+           if argv.startswith("generate") and "svg" not in argv]
+
+
+@pytest.mark.parametrize("argv,digest", CHUNKED, ids=[argv for argv, _ in CHUNKED])
+def test_small_chunks_keep_the_digest(capsys, monkeypatch, argv, digest):
+    # 7 rows a chunk: chunk boundaries, the negative-zero fix and the JSON
+    # separators between chunks all land inside these outputs
+    monkeypatch.setattr(serialize, "CHUNK_ROWS", 7)
     code = main(argv.split())
     out = capsys.readouterr().out
     assert code == 0
