@@ -17,7 +17,6 @@ import numpy as np
 from .golden import GoldenInt, ONE, ZERO
 from .kernel import _INT64_HEADROOM, ResourceLimitError, _require
 from .rootsystem import (
-    AlphaVector,
     CartanMatrix,
     GroupId,
     Matrix,

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .golden import CycloInt, GoldenInt, TAU, xi_pow
 from .rootsystem import (
     AlphaVector,
@@ -327,7 +329,7 @@ def _oracle(coeff_bound: int = 3):
     mismatch = []
     for g, nmax in ((GroupId.H2, 4), (GroupId.H3, 3), (GroupId.H4, 2)):
         for n in range(nmax + 1):
-            if cached_fragment(g, n).points != generate_rootsum(g, n).points:
+            if not np.array_equal(cached_fragment(g, n).coeffs, generate_rootsum(g, n).coeffs):
                 mismatch.append((g.value, n))
     elapsed = time.perf_counter() - t0
     return not mismatch and elapsed < 120.0, {"mismatch": mismatch, "elapsed": elapsed}

@@ -20,6 +20,7 @@ from .lineanalysis import (
     Window1D,
     deficiencies_1d,
     levels,
+    line_closed_form,
     mn_nn,
     sigma_1d,
 )
@@ -152,11 +153,11 @@ def cmd_line(args) -> int:
     window = Window1D.symmetric(n)
     sigma = sigma_1d(window, window)
     m_n, n_n = mn_nn(n)
-    values = []
-    for level, members in levels(n):
-        for v in members:
-            values.append({"value": str(v), "level": level, "float": v.embed()})
-    values.sort(key=lambda e: e["float"])
+    level_of = {v: level for level, members in levels(n) for v in members}
+    values = [
+        {"value": str(v), "level": level_of[v], "float": v.embed()}
+        for v in line_closed_form(n).values
+    ]
     doc = {
         "n": n,
         "m_n": m_n,

@@ -43,16 +43,11 @@ from .affine import operators
 
 DEFAULT_CAP = 10_000_000
 
-Flat = tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Fragment:
     """A point set with its cut-off and construction method.
 
-    ``coeffs`` is the read-only (N, 2k) int64 coefficient array.  A
-    sequence of ``OmegaVector`` is accepted in its place and kept in the
-    given order.
+    ``coeffs`` is the read-only (N, 2k) int64 coefficient array.
     """
 
     group: GroupId
@@ -61,11 +56,7 @@ class Fragment:
     method: str
 
     def __post_init__(self) -> None:
-        coeffs = self.coeffs
-        if not isinstance(coeffs, np.ndarray):
-            self.__dict__["points"] = tuple(coeffs)
-            coeffs = [p.flat() for p in self.points]
-        coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, 2 * self.group.rank).view()
+        coeffs = np.asarray(self.coeffs, dtype=np.int64).reshape(-1, 2 * self.group.rank).view()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -111,23 +102,10 @@ def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment
     """Oracle fragment: every sum of at most n roots, deduplicated."""
     if n < 0:
         raise ValueError("cut-off must be non-negative")
-    root_flats = [v.flat() for v in roots_omega(group)]
-    width = 2 * group.rank
-    origin: Flat = (0,) * width
-    total: set[Flat] = {origin}
-    frontier: set[Flat] = {origin}
-    for _ in range(n):
-        new: set[Flat] = set()
-        for v in frontier:
-            for r in root_flats:
-                w = tuple(x + y for x, y in zip(v, r))
-                if w not in total:
-                    new.add(w)
-        total |= new
-        if len(total) > cap:
-            raise ResourceLimitError(f"fragment exceeded cap {cap}")
-        frontier = new
-    return Fragment(group, n, np.array(sorted(total)), "root_sum")
+    roots = np.array([v.flat() for v in roots_omega(group)], dtype=np.int64)
+    levels = kernel.root_sums(roots, n, cap)
+    keys = np.sort(np.concatenate([k for k, _, _ in levels]))
+    return Fragment(group, n, kernel.unpack_keys(keys, roots.shape[1]), "root_sum")
 
 
 def to_dominant(v: OmegaVector) -> tuple[OmegaVector, tuple[int, ...]]:

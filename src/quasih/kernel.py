@@ -96,6 +96,39 @@ def closure(seeds: np.ndarray, gens, cols: int, cap: int) -> np.ndarray:
     return seen
 
 
+# Frontier rows per slab of candidate sums in ``root_sums``.
+_SLAB = 4096
+
+
+def root_sums(roots: np.ndarray, n: int, cap: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first sums of at most n ``roots`` rows on packed keys, to level
+    n or an empty level.  Level m > 0 is (keys, parent, root): the sorted keys
+    first reached with m roots, with each one's first-hit parent in level m-1
+    and root added, by index.  A root adds key(r) - key(0) to a key while no
+    column leaves its packed range, as n * max|root| < 2^(width-1) ensures.
+    Slabs of the frontier bound the candidates; the cap is checked per level."""
+    cols = roots.shape[1]
+    _require(n * _absmax(roots), 1 << (64 // cols - 1), "root sums")
+    seen = pack_rows(np.zeros((1, cols), dtype=np.int64))
+    steps = pack_rows(roots) - seen
+    levels = [(seen, None, None)]
+    while len(levels) <= n and levels[-1][0].size:
+        frontier = levels[-1][0]
+        keys, hits = [], []
+        for lo in range(0, len(frontier), _SLAB):
+            k, first = np.unique((frontier[lo:lo + _SLAB, None] + steps).ravel(), return_index=True)
+            keys.append(k)
+            hits.append(first + lo * len(steps))
+        keys, first = np.unique(np.concatenate(keys), return_index=True)
+        new = ~np.isin(keys, seen, assume_unique=True)
+        hit = np.concatenate(hits)[first[new]]
+        levels.append((keys[new], hit // len(steps), hit % len(steps)))
+        seen = np.sort(np.concatenate([seen, keys[new]]), kind="stable")
+        if seen.size > cap:
+            raise ResourceLimitError(f"fragment exceeded cap {cap}")
+    return levels
+
+
 def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
     """Reflect each row at its first negative coordinate until every row is
     dominant, the rule of ``to_dominant`` applied to all rows at once."""

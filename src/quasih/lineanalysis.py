@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 
+import numpy as np
+
+from .fragment import DEFAULT_CAP
 from .golden import CycloInt, GoldenInt, TAU, xi_pow
-from .kernel import box_nonnegative, compile_forms
+from .kernel import box_nonnegative, compile_forms, root_sums, unpack_keys
 
 
-# Largest n that ``line`` accepts.  L(n) holds about 1.26 n^2 values, but
-# the closed form visits about n^3 / 3 triples (a, b, c): ``line --n 200``
-# takes about 3.4 s and 120 MB.
+# Largest n that ``line`` accepts; L(200) holds 50,301 values.
 LINE_CAP = 200
 
 
@@ -48,35 +49,29 @@ class LineSet:
 
 @lru_cache(maxsize=None)
 def line_closed_form(n: int) -> LineSet:
+    """L(n) read off the box |u| <= n, |v| <= n // 2, which holds it:
+    |a + c| <= n and |b - c| <= n / 2 whenever |a| + 2|b| + 2|c| <= n."""
     if n < 0:
         raise ValueError("cut-off must be non-negative")
-    values: set[GoldenInt] = set()
     half = n // 2
-    for a in range(-n, n + 1):
-        rest = n - abs(a)
-        for b in range(-half, half + 1):
-            if 2 * abs(b) > rest:
-                continue
-            rest_b = rest - 2 * abs(b)
-            for c in range(-(rest_b // 2), rest_b // 2 + 1):
-                values.add(GoldenInt(a + c, b - c))
-    return LineSet(n, _sorted_values(values))
+    u, v = np.indices((2 * n + 1, 2 * half + 1)).reshape(2, -1) - np.array([[n], [half]])
+    keep = _level(u, v) <= n
+    return LineSet(n, _sorted_values(map(GoldenInt, u[keep].tolist(), v[keep].tolist())))
 
 
-def _level(x: GoldenInt) -> int:
-    """The least n with x in L(n).
+def _level(u, v):
+    """The least n with u + v*tau in L(n), for integers or integer arrays.
 
     x = u + v*tau lies in L(n) iff some integer c satisfies
     |u - c| + 2|v + c| + 2|c| <= n; the left side is convex piecewise
     linear in c, so its minimum sits at a breakpoint c in {u, -v, 0}.
     """
-    u, v = x.a, x.b
-    return min(abs(u - c) + 2 * abs(v + c) + 2 * abs(c) for c in {u, -v, 0})
+    return np.minimum.reduce([abs(u - c) + 2 * abs(v + c) + 2 * abs(c) for c in (u, -v, 0)])
 
 
 def line_contains(x: GoldenInt, n: int) -> bool:
     """O(1) membership test for the closed form."""
-    return _level(x) <= n
+    return bool(_level(x.a, x.b) <= n)
 
 
 def line_bruteforce(n: int) -> LineSet:
@@ -92,7 +87,7 @@ def levels(n: int) -> tuple[tuple[int, tuple[GoldenInt, ...]], ...]:
     sorted L(n) is bucketed by the level of each value in one pass."""
     buckets: list[list[GoldenInt]] = [[] for _ in range(n + 1)]
     for x in line_closed_form(n).values:
-        buckets[_level(x)].append(x)
+        buckets[_level(x.a, x.b)].append(x)
     return tuple((m, tuple(bucket)) for m, bucket in enumerate(buckets))
 
 
@@ -251,29 +246,21 @@ def decompose(x: CycloInt, n: int, witness: tuple[int, int, int, int, int]) -> D
 def rootsum_witnesses(n: int) -> dict[CycloInt, tuple[int, int, int, int, int]]:
     """Every fragment point with one root-sum certificate (beta_0..beta_4).
 
-    Breadth-first over single-root steps; the first certificate found for a
-    point uses at most as many roots as its level, hence sum|beta| <= n.
+    ``kernel.root_sums`` over the roots xi^0..xi^9 as (p.a, p.b, q.a, q.b)
+    rows; a point's certificate is its parent's plus e_j for xi^j and minus
+    e_j for xi^(j+5) = -xi^j, so sum|beta| is its level, at most n.
     """
-    origin = CycloInt()
-    found: dict[CycloInt, tuple[int, int, int, int, int]] = {origin: (0, 0, 0, 0, 0)}
-    frontier = [origin]
-    for _ in range(n):
-        new = []
-        for point in frontier:
-            beta = found[point]
-            for j in range(10):
-                q = point + xi_pow(j)
-                if q in found:
-                    continue
-                step = list(beta)
-                if j < 5:
-                    step[j] += 1
-                else:
-                    step[j - 5] -= 1
-                found[q] = tuple(step)
-                new.append(q)
-        frontier = new
-    return found
+    xi = [xi_pow(j) for j in range(10)]
+    levels = root_sums(np.array([[x.p.a, x.p.b, x.q.a, x.q.b] for x in xi]), n, DEFAULT_CAP)
+    step = np.concatenate([np.eye(5, dtype=np.int64), -np.eye(5, dtype=np.int64)])
+    betas = [np.zeros((1, 5), dtype=np.int64)]
+    for _, parent, root in levels[1:]:
+        betas.append(betas[-1][parent] + step[root])
+    rows = unpack_keys(np.concatenate([k for k, _, _ in levels]), 4).tolist()
+    return {
+        CycloInt(GoldenInt(a, b), GoldenInt(c, d)): tuple(beta)
+        for (a, b, c, d), beta in zip(rows, np.concatenate(betas).tolist())
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from quasih.golden import GoldenInt, GoldenRational, TAU, xi_pow
@@ -90,6 +91,13 @@ class TestRootSumOracle:
     def test_equals_word_bfs(self, group, nmax):
         for n in range(nmax + 1):
             assert generate(group, n).points == generate_rootsum(group, n).points
+
+    @pytest.mark.parametrize("group,nmax", [
+        (GroupId.H2, 10), (GroupId.H3, 5), (GroupId.H4, 4),
+    ])
+    def test_coeffs_equal_word_bfs_at_larger_sizes(self, group, nmax):
+        for n in range(nmax + 1):
+            assert np.array_equal(generate(group, n).coeffs, generate_rootsum(group, n).coeffs)
 
     def test_h3_n1_count(self):
         assert generate_rootsum(GroupId.H3, 1).size == 31
@@ -216,7 +224,8 @@ class TestTenfold:
         root = next(iter(roots_omega(GroupId.H2)))
         frag = generate(GroupId.H2, 0)
         broken = type(frag)(
-            GroupId.H2, 0, (OmegaVector.zero(GroupId.H2), root), "word_bfs"
+            GroupId.H2, 0, np.array([p.flat() for p in (OmegaVector.zero(GroupId.H2), root)]),
+            "word_bfs",
         )
         assert not check_tenfold(broken)
 

@@ -110,6 +110,64 @@ class TestClosure:
             generate(GroupId.H2, 1).coeffs[0, 0] = 1
 
 
+def _scalar_root_sums(roots, n):
+    """Level m of the sums of at most n roots, as sets of tuples."""
+    origin = (0,) * len(roots[0])
+    seen, levels = {origin}, [{origin}]
+    for _ in range(n):
+        new = {tuple(x + y for x, y in zip(p, r)) for p in levels[-1] for r in roots} - seen
+        seen |= new
+        levels.append(new)
+    return levels
+
+
+@st.composite
+def root_rows(draw):
+    cols = draw(st.sampled_from((2, 4, 6, 8)))
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return np.array(draw(st.lists(row, min_size=1, max_size=6)), dtype=np.int64)
+
+
+class TestRootSums:
+    @given(root_rows(), st.integers(0, 4))
+    @settings(max_examples=80)
+    def test_levels_match_scalar_bfs(self, roots, n):
+        cols = roots.shape[1]
+        levels = kernel.root_sums(roots, n, cap=10_000)
+        expect = _scalar_root_sums([tuple(r) for r in roots.tolist()], n)
+        # the kernel stops at an empty level; the scalar BFS repeats it
+        assert all(not want for want in expect[len(levels):])
+        for (keys, _, _), want in zip(levels, expect):
+            assert (np.diff(keys.astype(object)) > 0).all()
+            assert {tuple(r) for r in kernel.unpack_keys(keys, cols).tolist()} == want
+        for (prev, _, _), (keys, parent, root) in zip(levels, levels[1:]):
+            rows = kernel.unpack_keys(keys, cols)
+            assert (rows == kernel.unpack_keys(prev, cols)[parent] + roots[root]).all()
+
+    def test_bound_refused_before_any_allocation(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("root_sums allocated past its bound")
+
+        roots = np.eye(8, dtype=np.int64)[:1]  # 8 columns: keys hold [-128, 128)
+        monkeypatch.setattr(kernel, "pack_rows", no_work)
+        for n in (128, 10**12):
+            with pytest.raises(ResourceLimitError, match="root sums: coefficient bound"):
+                kernel.root_sums(roots, n, cap=10_000)
+
+    def test_bound_admits_the_last_packed_value(self):
+        roots = np.eye(8, dtype=np.int64)[:1]
+        keys = kernel.root_sums(roots, 127, cap=10_000)[-1][0]
+        assert kernel.unpack_keys(keys, 8).tolist() == [[127, 0, 0, 0, 0, 0, 0, 0]]
+
+    def test_cap_checked_after_every_level(self):
+        # H2 root sums: 1, 11 and 61 points up to levels 0, 1 and 2
+        assert generate_rootsum(GroupId.H2, 1, cap=11).size == 11
+        with pytest.raises(ResourceLimitError, match=r"^fragment exceeded cap 10$"):
+            generate_rootsum(GroupId.H2, 1, cap=10)
+        with pytest.raises(ResourceLimitError, match=r"^fragment exceeded cap 60$"):
+            generate_rootsum(GroupId.H2, 5, cap=60)
+
+
 class TestDominantSweep:
     @given(group_rows())
     @settings(max_examples=60)
@@ -127,7 +185,8 @@ class TestShellKeys:
     def test_norms_match_norm_sq(self, case):
         group, rows = case
         points = [OmegaVector.from_flat(group, r) for r in rows.tolist()]
-        norms, labels = shell_labels(Fragment(group, 0, points, "test"))
+        coeffs = np.array([p.flat() for p in points])
+        norms, labels = shell_labels(Fragment(group, 0, coeffs, "test"))
         assert [norms[i] for i in labels.tolist()] == [norm_sq(p) for p in points]
         assert all((b - a).sign() > 0 for a, b in zip(norms, norms[1:]))
 

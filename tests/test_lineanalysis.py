@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasih.golden import CycloInt, GoldenInt, TAU, TAU_CONJ, xi_pow
 from quasih.rootsystem import GroupId
-from quasih.fragment import generate
+from quasih.fragment import ResourceLimitError, generate
 from quasih.lineanalysis import (
     DecompositionError,
     Window1D,
@@ -53,6 +53,17 @@ class TestClosedForm:
         values = line_closed_form(5).values
         embedded = [v.embed() for v in values]
         assert embedded == sorted(embedded)
+
+    def test_equals_triple_enumeration_of_the_definition(self):
+        # every (a, b, c) with |a| + 2|b| + 2|c| <= n, sorted exactly
+        for n in range(41):
+            values = set()
+            for a in range(-n, n + 1):
+                for b in range(-((n - abs(a)) // 2), (n - abs(a)) // 2 + 1):
+                    rest = (n - abs(a) - 2 * abs(b)) // 2
+                    values.update(GoldenInt(a + c, b - c) for c in range(-rest, rest + 1))
+            expect = sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign()))
+            assert line_closed_form(n).values == tuple(expect)
 
     @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(0, 8))
     def test_membership_predicate_matches_enumeration(self, a, b, n):
@@ -255,6 +266,27 @@ class TestDecompose:
             assert rebuilt == point
             assert d.cost_y <= n and d.cost_z <= n
             assert line_contains(d.y, n) and line_contains(d.z, n)
+
+    def test_certificate_size_is_the_bfs_level(self):
+        # level of a point: the least number of roots xi^0..xi^9 summing to it
+        level, frontier = {CycloInt(): 0}, [CycloInt()]
+        for m in range(1, 6):
+            frontier = [p + xi_pow(j) for p in frontier for j in range(10)]
+            frontier = [p for p in dict.fromkeys(frontier) if p not in level]
+            level.update((p, m) for p in frontier)
+        for n in range(6):
+            witnesses = rootsum_witnesses(n)
+            assert set(witnesses) == {p for p, m in level.items() if m <= n}
+            for point, beta in witnesses.items():
+                assert sum(abs(b) for b in beta) == level[point]
+                assert sum((xi_pow(j) * b for j, b in enumerate(beta)), CycloInt()) == point
+
+    def test_witness_cap(self, monkeypatch):
+        # 1, 11 and 61 points up to levels 0, 1 and 2
+        monkeypatch.setattr("quasih.lineanalysis.DEFAULT_CAP", 60)
+        assert len(rootsum_witnesses(1)) == 11
+        with pytest.raises(ResourceLimitError, match=r"^fragment exceeded cap 60$"):
+            rootsum_witnesses(2)
 
     def test_components_on_their_levels(self):
         witnesses = rootsum_witnesses(3)
