@@ -8,11 +8,15 @@ moved from float-bounded scans to the exact integer box scan, and
 one pass over L(n).  The five model-group digests at n >= 3 (h3 n=3 csv
 and json, h4 n=3 csv with and without ``--normalize false``, a2 n=6 json)
 were recorded before the Cartesian coordinates and the CSV/JSON rows were
-computed on the coefficient array and written in chunks.  Any change to a
-rendered byte (point order, a float digit, JSON layout) fails here.
+computed on the coefficient array and written in chunks.  ``compare --n 12``
+and the ``verify`` report with every ``elapsed`` dropped were recorded
+before the planar cut-and-project layer moved to int64 cyclotomic rows and
+the minimum distances were decided exactly.  Any change to a rendered byte
+(point order, a float digit, JSON layout) fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -61,7 +65,12 @@ DIGESTS = (
     ("generate --group h4 --n 3 --format csv", "11ac2bde8dc72598ac2ab03d16f8e52e7cc8211b716099937c5f38cd9e666364"),
     ("generate --group h4 --n 3 --format csv --normalize false", "11ac2bde8dc72598ac2ab03d16f8e52e7cc8211b716099937c5f38cd9e666364"),
     ("generate --group a2 --n 6 --format json", "4754a0ba941fd51da6ccfb27ac59ca2a69c858e1f5d89045531aa3ad01a0be38"),
+    ("compare --n 12", "f74b19cedf417883ecce5ee6602f81f679e5a7f58c0813b64768785ee75c6ef6"),
 )
+
+# sha256 of the ``verify`` report with every ``elapsed`` key dropped, dumped
+# with sorted keys: it holds the ``min_dists_2d`` floats and the ``psd`` counts.
+VERIFY_DIGEST = "1b3a4f42bf32bb2e114c0af0e2970391e76ac56c0090d0fb1d4cdc28f56236ef"
 
 
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=[argv for argv, _ in DIGESTS])
@@ -70,6 +79,25 @@ def test_stdout_digest(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _drop_elapsed(x):
+    if isinstance(x, dict):
+        return {k: _drop_elapsed(v) for k, v in x.items() if k != "elapsed"}
+    if isinstance(x, list):
+        return [_drop_elapsed(v) for v in x]
+    return x
+
+
+def test_verify_report_digest(capsys):
+    code = main(["verify"])
+    captured = capsys.readouterr()
+    # the H3 table finding fails ``cartan-tables`` by design
+    assert code == 2
+    assert captured.err == "verification failed: cartan-tables\n"
+    report = _drop_elapsed(json.loads(captured.out))
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGEST
 
 
 CHUNKED = [(argv, digest) for argv, digest in DIGESTS
