@@ -313,11 +313,14 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
     scanned: the grid of the 2k - 2 middle coefficients is built once with
     its quadratic part and its linear coefficients against the lead and
     the last coefficient, and for each lead value all 2b + 1 values of t
-    are tested at once by broadcasting.  This is int64 arithmetic only,
+    are tested at once by broadcasting, q0 on the whole solved grid and q1
+    only at the points q0 accepts.  This is int64 arithmetic only,
     bound-checked in front, and memory is O((2b + 1)^(2k - 1)) per lead
-    value: 16 bytes a point of the solved grid.  A solved grid of more than ``ENUMERATION_CAP`` points raises
+    value: 9 bytes a point of the solved grid for q0 and its test.  A
+    solved grid of more than ``ENUMERATION_CAP`` points raises
     ``ResourceLimitError`` before anything is allocated.  Every hit is
-    re-checked with the GoldenInt cofactor determinant.
+    re-checked with the GoldenInt cofactor determinant.  Every candidate
+    is positive semidefinite, which ``psd_count`` records exactly.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -341,16 +344,19 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
     mid_quad = np.stack([((mid @ g) * mid).sum(axis=1) for g in forms[:, 1:-1, 1:-1]])
     lead_lin = cross[:, 0, 1:-1] @ mid.T
     last_lin = cross[:, -1, 1:-1] @ mid.T
-    last_quad = forms[:, -1, -1, None, None] * vals**2
-    q = np.empty((2, len(mid), side), dtype=np.int64)  # one buffer for every lead
+    last_quad = forms[:, -1, -1, None] * vals**2
+    q = np.empty((len(mid), side), dtype=np.int64)  # form q0, one buffer for every lead
     hits: list[tuple[int, ...]] = []
     for lead in vals.tolist():
         c = mid_quad + lead * lead_lin + (forms[:, 0, 0] * lead * lead)[:, None]
         b = last_lin + (cross[:, 0, -1] * lead)[:, None]
-        np.multiply(b[..., None], vals, out=q)
-        q += c[..., None]
-        q += last_quad
-        rows, last = np.nonzero((q == target[:, None, None]).all(axis=0))
+        np.multiply(b[0, :, None], vals, out=q)
+        q += c[0, :, None]
+        q += last_quad[0]
+        rows, last = np.nonzero(q == target[0])
+        # q1 only at the grid points that q0 accepts
+        keep = c[1, rows] + b[1, rows] * vals[last] + last_quad[1, last] == target[1]
+        rows, last = rows[keep], last[keep]
         hits.extend(
             (lead, *middle, t) for middle, t in zip(mid[rows].tolist(), vals[last].tolist())
         )
@@ -365,13 +371,13 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
             raise AssertionError(f"Schur/cofactor determinant mismatch at {coeffs}")
         candidates.append(CartanCandidate(group, coeffs, matrix))
 
-    psd_count = sum(1 for c in candidates if _is_psd(c.matrix))
-    return EnumerationResult(group, coeff_bound, tuple(candidates), psd_count)
-
-
-def _is_psd(m: CartanMatrix, tol: float = 1e-9) -> bool:
-    real = np.array([[e.embed() for e in row] for row in m.entries])
-    return bool(np.linalg.eigvalsh(real).min() >= -tol)
+    # A is positive definite (its leading principal minors are > 0), and a
+    # bordered matrix has det = det(A) * (2 - w^T A^{-1} w), so det = 0 puts
+    # its Schur complement at 0: every candidate is positive semidefinite.
+    a = cartan(group).entries
+    if not all(golden_det(tuple(row[:m] for row in a[:m])).sign() > 0 for m in range(1, k + 1)):
+        raise AssertionError(f"the {group.value} Cartan matrix is not positive definite")
+    return EnumerationResult(group, coeff_bound, tuple(candidates), len(candidates))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ from .lineanalysis import (
     scaling_check,
     sigma_1d,
 )
-from .cutproject import deficiencies_2d, fragment_in_window, sigma_2d
+from .cutproject import deficiencies_2d, fragment_in_window, min_distance_2d, sigma_2d
+from .kernel import cyclo_rows, pack_rows
 
 
 @dataclass
@@ -342,7 +343,8 @@ def _cut2d(coeff_bound: int = 3):
     empties = defic[1] == 0 and defic[2] == 0
     nonempty = all(defic[n] > 0 for n in (3, 4, 5))
     equal12 = all(
-        sigma_2d(n).point_set() == set(_h2(n).cyclo_points()) for n in (1, 2)
+        np.array_equal(pack_rows(sigma_2d(n).rows), np.sort(pack_rows(cyclo_rows(_h2(n).coeffs))))
+        for n in (1, 2)
     )
     ok = inclusion and empties and nonempty
     return ok, {
@@ -403,24 +405,12 @@ def _min_distance(coeff_bound: int = 3):
     ok_2d = True
     details_2d = {}
     for n in range(1, 6):
-        frag_pts = [x.embed() for x in _h2(n).cyclo_points()]
-        sig_pts = [x.embed() for x in sigma_2d(n).points]
-        d_frag = _min_pair_distance(frag_pts)
-        d_sig = _min_pair_distance(sig_pts)
+        exact_frag, d_frag = min_distance_2d(cyclo_rows(_h2(n).coeffs))
+        exact_sig, d_sig = min_distance_2d(sigma_2d(n).rows)
         details_2d[n] = (d_frag, d_sig)
-        if d_frag < d_sig - 1e-9:
+        if (exact_frag - exact_sig).sign() < 0:
             ok_2d = False
     return ok_1d and ok_2d, {"ok_1d": ok_1d, "min_dists_2d": details_2d}
-
-
-def _min_pair_distance(points: list[complex]) -> float:
-    best = float("inf")
-    for i, p in enumerate(points):
-        for q in points[i + 1:]:
-            d = abs(p - q)
-            if d < best:
-                best = d
-    return best
 
 
 @_check("tenfold")

@@ -24,9 +24,10 @@ from .lineanalysis import (
     mn_nn,
     sigma_1d,
 )
-from .cutproject import deficiencies_2d, sigma_2d
+from .cutproject import deficiency_rows_2d, sigma_2d
 from .checks import check_names, run_checks
 from .serialize import (
+    compare_json_chunks,
     fragment_csv_chunks,
     fragment_json_chunks,
     fragment_svg,
@@ -182,19 +183,18 @@ def cmd_compare(args) -> int:
     try:
         sigma = sigma_2d(n)
         fragment = cached_fragment(GroupId.H2, n)
-        defic = deficiencies_2d(n)
+        missing = deficiency_rows_2d(n)
     except ResourceLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return CHECK_ERROR
-    doc = {
+    head = {
         "group": args.group,
         "n": n,
         "fragment_count": fragment.size,
         "sigma_count": sigma.size,
-        "deficiency_count": len(defic),
-        "deficiencies": [str(x) for x in defic],
+        "deficiency_count": len(missing),
     }
-    _emit([json.dumps(doc, indent=2) + "\n"], args.out)
+    _emit(compare_json_chunks(head, missing), args.out)
     return 0
 
 

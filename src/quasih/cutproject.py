@@ -9,6 +9,8 @@ the sign of Im(z) equals the sign of its xi-coefficient.  The same forms
 compiled to integer rows decide, with the int64 kernel, a provably
 sufficient integer box in ``sigma_2d`` and a fragment's points in
 ``fragment_in_window``, so no float decides a member or the scan range.
+Point sets are (N, 4) int64 rows (p.a, p.b, q.a, q.b), compared as packed
+keys; ``CycloInt`` values are built only where they are read.
 ``decagon_contains`` is a float reference for tests only.
 """
 
@@ -16,13 +18,23 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .golden import CycloInt, GoldenInt, xi_pow
+from .golden import _XI_COMPLEX, PHI, CycloInt, GoldenInt, xi_pow
 from .fragment import Fragment, cached_fragment
-from .kernel import ResourceLimitError, box_nonnegative, compile_forms, nonnegative_rows
+from .kernel import (
+    ResourceLimitError,
+    _absmax,
+    _require,
+    box_nonnegative,
+    compile_forms,
+    cyclo_rows,
+    golden_sign,
+    nonnegative_rows,
+    pack_rows,
+)
 from .rootsystem import GroupId
 
 DEFAULT_BOX_CAP = 10_000_000
@@ -76,14 +88,21 @@ def decagon_contains_exact(x: CycloInt, n: int) -> bool:
     return all(w.sign() >= 0 for w in _edge_forms(x, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutProjectSet2D:
+    """The members as read-only (N, 4) int64 rows (p.a, p.b, q.a, q.b) in
+    ``CycloInt.sort_key`` order; ``points`` is built on first access only."""
+
     n: int
-    points: tuple[CycloInt, ...]
+    rows: np.ndarray
+
+    @cached_property
+    def points(self) -> tuple[CycloInt, ...]:
+        return tuple(_point(r) for r in self.rows.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     def point_set(self) -> frozenset[CycloInt]:
         return frozenset(self.points)
@@ -94,6 +113,7 @@ def _point(coords) -> CycloInt:
     return CycloInt(GoldenInt(a, b), GoldenInt(c, d))
 
 
+@lru_cache(maxsize=None)
 def _window_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The twenty edge forms of x and star(x) against D(n), compiled on
     (p.a, p.b, q.a, q.b) rows: all are >= 0 exactly when x and star(x)
@@ -132,14 +152,21 @@ def sigma_2d(n: int, box_cap: int = DEFAULT_BOX_CAP) -> CutProjectSet2D:
     if volume > box_cap:
         raise ResourceLimitError(f"enumeration box of {volume} points exceeds cap")
     rows = box_nonnegative(bound, 4, _window_forms(n))
-    return CutProjectSet2D(n, tuple(_point(r) for r in rows.tolist()))
+    rows.setflags(write=False)
+    return CutProjectSet2D(n, rows)
+
+
+def deficiency_rows_2d(n: int) -> np.ndarray:
+    """The rows of the cut-and-project points missing from the fragment of
+    the same cut-off, in sigma order: a set difference of packed row keys."""
+    rows = sigma_2d(n).rows
+    fragment_keys = pack_rows(cyclo_rows(cached_fragment(GroupId.H2, n).coeffs))
+    return rows[~np.isin(pack_rows(rows), fragment_keys)]
 
 
 def deficiencies_2d(n: int) -> tuple[CycloInt, ...]:
-    """Cut-and-project points missing from the fragment of the same cut-off."""
-    fragment_points = frozenset(cached_fragment(GroupId.H2, n).cyclo_points())
-    missing = [x for x in sigma_2d(n).points if x not in fragment_points]
-    return tuple(missing)
+    """The points of ``deficiency_rows_2d`` as ``CycloInt`` values."""
+    return tuple(_point(r) for r in deficiency_rows_2d(n).tolist())
 
 
 def fragment_in_window(fragment: Fragment) -> bool:
@@ -147,7 +174,78 @@ def fragment_in_window(fragment: Fragment) -> bool:
     the decagon window of the fragment's cut-off (trivial at n = 0)."""
     if fragment.n < 1:
         return True
-    rows = np.array(
-        [(x.p.a, x.p.b, x.q.a, x.q.b) for x in fragment.cyclo_points()], dtype=np.int64
-    ).reshape(-1, 4)
+    rows = cyclo_rows(fragment.coeffs)
     return len(nonnegative_rows(_window_forms(fragment.n), rows)) == len(rows)
+
+
+# Rows per slab of pairs in ``min_distance_2d``: a slab's pairs are two
+# int64 blocks of _PAIR_SLAB * N entries, 1 MB at the 1,991 points of
+# Sigma(D(5)).
+_PAIR_SLAB = 32
+
+
+@lru_cache(maxsize=None)
+def _distance_gram() -> tuple[np.ndarray, np.ndarray]:
+    """Integer matrices (G0, G1) on (p.a, p.b, q.a, q.b) rows with
+    x*conj(y) + conj(x)*y = x G0 y + tau * (x G1 y), a real element of
+    Z[tau]; read off the scalar product at unit rows."""
+    units = [_point(row) for row in np.eye(4, dtype=np.int64).tolist()]
+    cross = [[(x * y.complex_conj() + x.complex_conj() * y).p for y in units] for x in units]
+    return tuple(np.array([[getattr(c, k) for c in row] for row in cross]) for k in "ab")
+
+
+def _exact_argmin(a: np.ndarray, b: np.ndarray) -> int:
+    """Index of the least a + b*tau: a float argmin proposes it and the
+    exact sign of its difference to every value certifies it; a value
+    found below it proposes again, so the loop ends at the exact minimum."""
+    value = a + b * PHI
+    best = int(np.argmin(value))
+    while True:
+        below = golden_sign(a - a[best], b - b[best]) < 0
+        if not below.any():
+            return best
+        best = int(np.flatnonzero(below)[np.argmin(value[below])])
+
+
+def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:
+    """The exact least squared distance over all pairs of the distinct
+    module points (p.a, p.b, q.a, q.b) ``rows``, and the smallest float
+    distance |x.embed() - y.embed()| among the pairs at that minimum.
+
+    |x - y|^2 = |x|^2 + |y|^2 - (x*conj(y) + conj(x)*y) is an element of
+    Z[tau]; the cross term is the integer bilinear pair ``_distance_gram``.
+    Rows i of one slab of ``_PAIR_SLAB`` are paired with every row j > i,
+    and ``_exact_argmin`` finds each slab's exact minimum, then the least
+    of those.  Every value stays below 2^29 in absolute value, checked up
+    front, so the int64 products cannot wrap.
+    """
+    if len(rows) < 2:
+        raise ValueError("need at least two points for a distance")
+    # a pair difference has coefficients of at most 2m, and its squared
+    # distance at most 12 (2m)^2 per coefficient; certification subtracts two
+    m = _absmax(rows)
+    _require(96 * m * m, 1 << 29, "squared distance")
+    g0, g1 = _distance_gram()
+    norm0 = ((rows @ g0) * rows).sum(axis=1) // 2
+    norm1 = ((rows @ g1) * rows).sum(axis=1) // 2
+    z = rows[:, 0] + rows[:, 1] * PHI + (rows[:, 2] + rows[:, 3] * PHI) * _XI_COMPLEX
+    best = []
+    for lo in range(0, len(rows) - 1, _PAIR_SLAB):
+        x, rest = rows[lo:lo + _PAIR_SLAB], rows[lo:].T
+        size = len(x)
+        # column c of a block is row lo + c; the pairs are the strict upper
+        # triangle of its leading square and every column after it.  The
+        # minimum is not 0, so no diagonal entry ties with it, and a tie
+        # below the diagonal repeats a pair of the same slab.
+        upper = np.triu(np.ones((size, size), dtype=bool), 1)
+        block0 = norm0[lo:lo + size, None] + norm0[lo:] - (x @ g0) @ rest
+        block1 = norm1[lo:lo + size, None] + norm1[lo:] - (x @ g1) @ rest
+        a, b = (np.concatenate([q[:, :size][upper], q[:, size:].ravel()]) for q in (block0, block1))
+        k = _exact_argmin(a, b)
+        i, j = np.nonzero((block0 == a[k]) & (block1 == b[k]))
+        # np.hypot rounds as abs() of a Python complex does
+        d = z[lo + i] - z[lo + j]
+        best.append((a[k], b[k], np.hypot(d.real, d.imag).min()))
+    a, b, dist = (np.array(column) for column in zip(*best))
+    k = _exact_argmin(a, b)
+    return GoldenInt(int(a[k]), int(b[k])), float(dist[(a == a[k]) & (b == b[k])].min())

@@ -29,7 +29,7 @@ from functools import cached_property, cmp_to_key, lru_cache
 import numpy as np
 
 from . import kernel
-from .golden import CycloInt, GoldenInt, GoldenRational, xi_pow
+from .golden import CycloInt, GoldenInt, GoldenRational
 from .kernel import ResourceLimitError
 from .rootsystem import (
     GroupId,
@@ -205,13 +205,22 @@ def shells(fragment: Fragment) -> tuple[Shell, ...]:
     )
 
 
+# Rotation by xi on (p.a, p.b, q.a, q.b) rows:
+# xi*(p + q*xi) = -q + (p + tau*q)*xi, with tau*q = q.b + (q.a + q.b)*tau.
+_XI_ROTATION = (
+    np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 1, 1]], dtype=np.int64),
+    np.zeros(4, dtype=np.int64),
+)
+
+
 def check_tenfold(fragment: Fragment) -> bool:
-    """Exact invariance of the cyclotomic image under rotation by xi."""
+    """Exact invariance of the cyclotomic image under rotation by xi: every
+    rotated row's packed key is among the rows' keys."""
     if fragment.group is not GroupId.H2:
         raise ValueError("ten-fold symmetry is an H2 property")
-    pts = set(fragment.cyclo_points())
-    xi = xi_pow(1)
-    return all(xi * p in pts for p in pts)
+    rows = kernel.cyclo_rows(fragment.coeffs)
+    rotated = kernel.pack_rows(kernel.apply(_XI_ROTATION, rows))
+    return bool(np.isin(rotated, kernel.pack_rows(rows)).all())
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,27 @@ def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
+def golden_str(a: int, b: int) -> str:
+    """The text of a + b*tau, as ``str(GoldenInt(a, b))`` prints it."""
+    if b == 0:
+        return str(a)
+    if b == 1:
+        tau = "tau"
+    elif b == -1:
+        tau = "-tau"
+    else:
+        tau = f"{b}*tau"
+    if a == 0:
+        return tau
+    return f"{a}+{tau}" if not tau.startswith("-") else f"{a}{tau}"
+
+
+def cyclo_str(pa: int, pb: int, qa: int, qb: int) -> str:
+    """The text of p + q*xi, as ``str(CycloInt(...))`` prints it, from the
+    coefficients alone."""
+    return f"({golden_str(pa, pb)})+({golden_str(qa, qb)})*xi"
+
+
 @dataclass(frozen=True)
 class GoldenInt:
     """a + b*tau with integer a, b; the scalar type of all coordinates."""
@@ -132,17 +153,7 @@ class GoldenInt:
         return (self - GoldenInt.coerce(other)).sign() >= 0
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.b == 1:
-            tau = "tau"
-        elif self.b == -1:
-            tau = "-tau"
-        else:
-            tau = f"{self.b}*tau"
-        if self.a == 0:
-            return tau
-        return f"{self.a}+{tau}" if not tau.startswith("-") else f"{self.a}{tau}"
+        return golden_str(self.a, self.b)
 
     def __repr__(self) -> str:
         return f"GoldenInt({self.a}, {self.b})"
@@ -327,7 +338,7 @@ class CycloInt:
         return (self.p.a, self.p.b, self.q.a, self.q.b)
 
     def __str__(self) -> str:
-        return f"({self.p})+({self.q})*xi"
+        return cyclo_str(self.p.a, self.p.b, self.q.a, self.q.b)
 
     def __repr__(self) -> str:
         return f"CycloInt({self.p!r}, {self.q!r})"

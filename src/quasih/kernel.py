@@ -3,8 +3,10 @@
 A point of rank k is one row (a1, b1, ..., ak, bk) of an (N, 2k) int64
 array; coordinate i is a_i + b_i*tau.  Every function here is exact
 integer arithmetic with an explicit bound check in front, so a value can
-never wrap: inputs that would overflow raise ``ResourceLimitError``.  The
-scalar ``GoldenInt``/``GoldenRational`` classes stay the reference these
+never wrap: inputs that would overflow raise ``ResourceLimitError``.  A
+float may propose a value (the thresholds of ``box_nonnegative``), but
+exact signs certify it before it is used.  The scalar
+``GoldenInt``/``GoldenRational`` classes stay the reference these
 functions are tested against.
 """
 
@@ -63,10 +65,9 @@ def pack_rows(x: np.ndarray) -> np.ndarray:
         raise ResourceLimitError(
             f"coefficient outside the {width}-bit packed-key range [{-half}, {half})"
         )
-    u = (x + half).astype(np.uint64)
     keys = np.zeros(len(x), dtype=np.uint64)
     for c in range(cols):
-        keys = (keys << np.uint64(width)) | u[:, c]
+        keys = (keys << np.uint64(width)) | (x[:, c] + half).astype(np.uint64)
     return keys
 
 
@@ -172,19 +173,57 @@ def nonnegative_rows(forms, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _threshold(base: np.ndarray, step: np.ndarray, bound: int) -> np.ndarray:
+    """Per row of the (N, 2) Z[tau] values ``base``, the least integer t in
+    [-bound, bound + 1] with base + t*step >= 0, or bound + 1 if there is
+    none, for a Z[tau] constant step > 0.  The float quotient -base/step
+    proposes t; exact signs move it up while base + t*step < 0 and down
+    while base + (t - 1)*step >= 0, which ends at the exact threshold since
+    the value grows with t.  The proposal may be anything, even nan: the
+    clip and the exact moves alone fix the result."""
+    (ba, bb), (sa, sb) = base.T, step.tolist()
+
+    def holds(t):
+        return golden_sign(ba + t * sa, bb + t * sb) >= 0
+
+    t = np.nan_to_num(-(ba + bb * PHI) / (sa + sb * PHI))
+    t = np.clip(np.ceil(t), -bound, bound + 1).astype(np.int64)
+    while (up := (t <= bound) & ~holds(t)).any():
+        t[up] += 1
+    while (down := (t > -bound) & holds(t - 1)).any():
+        t[down] -= 1
+    return t
+
+
 def box_nonnegative(bound: int, dims: int, forms) -> np.ndarray:
     """Rows of the integer box [-bound, bound]^dims, in lexicographic order,
-    at which every Z[tau] value of the compiled ``forms`` is >= 0.  The box
-    is scanned one slab of the first coordinate at a time, so memory is
-    O((2*bound + 1)^(dims - 1))."""
+    at which every Z[tau] value of the compiled ``forms`` is >= 0.  Only the
+    first dims - 1 coordinates are scanned: on each such prefix a form is
+    base + t*step in the last coordinate t, so it admits every t from a
+    threshold up (step > 0), every t up to one (step < 0), all t or none
+    (step 0), and ``_threshold`` finds the thresholds exactly.  The rows
+    of each prefix are the interval left of [-bound, bound].  Memory is
+    O((2*bound + 1)^(dims - 1)) besides the rows returned."""
+    m, off = forms
     side = 2 * bound + 1
-    rest = np.indices((side,) * (dims - 1), dtype=np.int64)
-    rest = rest.reshape(dims - 1, side ** (dims - 1)).T - bound
-    kept = []
-    for first in range(-bound, bound + 1):
-        rows = np.concatenate([np.full((len(rest), 1), first, dtype=np.int64), rest], axis=1)
-        kept.append(nonnegative_rows(forms, rows))
-    return np.concatenate(kept)
+    prefix = np.indices((side,) * (dims - 1), dtype=np.int64)
+    prefix = prefix.reshape(dims - 1, side ** (dims - 1)).T - bound
+    lo = np.full(len(prefix), -bound, dtype=np.int64)
+    hi = np.full(len(prefix), bound, dtype=np.int64)
+    for j in range(0, len(off), 2):
+        base = apply((m[j:j + 2, :-1], off[j:j + 2]), prefix)
+        step = m[j:j + 2, -1]
+        sign = int(golden_sign(*step))
+        if sign > 0:
+            lo = np.maximum(lo, _threshold(base, step, bound))
+        elif sign < 0:
+            # t admitted iff u = -t has base + u*(-step) >= 0
+            hi = np.minimum(hi, -_threshold(base, -step, bound))
+        else:
+            hi[golden_sign(base[:, 0], base[:, 1]) < 0] = -bound - 1
+    count = np.maximum(hi - lo + 1, 0)
+    last = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    return np.concatenate([np.repeat(prefix, count, axis=0), last[:, None]], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -203,6 +242,19 @@ def quadratic_form_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
     a, b, c, d = x[:, 0::2], x[:, 1::2], w[:, 0::2], w[:, 1::2]
     bd = b * d
     return np.stack([(a * c + bd).sum(axis=1), (a * d + b * c + bd).sum(axis=1)], axis=1)
+
+
+def cyclo_rows(x: np.ndarray) -> np.ndarray:
+    """(N, 4) rows (p.a, p.b, q.a, q.b) of the cyclotomic images p + q*xi
+    of H2 root-lattice rows, those of ``rootsystem.cyclo_from_omega``.  The
+    alpha coordinates c1, c2 are the numerators of A^{-1} v divided exactly
+    by N(det A), and c1 + c2*xi^4 = (c1 - tau*c2) + c2*xi."""
+    rows, norm = _alpha_numerators(GroupId.H2)
+    num = apply((np.array(rows, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)), x)
+    if (num % norm).any():
+        raise ValueError(f"a row is outside the H2 root lattice: N(det A) = {norm} does not divide it")
+    a1, b1, a2, b2 = (num // norm).T
+    return np.stack([a1 - b2, b1 - a2 - b2, a2, b2], axis=1)
 
 
 def cartesian_rows(group: GroupId, x: np.ndarray) -> np.ndarray:

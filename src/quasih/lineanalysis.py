@@ -15,21 +15,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .fragment import DEFAULT_CAP
-from .golden import CycloInt, GoldenInt, TAU, xi_pow
-from .kernel import box_nonnegative, compile_forms, root_sums, unpack_keys
+from .golden import PHI, CycloInt, GoldenInt, TAU, xi_pow
+from .kernel import box_nonnegative, compile_forms, golden_sign, root_sums, unpack_keys
 
 
 # Largest n that ``line`` accepts; L(200) holds 50,301 values.
 LINE_CAP = 200
 
 
-def _sorted_values(values) -> tuple[GoldenInt, ...]:
-    return tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
+def _sorted_values(a, b) -> tuple[GoldenInt, ...]:
+    """The distinct values a + b*tau, for integer sequences a and b, in
+    ascending order: argsorted by their float value, then every adjacent
+    difference is certified positive by its exact sign."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    order = np.argsort(a + b * PHI, kind="stable")
+    a, b = a[order], b[order]
+    if not (golden_sign(np.diff(a), np.diff(b)) > 0).all():
+        raise AssertionError("the float order of the values is not strictly ascending")
+    return tuple(map(GoldenInt, a.tolist(), b.tolist()))
+
+
+def _coefficients(values) -> np.ndarray:
+    """The (2, N) integer coefficients (a, b) of GoldenInt values."""
+    return np.array([(x.a, x.b) for x in values], dtype=np.int64).reshape(-1, 2).T
 
 
 @dataclass(frozen=True)
@@ -56,7 +70,7 @@ def line_closed_form(n: int) -> LineSet:
     half = n // 2
     u, v = np.indices((2 * n + 1, 2 * half + 1)).reshape(2, -1) - np.array([[n], [half]])
     keep = _level(u, v) <= n
-    return LineSet(n, _sorted_values(map(GoldenInt, u[keep].tolist(), v[keep].tolist())))
+    return LineSet(n, _sorted_values(u[keep], v[keep]))
 
 
 def _level(u, v):
@@ -79,7 +93,7 @@ def line_bruteforce(n: int) -> LineSet:
     by ``rootsum_witnesses`` that land exactly on the real axis."""
     if n < 0:
         raise ValueError("cut-off must be non-negative")
-    return LineSet(n, _sorted_values(x.p for x in rootsum_witnesses(n) if x.is_real()))
+    return LineSet(n, _sorted_values(*_coefficients(x.p for x in rootsum_witnesses(n) if x.is_real())))
 
 
 def levels(n: int) -> tuple[tuple[int, tuple[GoldenInt, ...]], ...]:
@@ -141,7 +155,7 @@ def sigma_1d(window: Window1D, region: Window1D) -> tuple[GoldenInt, ...]:
         return (x - region.lo, region.hi - x, x.conj() - window.lo, window.hi - x.conj())
 
     rows = box_nonnegative(bound, 2, compile_forms(forms, 2))
-    return _sorted_values(GoldenInt(a, b) for a, b in rows.tolist())
+    return _sorted_values(rows[:, 0], rows[:, 1])
 
 
 def deficiencies_1d(n: int) -> tuple[GoldenInt, ...]:
@@ -149,7 +163,7 @@ def deficiencies_1d(n: int) -> tuple[GoldenInt, ...]:
     section; empty for n <= 2 and provably nonempty from n = 3 on."""
     w = Window1D.symmetric(n)
     sigma = set(sigma_1d(w, w))
-    return _sorted_values(sigma - line_closed_form(n).value_set())
+    return _sorted_values(*_coefficients(sigma - line_closed_form(n).value_set()))
 
 
 def mn_nn(n: int) -> tuple[int, int]:

@@ -6,7 +6,8 @@ repeated runs produce byte-identical output.
 
 The fragment CSV and JSON writers stream: ``fragment_csv_chunks`` and
 ``fragment_json_chunks`` yield the text ``CHUNK_ROWS`` points at a time,
-and ``fragment_csv``/``fragment_json`` join the same chunks.  A chunk's
+and ``fragment_csv``/``fragment_json`` join the same chunks; the ``compare``
+report streams the same way from the deficiency rows.  A chunk's
 Cartesian coordinates come from ``kernel.cartesian_rows`` on the slice of
 the coefficient array, and each row is one ``%`` format, so no per-point
 object is built.  H2 keeps the scalar ``cartesian`` per point: its planar
@@ -19,6 +20,7 @@ import json
 import math
 
 from .fragment import Fragment, orbits, shell_labels, shells
+from .golden import cyclo_str
 from .kernel import cartesian_rows
 from .rootsystem import GroupId, OmegaVector, cartesian
 
@@ -132,6 +134,21 @@ def fragment_svg(fragment: Fragment, normalize: bool = True) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def compare_json_chunks(head: dict, rows):
+    """``json.dumps(doc, indent=2)`` and a newline, in pieces, for ``head``
+    followed by "deficiencies": the text of each (p.a, p.b, q.a, q.b) row,
+    ``CHUNK_ROWS`` rows a piece.  The text holds only [-+*()0-9a-z], which
+    JSON quotes without escapes."""
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "deficiencies": ['
+    sep = "\n"
+    for start in range(0, len(rows), CHUNK_ROWS):
+        yield sep + ",\n".join(
+            ['    "%s"' % cyclo_str(*r) for r in rows[start:start + CHUNK_ROWS].tolist()]
+        )
+        sep = ",\n"
+    yield ("\n  ]" if len(rows) else "]") + "\n}\n"
 
 
 def line_report_json(doc: dict) -> str:

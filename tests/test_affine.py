@@ -1,12 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasih.golden import GoldenInt, ONE, TAU, TAU_CONJ, ZERO
 from quasih.rootsystem import (
     AlphaVector,
+    CartanMatrix,
     GroupId,
     H_GROUPS,
     OmegaVector,
@@ -241,6 +243,25 @@ class TestEnumeration:
         # det 0 with a positive definite Cartan block forces PSD
         res = enumerate_generalized(GroupId.H3, 3)
         assert res.psd_count == res.count
+
+    @pytest.mark.parametrize("group,count", [(GroupId.H2, 10), (GroupId.H3, 30), (GroupId.H4, 120)])
+    def test_psd_count_matches_float_eigenvalues(self, group, count):
+        # the float reference the exact count replaced: least eigenvalue >= -1e-9
+        res = enumerate_generalized(group, 3)
+        by_float = sum(
+            np.linalg.eigvalsh(np.array([[e.embed() for e in row] for row in c.matrix.entries])).min()
+            >= -1e-9
+            for c in res.candidates
+        )
+        assert res.psd_count == by_float == count
+
+    def test_cartan_block_not_positive_definite_is_refused(self, monkeypatch):
+        # a symmetric block with a negative determinant: the exact minors
+        # refuse it instead of counting its candidates as PSD
+        entries = ((GoldenInt(2), GoldenInt(-3)), (GoldenInt(-3), GoldenInt(2)))
+        monkeypatch.setattr(affine, "cartan", lambda group: CartanMatrix(group, False, entries))
+        with pytest.raises(AssertionError, match="not positive definite"):
+            enumerate_generalized.__wrapped__(GroupId.H2, 2)
 
     def test_extended_matrix_is_unique_nonpositive_candidate(self):
         for group in H_GROUPS:

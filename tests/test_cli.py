@@ -9,6 +9,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from quasih.cli import main
+from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.fragment import generate
 from quasih.lineanalysis import LINE_CAP
 from quasih.rootsystem import GroupId
@@ -197,6 +198,23 @@ class TestCompareCommand:
         doc = json.loads(out)
         assert doc["deficiency_count"] == 0
         assert doc["sigma_count"] == doc["fragment_count"] == 61
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    @pytest.mark.parametrize("chunk", (1, 7, 8192))
+    def test_streamed_report_equals_json_dumps(self, capsys, monkeypatch, n, chunk):
+        # the empty list at n <= 2 and chunk boundaries inside the list
+        monkeypatch.setattr("quasih.serialize.CHUNK_ROWS", chunk)
+        _, out, _ = run_cli(capsys, "compare", "--n", str(n))
+        defic = deficiencies_2d(n)
+        doc = {
+            "group": "h2",
+            "n": n,
+            "fragment_count": generate(GroupId.H2, n).size,
+            "sigma_count": sigma_2d(n).size,
+            "deficiency_count": len(defic),
+            "deficiencies": [str(x) for x in defic],
+        }
+        assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_box_cap_is_exit_2(self, capsys, monkeypatch):
         # the 103^4 box is refused before any scan starts

@@ -225,3 +225,81 @@ class TestFragmentInWindow:
         f = generate(GroupId.H2, n)
         assert xi_pow(2) * n in set(f.cyclo_points())
         assert xi_pow(2) * n in set(DecagonWindow(n).vertices())
+
+
+def _scalar_min_distance(points):
+    """The least exact |x - y|^2 over pairs, by GoldenInt comparison, and
+    the least float |x.embed() - y.embed()| over pairs, as the float loop
+    of the ``min-distance`` check computed it."""
+    best, best_float = None, float("inf")
+    embedded = [x.embed() for x in points]
+    for i, x in enumerate(points):
+        for j in range(i + 1, len(points)):
+            d = x - points[j]
+            norm = (d * d.complex_conj()).p
+            if best is None or (norm - best).sign() < 0:
+                best = norm
+            best_float = min(best_float, abs(embedded[i] - embedded[j]))
+    return best, best_float
+
+
+class TestMinDistance2D:
+    @given(st.lists(st.tuples(*[st.integers(-6, 6)] * 4), min_size=2, max_size=40, unique=True),
+           st.sampled_from((1, 3, 32)))
+    @settings(max_examples=80)
+    def test_equals_scalar_brute_force(self, coords, slab):
+        # slabs of 1 and 3 rows put tied pairs in several slabs
+        rows = np.array(coords, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cutproject, "_PAIR_SLAB", slab)
+            exact, dist = cutproject.min_distance_2d(rows)
+        expect_exact, expect_dist = _scalar_min_distance([cutproject._point(c) for c in coords])
+        assert exact == expect_exact
+        assert dist.hex() == expect_dist.hex()
+
+    @given(st.lists(st.tuples(*[st.integers(-6, 6)] * 4), min_size=2, max_size=30, unique=True),
+           st.sampled_from((float("nan"), 100.0, -100.0)))
+    @settings(max_examples=40)
+    def test_exact_under_a_wrong_float_proposal(self, coords, phi):
+        # the float argmin only proposes; exact signs find the minimum
+        rows = np.array(coords, dtype=np.int64)
+        expect = cutproject.min_distance_2d(rows)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cutproject, "PHI", phi)
+            mp.setattr(cutproject, "_PAIR_SLAB", 3)
+            assert cutproject.min_distance_2d(rows)[0] == expect
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_window_sets_match_the_float_loop(self, n):
+        for points in (sigma_2d(n).points, generate(GroupId.H2, n).cyclo_points()):
+            rows = np.array([x.sort_key() for x in points], dtype=np.int64)
+            exact, dist = cutproject.min_distance_2d(rows)
+            expect_exact, expect_dist = _scalar_min_distance(points)
+            assert exact == expect_exact
+            assert dist.hex() == expect_dist.hex()
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError):
+            cutproject.min_distance_2d(np.zeros((1, 4), dtype=np.int64))
+
+    def test_past_int64_guard_raises(self):
+        # pair values must stay below 2^29: coefficients up to 2^11 pass
+        ok = np.array([[0, 0, 0, 0], [1 << 11, 0, 0, 0]], dtype=np.int64)
+        assert cutproject.min_distance_2d(ok)[0] == GoldenInt(1 << 22, 0)
+        with pytest.raises(ResourceLimitError):
+            cutproject.min_distance_2d(np.array([[0, 0, 0, 0], [1 << 12, 0, 0, 0]], dtype=np.int64))
+
+
+class TestDeficiencyRows:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_the_scalar_list_in_order(self, n):
+        fragment_points = frozenset(generate(GroupId.H2, n).cyclo_points())
+        expect = [x for x in sigma_2d(n).points if x not in fragment_points]
+        assert list(deficiencies_2d(n)) == expect
+        assert cutproject.deficiency_rows_2d(n).tolist() == [list(x.sort_key()) for x in expect]
+
+    def test_sigma_points_are_built_lazily(self):
+        s = sigma_2d.__wrapped__(2)
+        assert "points" not in vars(s)
+        assert s.size == 61 and not s.rows.flags.writeable
+        assert [x.sort_key() for x in s.points] == [tuple(r) for r in s.rows.tolist()]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasih.golden import GoldenInt, GoldenRational, TAU, xi_pow
 from quasih.rootsystem import (
@@ -11,6 +13,7 @@ from quasih.rootsystem import (
     roots_omega,
 )
 from quasih.fragment import (
+    Fragment,
     ResourceLimitError,
     check_tenfold,
     generate,
@@ -232,6 +235,17 @@ class TestTenfold:
     def test_rejects_h3(self):
         with pytest.raises(ValueError):
             check_tenfold(generate(GroupId.H3, 0))
+
+    @given(st.integers(0, 4), st.one_of(st.none(), st.lists(st.booleans(), min_size=1)))
+    @settings(max_examples=60)
+    def test_rows_agree_with_scalar_rotation(self, q2, n, keep):
+        # the whole fragment (invariant) or a random subset (mostly not)
+        coeffs = q2[n].coeffs
+        if keep is not None:
+            coeffs = coeffs[np.resize(np.array(keep), len(coeffs))]
+        f = Fragment(GroupId.H2, n, coeffs, "test")
+        pts = set(f.cyclo_points())
+        assert check_tenfold(f) == all(xi_pow(1) * p in pts for p in pts)
 
 
 class TestCycloImage:

@@ -20,12 +20,15 @@ from quasih.fragment import (
 from quasih.golden import GoldenInt, GoldenRational
 from quasih.rootsystem import (
     _MODELS,
+    AlphaVector,
     GroupId,
     OmegaVector,
     alpha_from_omega,
     cartan_inverse,
     cartesian,
+    cyclo_from_omega,
     norm_sq,
+    omega_from_alpha,
 )
 
 GROUPS = tuple(GroupId)
@@ -300,3 +303,42 @@ class TestCompiledForms:
             if all(v.sign() >= 0 for v in fn(p))
         ]
         assert rows.tolist() == expect
+
+    @given(affine_forms(), st.integers(0, 4), st.sampled_from((float("nan"), 100.0, -100.0)))
+    @settings(max_examples=60)
+    def test_box_scan_exact_under_a_wrong_float_proposal(self, case, bound, phi):
+        # the float quotient only proposes each threshold; exact signs move it
+        dims, fn = case
+        forms = kernel.compile_forms(fn, dims)
+        expect = kernel.box_nonnegative(bound, dims, forms).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "PHI", phi)
+            assert kernel.box_nonnegative(bound, dims, forms).tolist() == expect
+
+
+class TestCycloRows:
+    @given(st.lists(st.tuples(*[st.integers(-60, 60)] * 4), min_size=1, max_size=30))
+    @settings(max_examples=80)
+    def test_equals_cyclo_from_omega(self, alphas):
+        # random root-lattice points: integral alpha coordinates c1, c2
+        points = [
+            omega_from_alpha(AlphaVector(GroupId.H2, (GoldenInt(a, b), GoldenInt(c, d))))
+            for a, b, c, d in alphas
+        ]
+        rows = np.array([v.flat() for v in points], dtype=np.int64)
+        expect = [list(cyclo_from_omega(v).sort_key()) for v in points]
+        assert kernel.cyclo_rows(rows).tolist() == expect
+
+    def test_fragment_rows(self):
+        f = generate(GroupId.H2, 4)
+        expect = [list(x.sort_key()) for x in f.cyclo_points()]
+        assert kernel.cyclo_rows(f.coeffs).tolist() == expect
+
+    def test_row_outside_the_root_lattice_raises(self):
+        # the fundamental weight omega_1 has alpha coordinates over N(det A) = 5
+        with pytest.raises(ValueError, match="root lattice"):
+            kernel.cyclo_rows(np.array([[1, 0, 0, 0]], dtype=np.int64))
+
+    def test_past_int64_guard_raises(self):
+        with pytest.raises(ResourceLimitError):
+            kernel.cyclo_rows(np.array([[1 << 61, 0, 0, 0]], dtype=np.int64))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasih.golden import CycloInt, GoldenInt, TAU, TAU_CONJ, xi_pow
 from quasih.rootsystem import GroupId
+from quasih import lineanalysis
 from quasih.fragment import ResourceLimitError, generate
 from quasih.lineanalysis import (
     DecompositionError,
@@ -69,6 +70,35 @@ class TestClosedForm:
     def test_membership_predicate_matches_enumeration(self, a, b, n):
         x = GoldenInt(a, b)
         assert line_contains(x, n) == (x in line_closed_form(n).value_set())
+
+
+class TestSortedValues:
+    @given(st.lists(st.tuples(st.integers(-500, 500), st.integers(-500, 500)), unique=True))
+    @settings(max_examples=80)
+    def test_equals_exact_comparison_sort(self, pairs):
+        values = [GoldenInt(a, b) for a, b in pairs]
+        expect = tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
+        assert lineanalysis._sorted_values([a for a, _ in pairs], [b for _, b in pairs]) == expect
+
+    def test_fibonacci_near_ties(self):
+        # F(k+1) - F(k)*tau tends to 0 with alternating sign: neighbours
+        # about 1e-6 apart, with coefficients near 10^6, sort exactly
+        fib = [0, 1]
+        while len(fib) < 30:
+            fib.append(fib[-1] + fib[-2])
+        values = [GoldenInt(fib[k + 1], -fib[k]) for k in range(18, 28)] + [GoldenInt(0)]
+        expect = tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
+        a, b = zip(*[(v.a, v.b) for v in values])
+        assert lineanalysis._sorted_values(a, b) == expect
+
+    def test_wrong_float_order_is_refused(self, monkeypatch):
+        monkeypatch.setattr(lineanalysis, "PHI", -lineanalysis.PHI)
+        with pytest.raises(AssertionError, match="not strictly ascending"):
+            lineanalysis._sorted_values([0, 0], [1, 2])
+
+    def test_repeated_value_is_refused(self):
+        with pytest.raises(AssertionError):
+            lineanalysis._sorted_values([1, 1], [2, 2])
 
 
 class TestBruteforce:
