@@ -11,8 +11,11 @@ were recorded before the Cartesian coordinates and the CSV/JSON rows were
 computed on the coefficient array and written in chunks.  ``compare --n 12``
 and the ``verify`` report with every ``elapsed`` dropped were recorded
 before the planar cut-and-project layer moved to int64 cyclotomic rows and
-the minimum distances were decided exactly.  Any change to a rendered byte
-(point order, a float digit, JSON layout) fails here.
+the minimum distances were decided exactly.  ``line --n 200``
+(``LINE_CAP``), the output with the most float near-ties in its sort, was
+recorded in json and csv before the 1D section moved to int64 rows.  Any
+change to a rendered byte (point order, a float digit, JSON layout) fails
+here.
 """
 
 import hashlib
@@ -66,6 +69,8 @@ DIGESTS = (
     ("generate --group h4 --n 3 --format csv --normalize false", "11ac2bde8dc72598ac2ab03d16f8e52e7cc8211b716099937c5f38cd9e666364"),
     ("generate --group a2 --n 6 --format json", "4754a0ba941fd51da6ccfb27ac59ca2a69c858e1f5d89045531aa3ad01a0be38"),
     ("compare --n 12", "f74b19cedf417883ecce5ee6602f81f679e5a7f58c0813b64768785ee75c6ef6"),
+    ("line --n 200 --format json", "e1ef070a1e176125413e08900b73773793a858431c52de28820312aa40e2671d"),
+    ("line --n 200 --format csv", "e671130d3411eb5cc67531fb6d8a88ea6cb845b1ff5fee81667d40a729084731"),
 )
 
 # sha256 of the ``verify`` report with every ``elapsed`` key dropped, dumped
