@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .golden import GoldenInt, ONE, ZERO
-from .kernel import _INT64_HEADROOM, ResourceLimitError, _require
+from .kernel import _INT64_HEADROOM, ResourceLimitError, _require, quadratic_forms
 from .rootsystem import (
     CartanMatrix,
     GroupId,
@@ -23,7 +23,6 @@ from .rootsystem import (
     OmegaVector,
     alpha_vector_from_omega,
     cartan,
-    golden_adjugate,
     golden_det,
     golden_identity,
     highest_root,
@@ -277,29 +276,6 @@ class EnumerationResult:
         return len(self.candidates)
 
 
-def _quadratic_forms(group: GroupId) -> np.ndarray:
-    """Integer matrices (G0, G1), stacked, with
-    w^T adj(A) w = u G0 u + tau * (u G1 u) for w_i = x_i + tau y_i and
-    u = (x_1, y_1, ..., x_k, y_k)."""
-    k = group.rank
-    adj = golden_adjugate(cartan(group).entries)
-    forms = np.zeros((2, 2 * k, 2 * k), dtype=np.int64)
-    g0, g1 = forms  # views: the loop fills ``forms``
-    for i in range(k):
-        for j in range(k):
-            al, be = adj[i][j].a, adj[i][j].b
-            xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-            g0[xi, xj] += al
-            g0[yi, yj] += al + be
-            g0[xi, yj] += be
-            g0[yi, xj] += be
-            g1[xi, yj] += al + be
-            g1[yi, xj] += al + be
-            g1[yi, yj] += al + 2 * be
-            g1[xi, xj] += be
-    return forms
-
-
 @lru_cache(maxsize=8)
 def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationResult:
     """All bordered Cartan templates with exact determinant 0.
@@ -333,7 +309,7 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
         )
     det_a = golden_det(cartan(group).entries)
     target = np.array([2 * det_a.a, 2 * det_a.b], dtype=np.int64)
-    forms = _quadratic_forms(group)  # column 0 is the lead, column -1 the last
+    forms = quadratic_forms(group)  # column 0 is the lead, column -1 the last
     _require(2 * int(np.abs(forms).sum()) * coeff_bound**2, _INT64_HEADROOM, "Cartan form")
     cross = forms + forms.transpose(0, 2, 1)
 

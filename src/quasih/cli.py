@@ -13,13 +13,14 @@ import argparse
 import json
 import sys
 
+from .golden import PHI, golden_str
 from .rootsystem import GroupId
 from .fragment import ResourceLimitError, cached_fragment, generate
 from .lineanalysis import (
     LINE_CAP,
     Window1D,
+    _level,
     deficiencies_1d,
-    levels,
     line_closed_form,
     mn_nn,
     sigma_1d,
@@ -154,20 +155,21 @@ def cmd_line(args) -> int:
     window = Window1D.symmetric(n)
     sigma = sigma_1d(window, window)
     m_n, n_n = mn_nn(n)
-    level_of = {v: level for level, members in levels(n) for v in members}
+    rows = line_closed_form(n).rows
     values = [
-        {"value": str(v), "level": level_of[v], "float": v.embed()}
-        for v in line_closed_form(n).values
+        {"value": golden_str(a, b), "level": level, "float": a + b * PHI}
+        for (a, b), level in zip(rows.tolist(), _level(*rows.T).tolist())
     ]
     doc = {
         "n": n,
         "m_n": m_n,
         "n_n": n_n,
         "count": len(values),
-        "sigma_count": len(sigma),
+        "sigma_count": sigma.size,
         "values": values,
         "deficiencies": [
-            {"value": str(v), "float": v.embed()} for v in deficiencies_1d(n)
+            {"value": golden_str(a, b), "float": a + b * PHI}
+            for a, b in deficiencies_1d(n).rows.tolist()
         ],
     }
     text = line_report_json(doc) if args.format == "json" else line_report_csv(doc)

@@ -31,7 +31,7 @@ from .kernel import (
     box_nonnegative,
     compile_forms,
     cyclo_rows,
-    golden_sign,
+    exact_argmin,
     nonnegative_rows,
     pack_rows,
 )
@@ -194,19 +194,6 @@ def _distance_gram() -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array([[getattr(c, k) for c in row] for row in cross]) for k in "ab")
 
 
-def _exact_argmin(a: np.ndarray, b: np.ndarray) -> int:
-    """Index of the least a + b*tau: a float argmin proposes it and the
-    exact sign of its difference to every value certifies it; a value
-    found below it proposes again, so the loop ends at the exact minimum."""
-    value = a + b * PHI
-    best = int(np.argmin(value))
-    while True:
-        below = golden_sign(a - a[best], b - b[best]) < 0
-        if not below.any():
-            return best
-        best = int(np.flatnonzero(below)[np.argmin(value[below])])
-
-
 def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:
     """The exact least squared distance over all pairs of the distinct
     module points (p.a, p.b, q.a, q.b) ``rows``, and the smallest float
@@ -215,7 +202,7 @@ def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:
     |x - y|^2 = |x|^2 + |y|^2 - (x*conj(y) + conj(x)*y) is an element of
     Z[tau]; the cross term is the integer bilinear pair ``_distance_gram``.
     Rows i of one slab of ``_PAIR_SLAB`` are paired with every row j > i,
-    and ``_exact_argmin`` finds each slab's exact minimum, then the least
+    and ``exact_argmin`` finds each slab's exact minimum, then the least
     of those.  Every value stays below 2^29 in absolute value, checked up
     front, so the int64 products cannot wrap.
     """
@@ -241,11 +228,11 @@ def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:
         block0 = norm0[lo:lo + size, None] + norm0[lo:] - (x @ g0) @ rest
         block1 = norm1[lo:lo + size, None] + norm1[lo:] - (x @ g1) @ rest
         a, b = (np.concatenate([q[:, :size][upper], q[:, size:].ravel()]) for q in (block0, block1))
-        k = _exact_argmin(a, b)
+        k = exact_argmin(a, b)
         i, j = np.nonzero((block0 == a[k]) & (block1 == b[k]))
         # np.hypot rounds as abs() of a Python complex does
         d = z[lo + i] - z[lo + j]
         best.append((a[k], b[k], np.hypot(d.real, d.imag).min()))
     a, b, dist = (np.array(column) for column in zip(*best))
-    k = _exact_argmin(a, b)
+    k = exact_argmin(a, b)
     return GoldenInt(int(a[k]), int(b[k])), float(dist[(a == a[k]) & (b == b[k])].min())

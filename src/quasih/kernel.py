@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .golden import PHI
-from .rootsystem import _MODELS, GroupId, _alpha_numerators, cartan, golden_adjugate, integer_form
+from .golden import PHI, GoldenInt
+from .rootsystem import _MODELS, GroupId, _alpha_numerators, cartan, golden_adjugate
 
 _INT64_HEADROOM = 1 << 62
 
@@ -226,22 +226,43 @@ def box_nonnegative(bound: int, dims: int, forms) -> np.ndarray:
     return np.concatenate([np.repeat(prefix, count, axis=0), last[:, None]], axis=1)
 
 
+def exact_argmin(a: np.ndarray, b: np.ndarray) -> int:
+    """Index of the least a + b*tau: a float argmin proposes it and the
+    exact sign of its difference to every value certifies it; a value
+    found below it proposes again, so the loop ends at the exact minimum."""
+    value = a + b * PHI
+    best = int(np.argmin(value))
+    while True:
+        below = golden_sign(a - a[best], b - b[best]) < 0
+        if not below.any():
+            return best
+        best = int(np.flatnonzero(below)[np.argmin(value[below])])
+
+
 @lru_cache(maxsize=None)
-def _adjugate(group: GroupId) -> tuple[np.ndarray, np.ndarray]:
-    """adj(A) as an operator on coefficient rows, with zero offset."""
-    m = np.array(integer_form(golden_adjugate(cartan(group).entries)), dtype=np.int64)
-    m.setflags(write=False)
-    return m, np.zeros(len(m), dtype=np.int64)
+def quadratic_forms(group: GroupId) -> np.ndarray:
+    """Integer matrices (G0, G1), stacked and read-only, with
+    w^T adj(A) w = u G0 u + tau * (u G1 u) for w_i = x_i + tau y_i and
+    u = (x_1, y_1, ..., x_k, y_k); read off the bilinear w^T adj(A) w' at
+    unit rows, whose one nonzero coordinate is 1 or tau."""
+    adj = golden_adjugate(cartan(group).entries)
+    unit = (GoldenInt(1), GoldenInt(0, 1))
+    size = 2 * group.rank
+    cross = [[unit[p % 2] * adj[p // 2][q // 2] * unit[q % 2] for q in range(size)]
+             for p in range(size)]
+    forms = np.array([[[getattr(c, k) for c in row] for row in cross] for k in "ab"])
+    forms.setflags(write=False)
+    return forms
 
 
 def quadratic_form_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
-    """(N, 2) array of the Z[tau] values v^T adj(A) v."""
-    w = apply(_adjugate(group), x)
-    _require(3 * group.rank * _absmax(x) * _absmax(w), _INT64_HEADROOM, "quadratic form")
-    # (a + b tau)(c + d tau) = ac + bd + (ad + bc + bd) tau, summed over coordinates
-    a, b, c, d = x[:, 0::2], x[:, 1::2], w[:, 0::2], w[:, 1::2]
-    bd = b * d
-    return np.stack([(a * c + bd).sum(axis=1), (a * d + b * c + bd).sum(axis=1)], axis=1)
+    """(N, 2) array of the Z[tau] values v^T adj(A) v, the integer forms
+    x G0 x and x G1 x of ``quadratic_forms``: each is at most sum|G| *
+    max|x|^2 in absolute value, and so is every partial sum."""
+    forms = quadratic_forms(group)
+    bound = int(np.abs(forms).sum(axis=(1, 2)).max()) * _absmax(x) ** 2
+    _require(bound, _INT64_HEADROOM, "quadratic form")
+    return np.stack([((x @ g) * x).sum(axis=1) for g in forms], axis=1)
 
 
 def cyclo_rows(x: np.ndarray) -> np.ndarray:

@@ -7,55 +7,70 @@ The real-axis section of the cut-off-n fragment has the closed form
 
 which this module enumerates, re-derives by brute force from cyclotomic
 root sums, and compares against the 1D cut-and-project sets
-Sigma(window) = {x in Z[tau] : conj(x) in window}.  Membership and window
-tests are exact; floats only ever appear in reported diagnostics.
+Sigma(window) = {x in Z[tau] : conj(x) in window}, all held as ascending
+(N, 2) int64 rows (a, b) of a + b*tau.  Membership and window tests are
+exact; floats only propose the sort order and appear in diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .fragment import DEFAULT_CAP
-from .golden import PHI, CycloInt, GoldenInt, TAU, xi_pow
-from .kernel import box_nonnegative, compile_forms, golden_sign, root_sums, unpack_keys
+from .golden import PHI, CycloInt, GoldenInt, xi_pow
+from .kernel import (
+    box_nonnegative,
+    compile_forms,
+    exact_argmin,
+    golden_sign,
+    pack_rows,
+    root_sums,
+    unpack_keys,
+)
 
 
 # Largest n that ``line`` accepts; L(200) holds 50,301 values.
 LINE_CAP = 200
 
 
-def _sorted_values(a, b) -> tuple[GoldenInt, ...]:
-    """The distinct values a + b*tau, for integer sequences a and b, in
-    ascending order: argsorted by their float value, then every adjacent
-    difference is certified positive by its exact sign."""
+# The roots xi^0..xi^9 as (p.a, p.b, q.a, q.b) rows.
+_XI_ROWS = np.array([xi_pow(j).sort_key() for j in range(10)], dtype=np.int64)
+
+
+def _sorted_values(a, b) -> np.ndarray:
+    """The (N, 2) rows (a, b) of the distinct values a + b*tau, for integer
+    sequences a and b, in ascending order: argsorted by their float value,
+    then every adjacent difference is certified positive by its exact sign."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     order = np.argsort(a + b * PHI, kind="stable")
     a, b = a[order], b[order]
     if not (golden_sign(np.diff(a), np.diff(b)) > 0).all():
         raise AssertionError("the float order of the values is not strictly ascending")
-    return tuple(map(GoldenInt, a.tolist(), b.tolist()))
+    return np.stack([a, b], axis=1)
 
 
-def _coefficients(values) -> np.ndarray:
-    """The (2, N) integer coefficients (a, b) of GoldenInt values."""
-    return np.array([(x.a, x.b) for x in values], dtype=np.int64).reshape(-1, 2).T
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineSet:
-    """Sorted real-axis section at cut-off n."""
+    """Values of Z[tau] as read-only (N, 2) int64 rows (a, b), in ascending
+    order of a + b*tau; ``values`` is built on first access only."""
 
-    n: int
-    values: tuple[GoldenInt, ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        self.rows.setflags(write=False)
+
+    @cached_property
+    def values(self) -> tuple[GoldenInt, ...]:
+        return tuple(map(GoldenInt, *self.rows.T.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.values)
+        return len(self.rows)
 
     def value_set(self) -> frozenset[GoldenInt]:
         return frozenset(self.values)
@@ -70,7 +85,7 @@ def line_closed_form(n: int) -> LineSet:
     half = n // 2
     u, v = np.indices((2 * n + 1, 2 * half + 1)).reshape(2, -1) - np.array([[n], [half]])
     keep = _level(u, v) <= n
-    return LineSet(n, _sorted_values(u[keep], v[keep]))
+    return LineSet(_sorted_values(u[keep], v[keep]))
 
 
 def _level(u, v):
@@ -89,19 +104,23 @@ def line_contains(x: GoldenInt, n: int) -> bool:
 
 
 def line_bruteforce(n: int) -> LineSet:
-    """Independent derivation: the sums of at most n decagonal roots found
-    by ``rootsum_witnesses`` that land exactly on the real axis."""
+    """Independent derivation: the sums of at most n decagonal roots
+    xi^0..xi^9 (``kernel.root_sums``) that land exactly on the real axis,
+    the rows p + q*xi with q = 0."""
     if n < 0:
         raise ValueError("cut-off must be non-negative")
-    return LineSet(n, _sorted_values(*_coefficients(x.p for x in rootsum_witnesses(n) if x.is_real())))
+    rows = unpack_keys(np.concatenate([k for k, _, _ in root_sums(_XI_ROWS, n, DEFAULT_CAP)]), 4)
+    real = rows[~rows[:, 2:].any(axis=1)]
+    return LineSet(_sorted_values(real[:, 0], real[:, 1]))
 
 
 def levels(n: int) -> tuple[tuple[int, tuple[GoldenInt, ...]], ...]:
     """Growth levels: level m holds line(m) minus line(m-1), sorted.  The
     sorted L(n) is bucketed by the level of each value in one pass."""
+    line = line_closed_form(n)
     buckets: list[list[GoldenInt]] = [[] for _ in range(n + 1)]
-    for x in line_closed_form(n).values:
-        buckets[_level(x.a, x.b)].append(x)
+    for x, m in zip(line.values, _level(*line.rows.T).tolist()):
+        buckets[m].append(x)
     return tuple((m, tuple(bucket)) for m, bucket in enumerate(buckets))
 
 
@@ -136,7 +155,7 @@ class Window1D:
 
 
 @lru_cache(maxsize=None)
-def sigma_1d(window: Window1D, region: Window1D) -> tuple[GoldenInt, ...]:
+def sigma_1d(window: Window1D, region: Window1D) -> LineSet:
     """{x in Z[tau] : x in region and conj(x) in window}, exactly.
 
     x = x1 + x2*tau is scanned over the integer box |x1|, |x2| <= B with B
@@ -155,15 +174,16 @@ def sigma_1d(window: Window1D, region: Window1D) -> tuple[GoldenInt, ...]:
         return (x - region.lo, region.hi - x, x.conj() - window.lo, window.hi - x.conj())
 
     rows = box_nonnegative(bound, 2, compile_forms(forms, 2))
-    return _sorted_values(rows[:, 0], rows[:, 1])
+    return LineSet(_sorted_values(rows[:, 0], rows[:, 1]))
 
 
-def deficiencies_1d(n: int) -> tuple[GoldenInt, ...]:
+def deficiencies_1d(n: int) -> LineSet:
     """Cut-and-project points at window [-n, n] missing from the fragment
-    section; empty for n <= 2 and provably nonempty from n = 3 on."""
+    section, in sigma order: a set difference of packed row keys.  Empty
+    for n <= 2 and provably nonempty from n = 3 on."""
     w = Window1D.symmetric(n)
-    sigma = set(sigma_1d(w, w))
-    return _sorted_values(*_coefficients(sigma - line_closed_form(n).value_set()))
+    rows = sigma_1d(w, w).rows
+    return LineSet(rows[~np.isin(pack_rows(rows), pack_rows(line_closed_form(n).rows))])
 
 
 def mn_nn(n: int) -> tuple[int, int]:
@@ -264,8 +284,7 @@ def rootsum_witnesses(n: int) -> dict[CycloInt, tuple[int, int, int, int, int]]:
     rows; a point's certificate is its parent's plus e_j for xi^j and minus
     e_j for xi^(j+5) = -xi^j, so sum|beta| is its level, at most n.
     """
-    xi = [xi_pow(j) for j in range(10)]
-    levels = root_sums(np.array([[x.p.a, x.p.b, x.q.a, x.q.b] for x in xi]), n, DEFAULT_CAP)
+    levels = root_sums(_XI_ROWS, n, DEFAULT_CAP)
     step = np.concatenate([np.eye(5, dtype=np.int64), -np.eye(5, dtype=np.int64)])
     betas = [np.zeros((1, 5), dtype=np.int64)]
     for _, parent, root in levels[1:]:
@@ -280,31 +299,34 @@ def rootsum_witnesses(n: int) -> dict[CycloInt, tuple[int, int, int, int, int]]:
 # ---------------------------------------------------------------------------
 # scaling, repetitivity, minimal distances
 
-def scaling_check(n: int, sample_shift: int | None = None) -> bool:
-    """tau * L(n) lands inside L(2n), and patterns translate:
-    (L(r) + x) stays inside L(r + s) for every x in L(s)."""
-    target = line_closed_form(2 * n).value_set()
-    if any(TAU * x not in target for x in line_closed_form(n).values):
+# Sums per slab of shifted patterns in ``scaling_check``.
+_SHIFT_SLAB = 1 << 16
+
+
+def scaling_check(n: int) -> bool:
+    """tau * L(n) lands inside L(2n), and patterns translate: (L(n) + x)
+    stays inside L(2n) for every x in L(n).  Membership is ``np.isin`` on
+    packed row keys of the enumerated L(2n); L(n) is shifted by a slab of
+    x at a time, so memory stays O(|L(n)|)."""
+    target = pack_rows(line_closed_form(2 * n).rows)
+    pattern = line_closed_form(n).rows
+    # tau * (a + b*tau) = b + (a + b)*tau, with |a|, |b| <= n
+    if not np.isin(pack_rows(pattern @ np.array([[0, 1], [1, 1]])), target).all():
         return False
-    r = n
-    s = n if sample_shift is None else sample_shift
-    combined = line_closed_form(r + s).value_set()
-    pattern = line_closed_form(r).values
-    for x in line_closed_form(s).values:
-        if any(p + x not in combined for p in pattern):
+    step = _SHIFT_SLAB // (len(pattern) + 1) + 1  # at most _SHIFT_SLAB + |L(n)| sums
+    for lo in range(0, len(pattern), step):
+        shifted = (pattern[lo:lo + step, None] + pattern).reshape(-1, 2)
+        if not np.isin(pack_rows(shifted), target).all():
             return False
     return True
 
 
-def _min_gap(values: tuple[GoldenInt, ...]) -> GoldenInt:
-    best: GoldenInt | None = None
-    for prev, cur in zip(values, values[1:]):
-        gap = cur - prev
-        if best is None or (gap - best).sign() < 0:
-            best = gap
-    if best is None:
+def _min_gap(rows: np.ndarray) -> GoldenInt:
+    """The least difference of neighbours among ascending (a, b) rows."""
+    if len(rows) < 2:
         raise ValueError("need at least two points for a gap")
-    return best
+    gap = np.diff(rows, axis=0)
+    return GoldenInt(*gap[exact_argmin(gap[:, 0], gap[:, 1])].tolist())
 
 
 def min_distance_compare(n: int) -> tuple[float, float, bool]:
@@ -313,6 +335,6 @@ def min_distance_compare(n: int) -> tuple[float, float, bool]:
     if n < 1:
         raise ValueError("n must be positive")
     w = Window1D.symmetric(n)
-    d_line = _min_gap(line_closed_form(n).values)
-    d_sigma = _min_gap(sigma_1d(w, w))
+    d_line = _min_gap(line_closed_form(n).rows)
+    d_sigma = _min_gap(sigma_1d(w, w).rows)
     return d_line.embed(), d_sigma.embed(), (d_line - d_sigma).sign() >= 0

@@ -46,13 +46,6 @@ class GroupId(enum.Enum):
     def is_h(self) -> bool:
         return self is not GroupId.A2
 
-    @classmethod
-    def parse(cls, label: str) -> GroupId:
-        try:
-            return cls(label.lower())
-        except ValueError:
-            raise ValueError(f"unknown group {label!r}; expected a2, h2, h3 or h4") from None
-
 
 H_GROUPS = (GroupId.H2, GroupId.H3, GroupId.H4)
 
@@ -125,10 +118,6 @@ class OmegaVector:
 
     def __neg__(self) -> OmegaVector:
         return OmegaVector(self.group, tuple(-c for c in self.coords))
-
-    def scale(self, s: GoldenInt | int) -> OmegaVector:
-        g = GoldenInt.coerce(s)
-        return OmegaVector(self.group, tuple(c * g for c in self.coords))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

@@ -1,6 +1,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 try:
@@ -11,7 +12,7 @@ except ImportError:  # pragma: no cover
 from quasih.cli import main
 from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.fragment import generate
-from quasih.lineanalysis import LINE_CAP
+from quasih.lineanalysis import LINE_CAP, LineSet, deficiencies_1d
 from quasih.rootsystem import GroupId
 from quasih.serialize import fragment_csv, fragment_json, fragment_svg
 
@@ -175,7 +176,8 @@ class TestLineCommand:
 
         monkeypatch.setattr("quasih.cli.LINE_CAP", 5)
         monkeypatch.setattr("quasih.cli.sigma_1d", no_work)
-        monkeypatch.setattr("quasih.cli.levels", no_work)
+        monkeypatch.setattr("quasih.cli.line_closed_form", no_work)
+        monkeypatch.setattr("quasih.cli.deficiencies_1d", no_work)
         code, out, err = run_cli(capsys, "line", "--n", "6")
         assert code == 2 and out == ""
         assert err == "error: line --n 6 exceeds cap 5\n"
@@ -238,6 +240,16 @@ class TestVerifyCommand:
     def test_identities_reports_pairs(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "identities")
         assert code == 0
+
+    def test_empty_deficiency_set_fails_cutproject_1d(self, capsys, monkeypatch):
+        # a LineSet is truthy even when empty: the check must test its size
+        real = deficiencies_1d
+        empty = LineSet(np.empty((0, 2), dtype=np.int64))
+        monkeypatch.setattr("quasih.checks.deficiencies_1d", lambda n: empty if n == 7 else real(n))
+        code, out, err = run_cli(capsys, "verify", "--only", "cutproject-1d")
+        assert code == 2 and err == "verification failed: cutproject-1d\n"
+        details = json.loads(out)["checks"][0]["details"]
+        assert details["nonempty_3_to_12"] is False and details["deficiency_example"] is True
 
     def test_cartan_tables_reports_bad_rows(self, capsys):
         # the H3 reference table is kept verbatim and four of its rows have

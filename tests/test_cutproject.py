@@ -185,7 +185,7 @@ class TestDeficiencies2D:
 
         for n in (3, 4):
             two_d = {x.p for x in deficiencies_2d(n) if x.is_real()}
-            assert two_d == set(deficiencies_1d(n))
+            assert two_d == deficiencies_1d(n).value_set()
 
     def test_example_point_present(self):
         assert CycloInt.from_golden(GoldenInt(-1, 2)) in set(deficiencies_2d(3))

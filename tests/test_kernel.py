@@ -24,9 +24,11 @@ from quasih.rootsystem import (
     GroupId,
     OmegaVector,
     alpha_from_omega,
+    cartan,
     cartan_inverse,
     cartesian,
     cyclo_from_omega,
+    golden_adjugate,
     norm_sq,
     omega_from_alpha,
 )
@@ -192,6 +194,32 @@ class TestShellKeys:
         norms, labels = shell_labels(Fragment(group, 0, coeffs, "test"))
         assert [norms[i] for i in labels.tolist()] == [norm_sq(p) for p in points]
         assert all((b - a).sign() > 0 for a, b in zip(norms, norms[1:]))
+
+
+class TestQuadraticForm:
+    @given(group_rows(bound=50))
+    @settings(max_examples=60)
+    def test_matches_scalar_adjugate_form(self, case):
+        # v^T adj(A) v summed term by term in GoldenInt arithmetic
+        group, rows = case
+        adj = golden_adjugate(cartan(group).entries)
+        pairs = [(i, j) for i in range(group.rank) for j in range(group.rank)]
+        for row, got in zip(rows.tolist(), kernel.quadratic_form_rows(group, rows).tolist()):
+            v = OmegaVector.from_flat(group, row).coords
+            expect = sum((v[i] * adj[i][j] * v[j] for i, j in pairs), GoldenInt(0))
+            assert GoldenInt(*got) == expect
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_forms_are_read_only(self, group):
+        forms = kernel.quadratic_forms(group)
+        assert forms.shape == (2, 2 * group.rank, 2 * group.rank)
+        with pytest.raises(ValueError):
+            forms[0, 0, 0] = 1
+
+    def test_bound_check(self):
+        rows = np.full((1, 4), 1 << 29, dtype=np.int64)
+        with pytest.raises(ResourceLimitError, match="quadratic form"):
+            kernel.quadratic_form_rows(GroupId.H2, rows)
 
 
 def _reference_alpha(v):

@@ -1,6 +1,7 @@
 import math
 from functools import cmp_to_key
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from quasih import lineanalysis
 from quasih.fragment import ResourceLimitError, generate
 from quasih.lineanalysis import (
     DecompositionError,
+    LineSet,
     Window1D,
     decompose,
     deficiencies_1d,
@@ -27,6 +29,41 @@ from quasih.lineanalysis import (
 
 def gset(values):
     return {GoldenInt(a, b) for a, b in values}
+
+
+def exact_sorted(values):
+    return tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
+
+
+# Scalar oracles: the GoldenInt set code the row paths replaced.
+
+def scaling_oracle(n, line):
+    target = line(2 * n).value_set()
+    if any(TAU * x not in target for x in line(n).values):
+        return False
+    pattern = line(n).values
+    for x in line(n).values:
+        if any(p + x not in target for p in pattern):
+            return False
+    return True
+
+
+def deficiencies_oracle(n):
+    w = Window1D.symmetric(n)
+    return exact_sorted(set(sigma_1d(w, w).values) - line_closed_form(n).value_set())
+
+
+def min_gap_oracle(values):
+    best = None
+    for prev, cur in zip(values, values[1:]):
+        gap = cur - prev
+        if best is None or (gap - best).sign() < 0:
+            best = gap
+    return best
+
+
+def bruteforce_oracle(n):
+    return exact_sorted(x.p for x in rootsum_witnesses(n) if x.is_real())
 
 
 class TestClosedForm:
@@ -78,7 +115,8 @@ class TestSortedValues:
     def test_equals_exact_comparison_sort(self, pairs):
         values = [GoldenInt(a, b) for a, b in pairs]
         expect = tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
-        assert lineanalysis._sorted_values([a for a, _ in pairs], [b for _, b in pairs]) == expect
+        rows = lineanalysis._sorted_values([a for a, _ in pairs], [b for _, b in pairs])
+        assert LineSet(rows).values == expect
 
     def test_fibonacci_near_ties(self):
         # F(k+1) - F(k)*tau tends to 0 with alternating sign: neighbours
@@ -89,7 +127,7 @@ class TestSortedValues:
         values = [GoldenInt(fib[k + 1], -fib[k]) for k in range(18, 28)] + [GoldenInt(0)]
         expect = tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
         a, b = zip(*[(v.a, v.b) for v in values])
-        assert lineanalysis._sorted_values(a, b) == expect
+        assert LineSet(lineanalysis._sorted_values(a, b)).values == expect
 
     def test_wrong_float_order_is_refused(self, monkeypatch):
         monkeypatch.setattr(lineanalysis, "PHI", -lineanalysis.PHI)
@@ -113,6 +151,10 @@ class TestBruteforce:
     def test_equals_closed_form_up_to_8(self):
         for n in range(9):
             assert line_bruteforce(n).values == line_closed_form(n).values
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_rows_match_the_witness_oracle(self, n):
+        assert line_bruteforce(n).values == bruteforce_oracle(n)
 
     def test_tau_from_root_pair(self):
         # tau is the real part of xi + xi^9
@@ -162,15 +204,15 @@ class TestSigma1D:
 
     def test_unit_window(self):
         w = Window1D.symmetric(1)
-        assert set(sigma_1d(w, w)) == gset({(-1, 0), (0, 0), (1, 0)})
+        assert sigma_1d(w, w).value_set() == gset({(-1, 0), (0, 0), (1, 0)})
 
     def test_example_point_inside(self):
         w = Window1D.symmetric(3)
-        assert GoldenInt(-1, 2) in set(sigma_1d(w, w))
+        assert GoldenInt(-1, 2) in sigma_1d(w, w).value_set()
 
     def test_degenerate_window(self):
         w = Window1D.symmetric(0)
-        assert set(sigma_1d(w, w)) == {GoldenInt(0)}
+        assert sigma_1d(w, w).value_set() == {GoldenInt(0)}
 
     def test_independent_bruteforce_oracle(self):
         # rectangle scan over raw integer pairs with float interval tests
@@ -183,17 +225,17 @@ class TestSigma1D:
                 conj = a + b * (1 - phi)
                 if -2 - 1e-9 <= value <= 2 + 1e-9 and -2 - 1e-9 <= conj <= 2 + 1e-9:
                     expected.add(GoldenInt(a, b))
-        assert set(sigma_1d(w, w)) == expected
+        assert sigma_1d(w, w).value_set() == expected
 
     def test_asymmetric_windows(self):
         region = Window1D.make(0, 3)
         window = Window1D.make(-1, 1)
         out = sigma_1d(window, region)
-        for x in out:
+        for x in out.values:
             assert 0 - 1e-12 <= x.embed() <= 3 + 1e-12
             assert -1 - 1e-12 <= x.conj().embed() <= 1 + 1e-12
         # 1 + tau: value 2.618 in [0, 3], conjugate 2 - tau = 0.382 in [-1, 1]
-        assert GoldenInt(1, 1) in set(out)
+        assert GoldenInt(1, 1) in out.value_set()
 
 
 @st.composite
@@ -219,28 +261,32 @@ class TestSigma1DScan:
             if region.contains(GoldenInt(a, b)) and window.contains_conj(GoldenInt(a, b))
         ]
         got = sigma_1d(window, region)
-        assert set(got) == set(expect) and len(got) == len(expect)
-        assert all((y - x).sign() > 0 for x, y in zip(got, got[1:]))
+        assert got.value_set() == set(expect) and got.size == len(expect)
+        assert all((y - x).sign() > 0 for x, y in zip(got.values, got.values[1:]))
 
 
 class TestDeficiencies1D:
     def test_empty_below_three(self):
-        assert deficiencies_1d(0) == ()
-        assert deficiencies_1d(1) == ()
-        assert deficiencies_1d(2) == ()
+        assert deficiencies_1d(0).values == ()
+        assert deficiencies_1d(1).values == ()
+        assert deficiencies_1d(2).values == ()
 
     def test_example_at_three(self):
-        d = set(deficiencies_1d(3))
+        d = deficiencies_1d(3).value_set()
         assert GoldenInt(-1, 2) in d and GoldenInt(1, -2) in d
 
     def test_nonempty_for_3_to_12(self):
         for n in range(3, 13):
-            assert deficiencies_1d(n)
+            assert deficiencies_1d(n).size
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_rows_match_the_set_oracle(self, n):
+        assert deficiencies_1d(n).values == deficiencies_oracle(n)
 
     def test_subset_relation(self):
         for n in range(0, 13):
             w = Window1D.symmetric(n)
-            assert line_closed_form(n).value_set() <= set(sigma_1d(w, w))
+            assert line_closed_form(n).value_set() <= sigma_1d(w, w).value_set()
 
 
 class TestMnNn:
@@ -362,6 +408,40 @@ class TestScaling:
                 assert TAU * x in doubled
 
 
+class TestScalingRows:
+    @given(st.integers(0, 6), st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_set_oracle_with_a_value_removed(self, n, index, from_double):
+        # L(2n), or L(n), loses one value, so either test may fail
+        line = lineanalysis.line_closed_form
+        m = 2 * n if from_double else n
+
+        def holed(k):
+            rows = line(k).rows
+            return LineSet(np.delete(rows, index % len(rows), axis=0)) if k == m else line(k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lineanalysis, "line_closed_form", holed)
+            assert scaling_check(n) == scaling_oracle(n, holed)
+
+    def test_each_failure_is_seen(self, monkeypatch):
+        line = lineanalysis.line_closed_form
+        two = line(2).rows
+
+        def without(value):
+            keep = ~((two[:, 0] == value.a) & (two[:, 1] == value.b))
+            return lambda k: LineSet(two[keep]) if k == 2 else line(k)
+
+        # tau = tau * 1 misses from L(2); 2 = 1 + 1 is no tau multiple of L(1)
+        for value in (TAU, GoldenInt(2)):
+            monkeypatch.setattr(lineanalysis, "line_closed_form", without(value))
+            assert not scaling_check(1) and not scaling_oracle(1, lineanalysis.line_closed_form)
+
+    def test_slabs_split_the_shifts(self, monkeypatch):
+        monkeypatch.setattr(lineanalysis, "_SHIFT_SLAB", 7)
+        assert all(scaling_check(n) for n in range(6))
+
+
 class TestMinDistance:
     def test_n1_gaps(self):
         d_line, d_sigma, ok = min_distance_compare(1)
@@ -372,14 +452,36 @@ class TestMinDistance:
         _, _, ok = min_distance_compare(n)
         assert ok
 
+    @given(st.lists(st.tuples(st.integers(-200, 200), st.integers(-200, 200)),
+                    min_size=2, max_size=40, unique=True))
+    @settings(max_examples=80)
+    def test_gap_matches_the_loop_oracle(self, pairs):
+        rows = lineanalysis._sorted_values(*zip(*pairs))
+        assert lineanalysis._min_gap(rows) == min_gap_oracle(LineSet(rows).values)
+
+    def test_gap_of_fibonacci_near_ties(self):
+        # neighbours about 1e-6 apart: the float argmin alone may pick wrong
+        fib = [0, 1]
+        while len(fib) < 30:
+            fib.append(fib[-1] + fib[-2])
+        values = [GoldenInt(fib[k + 1], -fib[k]) for k in range(18, 28)] + [GoldenInt(0)]
+        rows = lineanalysis._sorted_values([v.a for v in values], [v.b for v in values])
+        assert lineanalysis._min_gap(rows) == min_gap_oracle(exact_sorted(values))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_line_and_sigma_gaps_match_the_loop_oracle(self, n):
+        w = Window1D.symmetric(n)
+        for line in (line_closed_form(n), sigma_1d(w, w)):
+            assert lineanalysis._min_gap(line.rows) == min_gap_oracle(line.values)
+
     def test_exact_gap_comparison(self):
         # the float report mirrors an exactly-decidable inequality
         from quasih.lineanalysis import _min_gap
 
         for n in range(1, 8):
             w = Window1D.symmetric(n)
-            d_line = _min_gap(line_closed_form(n).values)
-            d_sigma = _min_gap(sigma_1d(w, w))
+            d_line = _min_gap(line_closed_form(n).rows)
+            d_sigma = _min_gap(sigma_1d(w, w).rows)
             assert (d_line - d_sigma).sign() >= 0
 
 
