@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .golden import GoldenInt, ONE, ZERO
+from .golden import GoldenInt, ONE, ZERO, compile_forms
 from .kernel import _INT64_HEADROOM, ResourceLimitError, _require, quadratic_forms
 from .rootsystem import (
     CartanMatrix,
@@ -26,7 +26,6 @@ from .rootsystem import (
     golden_det,
     golden_identity,
     highest_root,
-    integer_form,
     mat_mul,
     mat_vec,
     simple_reflection_matrix,
@@ -71,21 +70,19 @@ class AffineOperator:
                     return False
         return True
 
+    @lru_cache(maxsize=None)
     def compiled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer-linear form (M, off) on (a1, b1, ..., ak, bk) rows, so
-        that the image of a row x is M x + off; see ``kernel.apply``."""
-        return _compile(self.matrix, self.offset)
+        """Integer-affine form (M, off) on (a1, b1, ..., ak, bk) rows, so
+        that the image of a row x is M x + off (see ``kernel.apply``); read
+        off ``apply`` by ``compile_forms`` once per operator."""
+        return compile_forms(
+            lambda x: self.apply(OmegaVector.from_flat(self.group, x)).coords, 2 * self.group.rank
+        )
 
 
 def identity_operator(group: GroupId) -> AffineOperator:
     k = group.rank
     return AffineOperator(group, "identity", golden_identity(k), (ZERO,) * k)
-
-
-def _compile(matrix: Matrix, offset: tuple[GoldenInt, ...]):
-    rows = np.array(integer_form(matrix), dtype=np.int64)
-    off = np.array([c for t in offset for c in (t.a, t.b)], dtype=np.int64)
-    return rows, off
 
 
 @dataclass(frozen=True)

@@ -346,7 +346,7 @@ def _cut2d(coeff_bound: int = 3):
         np.array_equal(pack_rows(sigma_2d(n).rows), np.sort(pack_rows(cyclo_rows(_h2(n).coeffs))))
         for n in (1, 2)
     )
-    ok = inclusion and empties and nonempty
+    ok = inclusion and empties and nonempty and equal12
     return ok, {
         "inclusion_n_le_5": inclusion,
         "deficiency_counts": defic,

@@ -15,7 +15,7 @@ import sys
 
 from .golden import PHI, golden_str
 from .rootsystem import GroupId
-from .fragment import ResourceLimitError, cached_fragment, generate
+from .fragment import DEFAULT_CAP, ResourceLimitError, cached_fragment, generate
 from .lineanalysis import (
     LINE_CAP,
     Window1D,
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", default="csv", choices=["csv", "json", "svg"])
     gen.add_argument("--out")
     gen.add_argument("--normalize", type=_bool_flag, default=True)
-    gen.add_argument("--cap", type=int, default=10_000_000)
+    gen.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     ver = sub.add_parser("verify", help="run the verification suite")
     ver.add_argument("--only", choices=list(check_names()))

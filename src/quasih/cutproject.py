@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .golden import _XI_COMPLEX, PHI, CycloInt, GoldenInt, xi_pow
+from .golden import _XI_COMPLEX, PHI, CycloInt, GoldenInt, bilinear_forms, xi_pow
 from .fragment import Fragment, cached_fragment
 from .kernel import (
     ResourceLimitError,
@@ -184,26 +184,16 @@ def fragment_in_window(fragment: Fragment) -> bool:
 _PAIR_SLAB = 32
 
 
-@lru_cache(maxsize=None)
-def _distance_gram() -> tuple[np.ndarray, np.ndarray]:
-    """Integer matrices (G0, G1) on (p.a, p.b, q.a, q.b) rows with
-    x*conj(y) + conj(x)*y = x G0 y + tau * (x G1 y), a real element of
-    Z[tau]; read off the scalar product at unit rows."""
-    units = [_point(row) for row in np.eye(4, dtype=np.int64).tolist()]
-    cross = [[(x * y.complex_conj() + x.complex_conj() * y).p for y in units] for x in units]
-    return tuple(np.array([[getattr(c, k) for c in row] for row in cross]) for k in "ab")
-
-
 def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:
     """The exact least squared distance over all pairs of the distinct
     module points (p.a, p.b, q.a, q.b) ``rows``, and the smallest float
     distance |x.embed() - y.embed()| among the pairs at that minimum.
 
     |x - y|^2 = |x|^2 + |y|^2 - (x*conj(y) + conj(x)*y) is an element of
-    Z[tau]; the cross term is the integer bilinear pair ``_distance_gram``.
-    Rows i of one slab of ``_PAIR_SLAB`` are paired with every row j > i,
-    and ``exact_argmin`` finds each slab's exact minimum, then the least
-    of those.  Every value stays below 2^29 in absolute value, checked up
+    Z[tau]; ``bilinear_forms`` reads the cross term off ``CycloInt`` as an
+    integer pair.  Rows i of one slab of ``_PAIR_SLAB`` are paired with
+    every row j > i, and ``exact_argmin`` finds each slab's exact minimum,
+    then the least of those.  Every value stays below 2^29 in absolute value, checked up
     front, so the int64 products cannot wrap.
     """
     if len(rows) < 2:
@@ -212,7 +202,12 @@ def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:
     # distance at most 12 (2m)^2 per coefficient; certification subtracts two
     m = _absmax(rows)
     _require(96 * m * m, 1 << 29, "squared distance")
-    g0, g1 = _distance_gram()
+
+    def cross(x, y):
+        z = _point(x) * _point(y).complex_conj()
+        return (z + z.complex_conj()).p
+
+    g0, g1 = bilinear_forms(cross, 4)
     norm0 = ((rows @ g0) * rows).sum(axis=1) // 2
     norm1 = ((rows @ g1) * rows).sum(axis=1) // 2
     z = rows[:, 0] + rows[:, 1] * PHI + (rows[:, 2] + rows[:, 3] * PHI) * _XI_COMPLEX

@@ -29,7 +29,7 @@ from functools import cached_property, cmp_to_key, lru_cache
 import numpy as np
 
 from . import kernel
-from .golden import CycloInt, GoldenInt, GoldenRational
+from .golden import XI, CycloInt, GoldenInt, GoldenRational, compile_forms
 from .kernel import ResourceLimitError
 from .rootsystem import (
     GroupId,
@@ -205,12 +205,13 @@ def shells(fragment: Fragment) -> tuple[Shell, ...]:
     )
 
 
-# Rotation by xi on (p.a, p.b, q.a, q.b) rows:
-# xi*(p + q*xi) = -q + (p + tau*q)*xi, with tau*q = q.b + (q.a + q.b)*tau.
-_XI_ROTATION = (
-    np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 1, 1]], dtype=np.int64),
-    np.zeros(4, dtype=np.int64),
-)
+def _xi_times(x):
+    z = XI * CycloInt(GoldenInt(*x[:2]), GoldenInt(*x[2:]))
+    return z.p, z.q
+
+
+# Rotation by xi on (p.a, p.b, q.a, q.b) rows, read off ``XI *``.
+_XI_ROTATION = compile_forms(_xi_times, 4)
 
 
 def check_tenfold(fragment: Fragment) -> bool:

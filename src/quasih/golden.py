@@ -18,6 +18,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 PHI_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
 
@@ -352,3 +354,32 @@ XI_POW: tuple[CycloInt, ...] = tuple(XI ** j for j in range(10))
 
 def xi_pow(j: int) -> CycloInt:
     return XI_POW[j % 10]
+
+
+def compile_forms(fn, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, off) of ``fn``, a function of ``dims`` integers returning Z[tau]
+    values and integer-affine in its arguments: off is its value at the
+    origin and column j of M its change along unit vector j, both on flat
+    (a1, b1, ...) rows and read-only, the shape of
+    ``AffineOperator.compiled()``."""
+
+    def flat(point):
+        return np.array([c for v in fn(point) for c in (v.a, v.b)], dtype=np.int64)
+
+    off = flat((0,) * dims)
+    m = np.stack([flat(u) - off for u in np.eye(dims, dtype=int).tolist()], axis=1)
+    m.setflags(write=False)
+    off.setflags(write=False)
+    return m, off
+
+
+def bilinear_forms(fn, dims: int) -> np.ndarray:
+    """Integer matrices (G0, G1), stacked and read-only, with
+    fn(x, y) = x G0 y + tau * (x G1 y) for ``fn`` a Z[tau]-valued function
+    of two integer ``dims``-vectors that is bilinear in them: entry (i, j)
+    is its value at unit vectors i and j."""
+    units = np.eye(dims, dtype=int).tolist()
+    values = [[fn(x, y) for y in units] for x in units]
+    forms = np.array([[[getattr(v, k) for v in row] for row in values] for k in "ab"], dtype=np.int64)
+    forms.setflags(write=False)
+    return forms

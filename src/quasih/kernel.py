@@ -7,7 +7,9 @@ never wrap: inputs that would overflow raise ``ResourceLimitError``.  A
 float may propose a value (the thresholds of ``box_nonnegative``), but
 exact signs certify it before it is used.  The scalar
 ``GoldenInt``/``GoldenRational`` classes stay the reference these
-functions are tested against.
+functions are tested against, and every integer matrix here is read off
+them by ``golden.compile_forms`` or ``golden.bilinear_forms``, save the
+cyclotomic map of ``cyclo_rows``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .golden import PHI, GoldenInt
+from .golden import PHI, ZERO, GoldenInt, bilinear_forms, compile_forms
 from .rootsystem import _MODELS, GroupId, _alpha_numerators, cartan, golden_adjugate
 
 _INT64_HEADROOM = 1 << 62
@@ -148,20 +150,6 @@ def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
     return x
 
 
-def compile_forms(fn, dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M, off) of ``fn``, a function of ``dims`` integers returning Z[tau]
-    values and integer-affine in its arguments: off is its value at the
-    origin and column j of M its change along unit vector j, both on flat
-    (a1, b1, ...) rows, the shape of ``AffineOperator.compiled()``."""
-
-    def flat(point):
-        return np.array([c for v in fn(point) for c in (v.a, v.b)], dtype=np.int64)
-
-    off = flat((0,) * dims)
-    cols = [flat(tuple(int(i == j) for i in range(dims))) - off for j in range(dims)]
-    return np.stack(cols, axis=1), off
-
-
 def nonnegative_rows(forms, rows: np.ndarray) -> np.ndarray:
     """The rows, in order, at which every Z[tau] value of the compiled
     ``forms`` is >= 0; form by form on the rows still inside, so no
@@ -243,16 +231,14 @@ def exact_argmin(a: np.ndarray, b: np.ndarray) -> int:
 def quadratic_forms(group: GroupId) -> np.ndarray:
     """Integer matrices (G0, G1), stacked and read-only, with
     w^T adj(A) w = u G0 u + tau * (u G1 u) for w_i = x_i + tau y_i and
-    u = (x_1, y_1, ..., x_k, y_k); read off the bilinear w^T adj(A) w' at
-    unit rows, whose one nonzero coordinate is 1 or tau."""
+    u = (x_1, y_1, ..., x_k, y_k); ``bilinear_forms`` of w^T adj(A) w'."""
     adj = golden_adjugate(cartan(group).entries)
-    unit = (GoldenInt(1), GoldenInt(0, 1))
-    size = 2 * group.rank
-    cross = [[unit[p % 2] * adj[p // 2][q // 2] * unit[q % 2] for q in range(size)]
-             for p in range(size)]
-    forms = np.array([[[getattr(c, k) for c in row] for row in cross] for k in "ab"])
-    forms.setflags(write=False)
-    return forms
+
+    def form(x, y):
+        w, w2 = (tuple(map(GoldenInt, r[0::2], r[1::2])) for r in (x, y))
+        return sum((a * e * b for a, row in zip(w, adj) for e, b in zip(row, w2)), ZERO)
+
+    return bilinear_forms(form, 2 * group.rank)
 
 
 def quadratic_form_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
@@ -270,8 +256,8 @@ def cyclo_rows(x: np.ndarray) -> np.ndarray:
     of H2 root-lattice rows, those of ``rootsystem.cyclo_from_omega``.  The
     alpha coordinates c1, c2 are the numerators of A^{-1} v divided exactly
     by N(det A), and c1 + c2*xi^4 = (c1 - tau*c2) + c2*xi."""
-    rows, norm = _alpha_numerators(GroupId.H2)
-    num = apply((np.array(rows, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)), x)
+    forms, norm = _alpha_numerators(GroupId.H2)
+    num = apply(forms, x)
     if (num % norm).any():
         raise ValueError(f"a row is outside the H2 root lattice: N(det A) = {norm} does not divide it")
     a1, b1, a2, b2 = (num // norm).T
@@ -284,9 +270,9 @@ def cartesian_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
     simple-root coordinate a + b*tau over N(det A) is reduced by its gcd as
     ``GoldenRational`` does, embedded as (a + b*PHI) / den, and the model
     columns are summed term by term from 0.0, the order of ``sum``."""
-    rows, norm = _alpha_numerators(group)
+    forms, norm = _alpha_numerators(group)
     assert norm > 0, f"{group}: N(det A) = {norm}"
-    num = apply((np.array(rows, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)), x)
+    num = apply(forms, x)
     a, b = num[:, 0::2], num[:, 1::2]
     g = np.gcd(np.gcd(a, b), norm)
     alpha = (a // g + (b // g) * PHI) / (norm // g)

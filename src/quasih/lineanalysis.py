@@ -21,8 +21,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fragment import DEFAULT_CAP
-from .golden import PHI, CycloInt, GoldenInt, xi_pow
+from .golden import PHI, TAU, CycloInt, GoldenInt, xi_pow
 from .kernel import (
+    apply,
     box_nonnegative,
     compile_forms,
     exact_argmin,
@@ -187,14 +188,12 @@ def deficiencies_1d(n: int) -> LineSet:
 
 
 def mn_nn(n: int) -> tuple[int, int]:
-    """The bound pair (M_n, N_n): M_n = floor(n/2) by parity, and
+    """The bound pair (M_n, N_n): M_n = floor(n/2), and
     N_n = floor((2n-1)/sqrt(5)) computed by integer square comparison."""
     if n < 1:
         raise ValueError("n must be positive")
-    m_n = n // 2 if n % 2 == 0 else (n - 1) // 2
     x = 2 * n - 1
-    n_n = math.isqrt(x * x // 5)
-    return m_n, n_n
+    return n // 2, math.isqrt(x * x // 5)
 
 
 # ---------------------------------------------------------------------------
@@ -209,44 +208,8 @@ class Decomposition:
     y: GoldenInt
     z: GoldenInt
     sector: int
-    witness_y: tuple[int, int, int]
-    witness_z: tuple[int, int, int]
     cost_y: int
     cost_z: int
-
-
-def _minimize(cost, breakpoints) -> tuple[int, int]:
-    best = None
-    for c in sorted(set(breakpoints), key=abs):
-        value = cost(c)
-        if best is None or value < best[1]:
-            best = (c, value)
-    return best
-
-
-def _rotate_witness(witness: tuple[int, ...]) -> tuple[int, ...]:
-    # multiplying the point by xi^-1 shifts root indices down; xi^-1 = -xi^4
-    b0, b1, b2, b3, b4 = witness
-    return (b1, b2, b3, b4, -b0)
-
-
-def _sector_split(witness, n: int):
-    b0, b1, b2, b3, b4 = witness
-    u1, w1 = b0 - b2, b3 + b4
-    c1, cost1 = _minimize(
-        lambda c: abs(u1 - c) + 2 * abs(c - w1) + 2 * abs(c), (0, u1, w1)
-    )
-    u2, w2 = b1 + b4, -(b2 + b3)
-    c2, cost2 = _minimize(
-        lambda c: abs(u2 - c) + 2 * abs(c - w2) + 2 * abs(c), (0, u2, w2)
-    )
-    if cost1 > n or cost2 > n:
-        return None
-    a1, bb1 = u1 - c1, c1 - w1
-    a2, bb2 = u2 - c2, c2 - w2
-    y = GoldenInt(a1 + c1, bb1 - c1)
-    z = GoldenInt(a2 + c2, bb2 - c2)
-    return y, z, (a1, bb1, c1), (a2, bb2, c2), cost1, cost2
 
 
 def decompose(x: CycloInt, n: int, witness: tuple[int, int, int, int, int]) -> Decomposition:
@@ -255,11 +218,12 @@ def decompose(x: CycloInt, n: int, witness: tuple[int, int, int, int, int]) -> D
 
     ``witness`` is a root-sum certificate (beta_0..beta_4) over the basis
     xi^0..xi^4 with sum |beta_j| <= n.  Writing xi^2, xi^3, xi^4 in terms
-    of xi^0, xi^1 fixes y and z per sector; the free integers c_1, c_2 sit
-    at breakpoints of the convex piecewise-linear level costs.  Points in
-    the cone between xi^0 and xi^1 split in sector 0; the remaining
-    sectors are reached by ten-fold rotation, which permutes certificates
-    without changing their root count.
+    of xi^0, xi^1 gives y = (b0 - b2) - (b3 + b4)*tau and
+    z = (b1 + b4) + (b2 + b3)*tau, whose levels ``_level`` computes.
+    Points in the cone between xi^0 and xi^1 split in sector 0; the
+    remaining sectors are reached by ten-fold rotation, which permutes
+    certificates without changing their root count: multiplying the point
+    by xi^-1 = -xi^4 shifts root indices down.
     """
     total = sum(xi_pow(j) * w for j, w in enumerate(witness))
     if total != x:
@@ -267,13 +231,14 @@ def decompose(x: CycloInt, n: int, witness: tuple[int, int, int, int, int]) -> D
     if sum(abs(b) for b in witness) > n:
         raise ValueError("witness uses more than n roots")
 
-    rotated = witness
+    b0, b1, b2, b3, b4 = witness
     for sector in range(10):
-        split = _sector_split(rotated, n)
-        if split is not None:
-            y, z, wy, wz, cost1, cost2 = split
-            return Decomposition(y, z, sector, wy, wz, cost1, cost2)
-        rotated = _rotate_witness(rotated)
+        y = GoldenInt(b0 - b2, -(b3 + b4))
+        z = GoldenInt(b1 + b4, b2 + b3)
+        cost_y, cost_z = int(_level(y.a, y.b)), int(_level(z.a, z.b))
+        if cost_y <= n and cost_z <= n:
+            return Decomposition(y, z, sector, cost_y, cost_z)
+        b0, b1, b2, b3, b4 = b1, b2, b3, b4, -b0
     raise DecompositionError(f"no sector splits {x} on level {n}")
 
 
@@ -310,8 +275,8 @@ def scaling_check(n: int) -> bool:
     x at a time, so memory stays O(|L(n)|)."""
     target = pack_rows(line_closed_form(2 * n).rows)
     pattern = line_closed_form(n).rows
-    # tau * (a + b*tau) = b + (a + b)*tau, with |a|, |b| <= n
-    if not np.isin(pack_rows(pattern @ np.array([[0, 1], [1, 1]])), target).all():
+    tau = compile_forms(lambda x: (TAU * GoldenInt(*x),), 2)
+    if not np.isin(pack_rows(apply(tau, pattern)), target).all():
         return False
     step = _SHIFT_SLAB // (len(pattern) + 1) + 1  # at most _SHIFT_SLAB + |L(n)| sums
     for lo in range(0, len(pattern), step):

@@ -25,6 +25,7 @@ from .golden import (
     TAU,
     TAU_CONJ,
     ZERO,
+    compile_forms,
     xi_pow,
 )
 
@@ -193,21 +194,6 @@ def golden_adjugate(m: Matrix) -> Matrix:
     return tuple(tuple(cof[j][i] for j in range(k)) for i in range(k))
 
 
-def integer_form(m: Matrix) -> tuple[tuple[int, ...], ...]:
-    """The integer matrix acting on flat coefficients (a1, b1, ..., ak, bk)
-    as m acts on Z[tau]^k: (x + y tau)(a + b tau) = xa + yb + (ya + (x+y)b) tau."""
-    k = len(m)
-    rows = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(k):
-        for j in range(k):
-            x, y = m[i][j].a, m[i][j].b
-            rows[2 * i][2 * j] += x
-            rows[2 * i][2 * j + 1] += y
-            rows[2 * i + 1][2 * j] += y
-            rows[2 * i + 1][2 * j + 1] += x + y
-    return tuple(tuple(r) for r in rows)
-
-
 # ---------------------------------------------------------------------------
 # Cartan data
 
@@ -245,20 +231,25 @@ def omega_from_alpha(v: AlphaVector) -> OmegaVector:
 
 
 @lru_cache(maxsize=None)
-def _alpha_numerators(group: GroupId) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer rows taking flat omega coefficients to those of
-    adj(A) v conj(det A), and the integer N(det A)."""
+def _alpha_numerators(group: GroupId):
+    """The compiled linear map (M, 0) taking flat omega coefficients to
+    those of adj(A) v conj(det A), read off ``mat_vec``, and the integer
+    N(det A)."""
     m = cartan(group).entries
     det = golden_det(m)
     scaled = tuple(tuple(e * det.conj() for e in row) for row in golden_adjugate(m))
-    return integer_form(scaled), det.norm()
+
+    def numerators(x):
+        return mat_vec(scaled, OmegaVector.from_flat(group, x).coords)
+
+    return compile_forms(numerators, 2 * group.rank), det.norm()
 
 
 def alpha_from_omega(v: OmegaVector) -> tuple[GoldenRational, ...]:
     """Exact A^{-1} v = adj(A) v conj(det A) / N(det A), in integer arithmetic."""
-    rows, norm = _alpha_numerators(v.group)
+    (rows, _), norm = _alpha_numerators(v.group)
     flat = v.flat()
-    nums = iter([sum(map(operator.mul, row, flat)) for row in rows])
+    nums = iter([sum(map(operator.mul, row, flat)) for row in rows.tolist()])
     return tuple(GoldenRational(GoldenInt(a, b), norm) for a, b in zip(nums, nums))
 
 

@@ -31,6 +31,7 @@ from quasih.affine import (
     verify_conditions,
     verify_identities,
 )
+from quasih import kernel
 from quasih.fragment import generate
 from quasih.kernel import ResourceLimitError
 
@@ -154,6 +155,23 @@ class TestOperators:
             assert ops.reflections[0].apply(v).coords == (-v1, TAU * v1 + v2)
             assert ops.reflections[1].apply(v).coords == (v1 + TAU * v2, -v2)
             assert ops.translation.apply(v).coords == (v1 - TAU_CONJ, v2 - TAU_CONJ)
+
+    @given(st.sampled_from(ALL_GROUPS), st.data())
+    @settings(max_examples=40)
+    def test_compiled_matches_scalar_apply(self, group, data):
+        # every operator: the integer form read off ``apply`` acts on rows as
+        # ``apply`` acts on points, and a second call returns the cached arrays
+        cols = 2 * group.rank
+        row = st.lists(st.integers(-60, 60), min_size=cols, max_size=cols)
+        rows = np.array(data.draw(st.lists(row, min_size=1, max_size=20)), dtype=np.int64)
+        ops = operators(group)
+        for op in ops.reflections + (ops.root_reflection, ops.affine_reflection, ops.translation):
+            compiled = op.compiled()
+            expect = [list(op.apply(OmegaVector.from_flat(group, r)).flat()) for r in rows.tolist()]
+            assert kernel.apply(compiled, rows).tolist() == expect
+            again = op.compiled()
+            assert again[0] is compiled[0] and again[1] is compiled[1]
+            assert not (compiled[0].flags.writeable or compiled[1].flags.writeable)
 
     def test_h3_operator_table(self):
         ops = operators(GroupId.H3)

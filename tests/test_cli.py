@@ -12,6 +12,7 @@ except ImportError:  # pragma: no cover
 from quasih.cli import main
 from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.fragment import generate
+from quasih.kernel import cyclo_rows
 from quasih.lineanalysis import LINE_CAP, LineSet, deficiencies_1d
 from quasih.rootsystem import GroupId
 from quasih.serialize import fragment_csv, fragment_json, fragment_svg
@@ -250,6 +251,16 @@ class TestVerifyCommand:
         assert code == 2 and err == "verification failed: cutproject-1d\n"
         details = json.loads(out)["checks"][0]["details"]
         assert details["nonempty_3_to_12"] is False and details["deficiency_example"] is True
+
+    def test_sigma_fragment_mismatch_fails_cutproject_2d(self, capsys, monkeypatch):
+        # sigma_2d(n) equals the fragment's cyclotomic rows for n = 1, 2; a
+        # dropped row must fail the check, not only show in its details
+        real = cyclo_rows
+        monkeypatch.setattr("quasih.checks.cyclo_rows", lambda x: real(x)[1:])
+        code, out, err = run_cli(capsys, "verify", "--only", "cutproject-2d")
+        assert code == 2 and err == "verification failed: cutproject-2d\n"
+        details = json.loads(out)["checks"][0]["details"]
+        assert details["sigma_equals_fragment_n12"] is False and details["inclusion_n_le_5"] is True
 
     def test_cartan_tables_reports_bad_rows(self, capsys):
         # the H3 reference table is kept verbatim and four of its rows have

@@ -344,6 +344,38 @@ class TestCompiledForms:
             assert kernel.box_nonnegative(bound, dims, forms).tolist() == expect
 
 
+@st.composite
+def bilinear_cases(draw, max_dims=4, coeff=5):
+    """A random Z[tau]-bilinear function of two integer ``dims``-vectors,
+    sum_ij c_ij x_i y_j with GoldenInt c_ij, and random vectors for it."""
+    dims = draw(st.integers(1, max_dims))
+    golden = st.builds(GoldenInt, st.integers(-coeff, coeff), st.integers(-coeff, coeff))
+    c = draw(st.lists(st.lists(golden, min_size=dims, max_size=dims), min_size=dims, max_size=dims))
+    vector = st.lists(st.integers(-50, 50), min_size=dims, max_size=dims)
+    pairs = draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=20))
+
+    def fn(x, y):
+        return sum((c[i][j] * x[i] * y[j] for i in range(dims) for j in range(dims)), GoldenInt(0))
+
+    return dims, fn, pairs
+
+
+class TestBilinearForms:
+    @given(bilinear_cases())
+    def test_matches_scalar(self, case):
+        dims, fn, pairs = case
+        forms = kernel.bilinear_forms(fn, dims)
+        assert forms.shape == (2, dims, dims)
+        for x, y in pairs:
+            got = [int(np.array(x) @ g @ np.array(y)) for g in forms]
+            assert GoldenInt(*got) == fn(x, y)
+
+    def test_read_only(self):
+        forms = kernel.bilinear_forms(lambda x, y: GoldenInt(x[0] * y[0]), 1)
+        with pytest.raises(ValueError):
+            forms[0, 0, 0] = 1
+
+
 class TestCycloRows:
     @given(st.lists(st.tuples(*[st.integers(-60, 60)] * 4), min_size=1, max_size=30))
     @settings(max_examples=80)
