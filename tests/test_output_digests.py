@@ -13,7 +13,11 @@ and the ``verify`` report with every ``elapsed`` dropped were recorded
 before the planar cut-and-project layer moved to int64 cyclotomic rows and
 the minimum distances were decided exactly.  ``line --n 200``
 (``LINE_CAP``), the output with the most float near-ties in its sort, was
-recorded in json and csv before the 1D section moved to int64 rows.  Any
+recorded in json and csv before the 1D section moved to int64 rows.
+``generate --group h4 --n 3 --format json`` (every H4 orbit pattern) and
+``generate --group h2 --n 10 --format svg`` (the benchmark's SVG) were
+recorded before fragments were held as packed keys and orbits, shells and
+the writers ran on slabs of rows.  Any
 change to a rendered byte (point order, a float digit, JSON layout) fails
 here.
 """
@@ -71,6 +75,8 @@ DIGESTS = (
     ("compare --n 12", "f74b19cedf417883ecce5ee6602f81f679e5a7f58c0813b64768785ee75c6ef6"),
     ("line --n 200 --format json", "e1ef070a1e176125413e08900b73773793a858431c52de28820312aa40e2671d"),
     ("line --n 200 --format csv", "e671130d3411eb5cc67531fb6d8a88ea6cb845b1ff5fee81667d40a729084731"),
+    ("generate --group h4 --n 3 --format json", "59e907756f07b7f26cbc45dd7a0f31c5b2080a63410761a71ccacafb5fa523e4"),
+    ("generate --group h2 --n 10 --format svg", "7a41bbcb38a1b0f93ff3b68fb263a50aee615437834abeb7e6b376e271a3083b"),
 )
 
 # sha256 of the ``verify`` report with every ``elapsed`` key dropped, dumped
