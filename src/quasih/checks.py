@@ -330,7 +330,7 @@ def _oracle(coeff_bound: int = 3):
     mismatch = []
     for g, nmax in ((GroupId.H2, 4), (GroupId.H3, 3), (GroupId.H4, 2)):
         for n in range(nmax + 1):
-            if not np.array_equal(cached_fragment(g, n).coeffs, generate_rootsum(g, n).coeffs):
+            if not np.array_equal(cached_fragment(g, n).keys, generate_rootsum(g, n).keys):
                 mismatch.append((g.value, n))
     elapsed = time.perf_counter() - t0
     return not mismatch and elapsed < 120.0, {"mismatch": mismatch, "elapsed": elapsed}

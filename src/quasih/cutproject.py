@@ -160,7 +160,7 @@ def deficiency_rows_2d(n: int) -> np.ndarray:
     """The rows of the cut-and-project points missing from the fragment of
     the same cut-off, in sigma order: a set difference of packed row keys."""
     rows = sigma_2d(n).rows
-    fragment_keys = pack_rows(cyclo_rows(cached_fragment(GroupId.H2, n).coeffs))
+    fragment_keys = pack_rows(cyclo_rows(cached_fragment(GroupId.H2, n).rows()))
     return rows[~np.isin(pack_rows(rows), fragment_keys)]
 
 

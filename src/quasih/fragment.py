@@ -2,29 +2,35 @@
 
 A fragment with cut-off n is the set of images of the origin under words
 in the simple reflections and the translation T in which T occurs at most
-n times.  Reflections fix the origin and levels nest, so the whole set is
-the union of reflection closures
+n times.  Reflections fix the origin, so the set is the union of the
+levels
 
-    S_0 = {O},   S_{m+1} = closure(T(S_m)),   fragment = S_0 u ... u S_n.
+    S_0 = {O},   S_{m+1} = closure(T(S_m)),   fragment = S_0 u ... u S_n,
 
-The independent oracle builds the same set as all sums of at most n roots.
+and since the levels nest two apart that union is S_{n-1} u S_n (see
+``generate``).  The independent oracle builds the same set as all sums of
+at most n roots.
 
-A ``Fragment`` stores its points as one read-only (N, 2k) int64 array of
-Z[tau] coefficient pairs (a1, b1, ..., ak, bk), rows in lexicographic
-order, so output is reproducible bit for bit.  ``points``, the tuple of
-``OmegaVector`` the public API and the checks use, is built from it on
-first access only.  Closure, orbits and shells run on that array through
-``quasih.kernel``; sets of points are deduplicated as packed uint64 row
-keys with 64 // 2k bits per coefficient (16 for rank 2, 10 for H3, 8 for
-H4).  A coefficient outside that range raises ``ResourceLimitError``
+A ``Fragment`` stores its points as one read-only array of packed uint64
+keys (``kernel.pack_rows``) of the Z[tau] coefficient rows
+(a1, b1, ..., ak, bk), with 64 // 2k bits per coefficient (16 for rank 2,
+10 for H3, 8 for H4).  Key order is lexicographic row order, and both
+constructions give the keys sorted and distinct, so output is
+reproducible bit for bit.
+``rows(start, stop)`` unpacks a slab of int64 rows; ``coeffs``, every row
+at once, and ``points``, the tuple of ``OmegaVector``, are built on first
+access only, for the checks, the tests and small n.  Closure, orbits and
+shells run on keys and slabs of rows through ``quasih.kernel``; orbits
+and shells hold row indices and build ``OmegaVector`` members only when
+read.  A coefficient outside the key range raises ``ResourceLimitError``
 instead of wrapping; points of cut-off n have coefficients of at most 2n
 in absolute value, far inside the range at any size the cap admits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, cmp_to_key, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,26 +53,50 @@ DEFAULT_CAP = 10_000_000
 class Fragment:
     """A point set with its cut-off and construction method.
 
-    ``coeffs`` is the read-only (N, 2k) int64 coefficient array.
+    ``keys`` is the read-only uint64 array of packed point keys
+    (``kernel.pack_rows``), one per row; ``from_rows`` packs an (N, 2k)
+    coefficient array.
     """
 
     group: GroupId
     n: int
-    coeffs: np.ndarray
+    keys: np.ndarray
     method: str
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.int64).reshape(-1, 2 * self.group.rank).view()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        keys = np.asarray(self.keys).view()
+        if keys.dtype != np.uint64 or keys.ndim != 1:
+            raise TypeError("Fragment keys are a 1-D uint64 array; Fragment.from_rows packs rows")
+        keys.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
 
-    @cached_property
-    def points(self) -> tuple[OmegaVector, ...]:
-        return tuple(OmegaVector.from_flat(self.group, row) for row in self.coeffs.tolist())
+    @classmethod
+    def from_rows(cls, group: GroupId, n: int, coeffs, method: str) -> Fragment:
+        rows = np.asarray(coeffs, dtype=np.int64).reshape(-1, 2 * group.rank)
+        return cls(group, n, kernel.pack_rows(rows), method)
 
     @property
     def size(self) -> int:
-        return len(self.coeffs)
+        return len(self.keys)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The int64 coefficient rows start..stop-1, unpacked from the keys."""
+        return kernel.unpack_keys(self.keys[start:stop], 2 * self.group.rank)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Every row, read-only; kept once read."""
+        rows = self.rows()
+        rows.setflags(write=False)
+        return rows
+
+    def points_at(self, index) -> tuple[OmegaVector, ...]:
+        rows = kernel.unpack_keys(self.keys[index], 2 * self.group.rank)
+        return tuple(OmegaVector.from_flat(self.group, row) for row in rows.tolist())
+
+    @cached_property
+    def points(self) -> tuple[OmegaVector, ...]:
+        return self.points_at(slice(None))
 
     def point_set(self) -> frozenset[OmegaVector]:
         return frozenset(self.points)
@@ -77,25 +107,44 @@ class Fragment:
         return tuple(cyclo_from_omega(v) for v in self.points)
 
 
-def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
-    """Breadth-first fragment of the affine group action (word definition)."""
-    if n < 0:
-        raise ValueError("cut-off must be non-negative")
-    if cap < 1:
-        raise ResourceLimitError(f"fragment exceeded cap {cap}")
+def _word_levels(group: GroupId, n: int, cap: int):
+    """The sorted keys of the levels S_0, ..., S_n, one at a time."""
     ops = operators(group)
     refl = [r.compiled() for r in ops.reflections]
     trans = ops.translation.compiled()
     cols = 2 * group.rank
-    total = level = kernel.pack_rows(np.zeros((1, cols), dtype=np.int64))
+    level = kernel.pack_rows(np.zeros((1, cols), dtype=np.int64))
+    yield level
     for _ in range(n):
         # a translation keeps rows distinct and in lexicographic order
         shifted = kernel.pack_rows(kernel.apply(trans, kernel.unpack_keys(level, cols)))
         level = kernel.closure(shifted, refl, cols, cap)
-        total = np.union1d(total, level)
+        yield level
+
+
+def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
+    """Breadth-first fragment of the affine group action (word definition).
+
+    The fragment S_0 u ... u S_n equals S_{n-1} u S_n, because the levels
+    nest two apart: S_{m-1} is inside S_{m+1}.  T translates by the highest
+    root alpha_H, and the root reflection r0 = s_{alpha_H} lies in W, is
+    linear and sends alpha_H to -alpha_H, so r0 T r0 = T^-1.  For x in
+    S_{m-1}, r0 T x lies in S_m, and x = r0 T (r0 T x) then lies in
+    S_{m+1}.  Hence S_m is inside S_n for every m <= n of the parity of n,
+    and inside S_{n-1} for the others.  The cap bounds each level and each
+    union S_{m-1} u S_m, the fragment of cut-off m.
+    """
+    if n < 0:
+        raise ValueError("cut-off must be non-negative")
+    if cap < 1:
+        raise ResourceLimitError(f"fragment exceeded cap {cap}")
+    prev = None
+    for level in _word_levels(group, n, cap):
+        total = level if prev is None else kernel.unique_keys(np.concatenate([prev, level]))
         if total.size > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
-    return Fragment(group, n, kernel.unpack_keys(total, cols), "word_bfs")
+        prev = level
+    return Fragment(group, n, total, "word_bfs")
 
 
 def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
@@ -104,8 +153,7 @@ def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment
         raise ValueError("cut-off must be non-negative")
     roots = np.array([v.flat() for v in roots_omega(group)], dtype=np.int64)
     levels = kernel.root_sums(roots, n, cap)
-    keys = np.sort(np.concatenate([k for k, _, _ in levels]))
-    return Fragment(group, n, kernel.unpack_keys(keys, roots.shape[1]), "root_sum")
+    return Fragment(group, n, np.sort(np.concatenate([k for k, _, _ in levels])), "root_sum")
 
 
 def to_dominant(v: OmegaVector) -> tuple[OmegaVector, tuple[int, ...]]:
@@ -141,11 +189,33 @@ def orbit_of(v: OmegaVector) -> frozenset[OmegaVector]:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
+# Rows per slab of the orbit and shell passes.
+_SLAB = 4096
+
+
+@dataclass(frozen=True, eq=False)
 class OrbitRecord:
+    """One orbit of a fragment under the finite reflection group W: its
+    dominant point, its size, and as ``index`` the row indices of its
+    members, the fragment's rows in the orbit of ``dominant`` (grown from it
+    by ``kernel.closure``), in row order.  ``index`` and ``members`` are
+    computed on first read only."""
+
     dominant: OmegaVector
     size: int
-    members: tuple[OmegaVector, ...]
+    fragment: Fragment = field(repr=False)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        group = self.fragment.group
+        refl = [r.compiled() for r in operators(group).reflections]
+        seed = kernel.pack_rows(np.array([self.dominant.flat()], dtype=np.int64))
+        orbit = kernel.closure(seed, refl, 2 * group.rank, DEFAULT_CAP)
+        return np.flatnonzero(np.isin(self.fragment.keys, orbit))
+
+    @cached_property
+    def members(self) -> tuple[OmegaVector, ...]:
+        return self.fragment.points_at(self.index)
 
 
 def _groups(labels: np.ndarray, count: int) -> list[np.ndarray]:
@@ -154,54 +224,133 @@ def _groups(labels: np.ndarray, count: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
+@lru_cache(maxsize=None)
+def _orbit_sizes(group: GroupId) -> np.ndarray:
+    """|W| / |W_J| for every set J of simple reflections, indexed by the
+    bitmask of J, read-only.  The stabilizer of a dominant point d is the
+    parabolic subgroup W_J with J = {i : d_i = 0} (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1.12), so the orbit of d has |W| / |W_J|
+    points.  The point with every coordinate 1 has a trivial stabilizer,
+    so its orbit under the reflections of J, grown by ``kernel.closure``,
+    has |W_J| points; |W| is |W_J| for J = {1, ..., k-1} times the size of
+    the orbit of the first fundamental weight."""
+    k = group.rank
+    refl = [r.compiled() for r in operators(group).reflections]
+
+    def orbit(gens, first, rest):
+        row = np.zeros((1, 2 * k), dtype=np.int64)
+        row[0, 0::2] = [first] + [rest] * (k - 1)
+        return kernel.closure(kernel.pack_rows(row), gens, 2 * k, DEFAULT_CAP).size
+
+    full = (1 << k) - 1
+    order = [1] + [orbit([g for i, g in enumerate(refl) if mask >> i & 1], 1, 1)
+                   for mask in range(1, full)]
+    order.append(order[full - 1] * orbit(refl, 1, 0))
+    sizes = order[full] // np.array(order, dtype=np.int64)
+    sizes.setflags(write=False)
+    return sizes
+
+
+def _invariant(fragment: Fragment, refl) -> bool:
+    """Whether the keys are sorted and distinct and hold every simple
+    reflection's image of every row, looked up by ``np.searchsorted``."""
+    keys = fragment.keys
+    if not (keys[1:] > keys[:-1]).all():
+        return False
+    for start in range(0, fragment.size, _SLAB):
+        rows = fragment.rows(start, start + _SLAB)
+        for op in refl:
+            try:
+                image = kernel.pack_rows(kernel.apply(op, rows))
+            except ResourceLimitError:  # outside the key range, so no row
+                return False
+            if (keys[np.minimum(np.searchsorted(keys, image), len(keys) - 1)] != image).any():
+                return False
+    return True
+
+
 def orbits(fragment: Fragment) -> tuple[OrbitRecord, ...]:
-    """Partition into reflection-group orbits keyed by dominant point."""
-    refl = [r.compiled() for r in operators(fragment.group).reflections]
-    dom = kernel.dominant_rows(fragment.coeffs, refl)
-    _, first, labels = np.unique(kernel.pack_rows(dom), return_index=True, return_inverse=True)
-    points = fragment.points
-    return tuple(
-        OrbitRecord(
-            OmegaVector.from_flat(fragment.group, dom[i].tolist()),
-            len(idx),
-            tuple(points[j] for j in idx.tolist()),
+    """Partition into reflection-group orbits keyed by dominant point, in
+    the order of the dominant points' keys.
+
+    A W-invariant fragment holds exactly one dominant row, with every
+    coordinate >= 0, per orbit, and that orbit has ``_orbit_sizes`` points:
+    after the ``_invariant`` guard, one ``golden_sign`` pass over slabs of
+    rows finds the orbits.  Any other row set falls back to the
+    ``kernel.dominant_rows`` sweep and counts its rows per dominant point.
+    """
+    group = fragment.group
+    k = group.rank
+    refl = [r.compiled() for r in operators(group).reflections]
+    if _invariant(fragment, refl):
+        dominant = np.empty(fragment.size, dtype=bool)
+        for start in range(0, fragment.size, _SLAB):
+            rows = fragment.rows(start, start + _SLAB)
+            sign = kernel.golden_sign(rows[:, 0::2], rows[:, 1::2])
+            dominant[start:start + len(rows)] = (sign >= 0).all(axis=1)
+        dom = kernel.unpack_keys(fragment.keys[dominant], 2 * k)
+        zero = (dom[:, 0::2] == 0) & (dom[:, 1::2] == 0)
+        sizes = _orbit_sizes(group)[(zero << np.arange(k)).sum(axis=1)]
+        if sizes.sum() != fragment.size:
+            raise AssertionError("the orbit sizes of an invariant fragment do not sum to its size")
+    else:
+        keys, sizes = np.unique(
+            kernel.pack_rows(kernel.dominant_rows(fragment.rows(), refl)), return_counts=True
         )
-        for i, idx in zip(first, _groups(labels, len(first)))
+        dom = kernel.unpack_keys(keys, 2 * k)
+    return tuple(
+        OrbitRecord(OmegaVector.from_flat(group, d), size, fragment)
+        for d, size in zip(dom.tolist(), sizes.tolist())
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shell:
+    """The points of one exact squared norm: ``index`` holds their row
+    indices in ``fragment``, in row order, and ``members`` builds their
+    ``OmegaVector``s on first read only."""
+
     norm: GoldenRational
-    members: tuple[OmegaVector, ...]
+    index: np.ndarray
+    fragment: Fragment = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.index)
+
+    @cached_property
+    def members(self) -> tuple[OmegaVector, ...]:
+        return self.fragment.points_at(self.index)
 
 
 def shell_labels(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
     """The distinct exact squared norms in ascending order, and for every
-    row the index of its norm in that list."""
+    row the index of its norm in that list.
+
+    (v|v) = q / det with q = v^T adj(A) v and det = det(A), doubled for the
+    unit-root H-groups; det > 0 for every group, so the norms are in the
+    order of the Z[tau] values q, which ``kernel.exact_argsort`` sorts.  q
+    is computed one slab of rows at a time and kept as packed keys."""
     group = fragment.group
-    q = kernel.quadratic_form_rows(group, fragment.coeffs)
-    _, first, labels = np.unique(kernel.pack_rows(q), return_index=True, return_inverse=True)
-    # (v|v) = v^T adj(A) v / det(A), halved for the unit-root H-groups
-    det = golden_det(cartan(group).entries) * (2 if group.is_h else 1)
-    norms = [GoldenRational(GoldenInt(*q[i].tolist())) / det for i in first]
-    order = sorted(range(len(norms)), key=cmp_to_key(lambda s, t: (norms[s] - norms[t]).sign()))
+    qkeys = np.empty(fragment.size, dtype=np.uint64)
+    for start in range(0, fragment.size, _SLAB):
+        q = kernel.quadratic_form_rows(group, fragment.rows(start, start + _SLAB))
+        qkeys[start:start + len(q)] = kernel.pack_rows(q)
+    distinct = kernel.unique_keys(qkeys)
+    q = kernel.unpack_keys(distinct, 2)
+    order = kernel.exact_argsort(q[:, 0], q[:, 1])
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    return [norms[i] for i in order], rank[labels]
+    det = golden_det(cartan(group).entries) * (2 if group.is_h else 1)
+    norms = [GoldenRational(GoldenInt(a, b)) / det for a, b in q[order].tolist()]
+    return norms, rank[np.searchsorted(distinct, qkeys)]
 
 
 def shells(fragment: Fragment) -> tuple[Shell, ...]:
     """Concentric shells: points grouped by exact squared distance."""
     norms, labels = shell_labels(fragment)
-    points = fragment.points
     return tuple(
-        Shell(norm, tuple(points[j] for j in idx.tolist()))
-        for norm, idx in zip(norms, _groups(labels, len(norms)))
+        Shell(norm, idx, fragment) for norm, idx in zip(norms, _groups(labels, len(norms)))
     )
 
 

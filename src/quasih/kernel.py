@@ -84,13 +84,23 @@ def unpack_keys(keys: np.ndarray, cols: int) -> np.ndarray:
     return out - (1 << (width - 1))
 
 
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending: ``np.sort`` and an
+    adjacent-difference mask.  numpy's plain ``np.unique`` hashes uint64
+    keys, which is many times slower on millions of them."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def closure(seeds: np.ndarray, gens, cols: int, cap: int) -> np.ndarray:
     """Sorted keys of the closure of sorted unique ``seeds`` under ``gens``,
     grown one frontier at a time; the cap is checked after every round."""
     seen = frontier = seeds
     while frontier.size:
         rows = unpack_keys(frontier, cols)
-        images = np.unique(np.concatenate([pack_rows(apply(g, rows)) for g in gens]))
+        images = unique_keys(np.concatenate([pack_rows(apply(g, rows)) for g in gens]))
         frontier = images[~np.isin(images, seen, assume_unique=True)]
         # two sorted disjoint runs: the stable sort merges them in linear time
         seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
@@ -212,6 +222,18 @@ def box_nonnegative(bound: int, dims: int, forms) -> np.ndarray:
     count = np.maximum(hi - lo + 1, 0)
     last = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())
     return np.concatenate([np.repeat(prefix, count, axis=0), last[:, None]], axis=1)
+
+
+def exact_argsort(a, b) -> np.ndarray:
+    """Indices that sort the distinct values a + b*tau ascending, for
+    integer arrays a and b: argsorted by their float value, then every
+    adjacent difference is certified positive by its exact sign."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    order = np.argsort(a + b * PHI, kind="stable")
+    if not (golden_sign(np.diff(a[order]), np.diff(b[order])) > 0).all():
+        raise AssertionError("the float order of the values is not strictly ascending")
+    return order
 
 
 def exact_argmin(a: np.ndarray, b: np.ndarray) -> int:

@@ -21,13 +21,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fragment import DEFAULT_CAP
-from .golden import PHI, TAU, CycloInt, GoldenInt, xi_pow
+from .golden import TAU, CycloInt, GoldenInt, xi_pow
 from .kernel import (
     apply,
     box_nonnegative,
     compile_forms,
     exact_argmin,
-    golden_sign,
+    exact_argsort,
     pack_rows,
     root_sums,
     unpack_keys,
@@ -44,15 +44,9 @@ _XI_ROWS = np.array([xi_pow(j).sort_key() for j in range(10)], dtype=np.int64)
 
 def _sorted_values(a, b) -> np.ndarray:
     """The (N, 2) rows (a, b) of the distinct values a + b*tau, for integer
-    sequences a and b, in ascending order: argsorted by their float value,
-    then every adjacent difference is certified positive by its exact sign."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    order = np.argsort(a + b * PHI, kind="stable")
-    a, b = a[order], b[order]
-    if not (golden_sign(np.diff(a), np.diff(b)) > 0).all():
-        raise AssertionError("the float order of the values is not strictly ascending")
-    return np.stack([a, b], axis=1)
+    sequences a and b, in ascending order (``kernel.exact_argsort``)."""
+    rows = np.stack([np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)], axis=1)
+    return rows[exact_argsort(rows[:, 0], rows[:, 1])]
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,14 +4,17 @@ Every writer is a pure function from values to text; point order comes from
 the canonical fragment ordering and floats are printed with fixed width, so
 repeated runs produce byte-identical output.
 
-The fragment CSV and JSON writers stream: ``fragment_csv_chunks`` and
-``fragment_json_chunks`` yield the text ``CHUNK_ROWS`` points at a time,
-and ``fragment_csv``/``fragment_json`` join the same chunks; the ``compare``
-report streams the same way from the deficiency rows.  A chunk's
-Cartesian coordinates come from ``kernel.cartesian_rows`` on the slice of
-the coefficient array, and each row is one ``%`` format, so no per-point
-object is built.  H2 keeps the scalar ``cartesian`` per point: its planar
-map is not one of the orthonormal models.
+The fragment writers stream: ``fragment_csv_chunks``,
+``fragment_json_chunks`` and ``fragment_svg_chunks`` yield the text
+``CHUNK_ROWS`` points at a time, reading each slab of rows off the
+fragment's packed keys (``Fragment.rows``), and ``fragment_csv``,
+``fragment_json`` and ``fragment_svg`` join the same chunks; the
+``compare`` report streams the same way from the deficiency rows.  A
+chunk's Cartesian coordinates come from ``kernel.cartesian_rows`` on the
+slab, and each row is one ``%`` format, so no per-point object is built.
+H2 keeps the scalar ``cartesian`` per point: its planar map is not one of
+the orthonormal models.  The ``line`` report writes its fixed JSON layout
+the same way, one template per entry.
 """
 
 from __future__ import annotations
@@ -19,12 +22,16 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from .fragment import Fragment, orbits, shell_labels, shells
 from .golden import cyclo_str
 from .kernel import cartesian_rows
 from .rootsystem import GroupId, OmegaVector, cartesian
 
-CHUNK_ROWS = 8192
+# Points per streamed chunk: a chunk's text and its temporaries are the
+# writers' working memory, and 1,024 rows cost no time against 8,192.
+CHUNK_ROWS = 1024
 
 _AXES = ("x", "y", "z", "w")
 
@@ -43,8 +50,8 @@ def _chunks(fragment: Fragment, normalize: bool):
     """(coefficient rows, Cartesian rows) as lists, CHUNK_ROWS points at a
     time, in fragment order."""
     group = fragment.group
-    for start in range(0, len(fragment.coeffs), CHUNK_ROWS):
-        block = fragment.coeffs[start:start + CHUNK_ROWS]
+    for start in range(0, fragment.size, CHUNK_ROWS):
+        block = fragment.rows(start, start + CHUNK_ROWS)
         flats = block.tolist()
         if group is GroupId.H2:
             carts = [cartesian(OmegaVector.from_flat(group, f), normalize) for f in flats]
@@ -111,29 +118,38 @@ def fragment_json(fragment: Fragment, normalize: bool = True) -> str:
     return "".join(fragment_json_chunks(fragment, normalize))
 
 
-def fragment_svg(fragment: Fragment, normalize: bool = True) -> str:
-    """1000x1000 canvas, origin centered, outermost shell at 450 px,
-    4 px dots colored per shell."""
+def fragment_svg_chunks(fragment: Fragment, normalize: bool = True):
+    """The SVG text in pieces: a 1000x1000 canvas, origin centered,
+    outermost shell at 450 px, 4 px dots colored per shell.  The scale
+    needs the largest radius first, so the Cartesian rows are kept per
+    chunk as float arrays; then each chunk of circles is one piece."""
     if fragment.group is not GroupId.H2:
         raise ValueError("SVG rendering is only defined for H2 fragments")
     _, labels = shell_labels(fragment)
-    cart = [xy for _, carts in _chunks(fragment, normalize) for xy in carts]
-    radius = max((math.hypot(x, y) for x, y in cart), default=0.0)
+    carts, radius = [], 0.0
+    for _, chunk in _chunks(fragment, normalize):
+        carts.append(np.array(chunk, dtype=float).reshape(-1, 2))
+        radius = max([radius, *(math.hypot(x, y) for x, y in chunk)])
     scale = 450.0 / radius if radius > 1e-12 else 1.0
-    parts = [
+    yield (
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" '
-        'viewBox="0 0 1000 1000">',
-        '<rect width="1000" height="1000" fill="white"/>',
-    ]
-    for (x, y), shell in zip(cart, labels.tolist()):
-        cx = 500.0 + scale * x
-        cy = 500.0 - scale * y
-        color = _SHELL_COLORS[shell % len(_SHELL_COLORS)]
-        parts.append(
-            f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="4" fill="{color}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        'viewBox="0 0 1000 1000">\n<rect width="1000" height="1000" fill="white"/>'
+    )
+    circle = '\n<circle cx="%.3f" cy="%.3f" r="4" fill="%s"/>'
+    start = 0
+    for xy in carts:
+        shell = labels[start:start + len(xy)].tolist()
+        start += len(xy)
+        yield "".join([
+            circle % (cx, cy, _SHELL_COLORS[s % len(_SHELL_COLORS)])
+            for cx, cy, s in zip((500.0 + scale * xy[:, 0]).tolist(),
+                                 (500.0 - scale * xy[:, 1]).tolist(), shell)
+        ])
+    yield "\n</svg>\n"
+
+
+def fragment_svg(fragment: Fragment, normalize: bool = True) -> str:
+    return "".join(fragment_svg_chunks(fragment, normalize))
 
 
 def compare_json_chunks(head: dict, rows):
@@ -152,7 +168,23 @@ def compare_json_chunks(head: dict, rows):
 
 
 def line_report_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2)`` and a newline, for the ``line``
+    report: its scalar head through ``json.dumps``, then each entry of
+    "values" and "deficiencies" through one template of that layout.
+    Floats print as ``json`` prints them, by ``float.__repr__``; a
+    ``golden_str`` text holds only [-+*0-9a-z], which needs no escapes."""
+    head = {k: v for k, v in doc.items() if k not in ("values", "deficiencies")}
+    value = '    {\n      "value": "%s",\n      "level": %d,\n      "float": %r\n    }'
+    deficiency = '    {\n      "value": "%s",\n      "float": %r\n    }'
+    lists = (
+        ("values", [value % (e["value"], e["level"], e["float"]) for e in doc["values"]]),
+        ("deficiencies", [deficiency % (e["value"], e["float"]) for e in doc["deficiencies"]]),
+    )
+    parts = [json.dumps(head, indent=2)[:-2]]
+    for key, entries in lists:
+        items = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+        parts.append(',\n  "%s": %s' % (key, items))
+    return "".join(parts) + "\n}\n"
 
 
 def line_report_csv(doc: dict) -> str:

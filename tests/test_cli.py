@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from quasih.fragment import generate
 from quasih.kernel import cyclo_rows
 from quasih.lineanalysis import LINE_CAP, LineSet, deficiencies_1d
 from quasih.rootsystem import GroupId
-from quasih.serialize import fragment_csv, fragment_json, fragment_svg
+from quasih.serialize import (
+    fragment_csv,
+    fragment_csv_chunks,
+    fragment_json,
+    fragment_json_chunks,
+    fragment_svg,
+    fragment_svg_chunks,
+)
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +147,26 @@ class TestSchemas:
         assert fragment_svg(f) == fragment_svg(f)
 
 
+class TestWriterMemory:
+    @pytest.mark.parametrize("writer,group,n", [
+        (fragment_csv_chunks, GroupId.H4, 3),
+        (fragment_json_chunks, GroupId.H4, 3),
+        (fragment_svg_chunks, GroupId.H2, 10),
+    ])
+    def test_peak_traced_allocation_while_writing(self, writer, group, n):
+        # the writers read slabs of CHUNK_ROWS rows: H4 n=3 has 46,321
+        # points, and its whole (N, 8) int64 array alone is 2.8 MB
+        f = generate(group, n)
+        tracemalloc.start()
+        try:
+            for _ in writer(f):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+
 class TestLineCommand:
     def test_flags_deficiency(self, capsys):
         code, out, _ = run_cli(capsys, "line", "--n", "3")
@@ -170,6 +198,12 @@ class TestLineCommand:
         assert by_value["1"] == 1
         assert by_value["tau"] == 2
 
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 12))
+    def test_json_report_equals_json_dumps(self, capsys, n):
+        # n <= 2 has no deficiencies; the floats round-trip through json
+        _, out, _ = run_cli(capsys, "line", "--n", str(n))
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_cap_is_exit_2_before_any_work(self, capsys, monkeypatch):
         def no_work(*args):

@@ -212,11 +212,11 @@ class TestFragmentInWindow:
             for x in whole.cyclo_points()
         ])
         for keep in (slice(None), inside[:, 0], inside[:, 1]):
-            f = Fragment(GroupId.H2, cutoff, whole.coeffs[keep], "test")
+            f = Fragment.from_rows(GroupId.H2, cutoff, whole.coeffs[keep], "test")
             assert fragment_in_window(f) == inside[keep].all()
 
     def test_rejects_points_outside_the_window(self):
-        f = Fragment(GroupId.H2, 2, generate(GroupId.H2, 3).coeffs, "test")
+        f = Fragment.from_rows(GroupId.H2, 2, generate(GroupId.H2, 3).coeffs, "test")
         assert not fragment_in_window(f)
 
     def test_outermost_shell_touches_vertices(self):

@@ -1,7 +1,13 @@
+from functools import cmp_to_key, lru_cache
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from quasih import kernel
+from quasih.affine import operators
 
 from quasih.golden import GoldenInt, GoldenRational, TAU, xi_pow
 from quasih.rootsystem import (
@@ -13,8 +19,11 @@ from quasih.rootsystem import (
     roots_omega,
 )
 from quasih.fragment import (
+    DEFAULT_CAP,
     Fragment,
     ResourceLimitError,
+    _orbit_sizes,
+    _word_levels,
     check_tenfold,
     generate,
     generate_rootsum,
@@ -85,6 +94,49 @@ class TestGenerate:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             generate(GroupId.H2, -1)
+
+
+class TestLevelNesting:
+    @pytest.mark.parametrize("group,nmax", [
+        (GroupId.A2, 6), (GroupId.H2, 6), (GroupId.H3, 4), (GroupId.H4, 3),
+    ])
+    def test_levels_nest_two_apart(self, group, nmax):
+        # S_{m-1} is inside S_{m+1}, so S_0 u ... u S_n = S_{n-1} u S_n
+        levels = list(_word_levels(group, nmax, DEFAULT_CAP))
+        for below, above in zip(levels, levels[2:]):
+            assert np.isin(below, above).all()
+        for n in range(nmax + 1):
+            union = np.unique(np.concatenate(levels[:n + 1]), return_index=True)[0]
+            assert np.array_equal(generate(group, n).keys, union)
+
+    def test_consecutive_levels_do_not_nest(self):
+        # the identity skips a level: S_0 = {O} is not inside S_1 for H2
+        levels = list(_word_levels(GroupId.H2, 1, DEFAULT_CAP))
+        assert not np.isin(levels[0], levels[1]).all()
+
+
+class TestStorage:
+    @pytest.mark.parametrize("slab", (1, 7, 1000))
+    def test_rows_slabs_concatenate_to_coeffs(self, slab):
+        f = generate(GroupId.H3, 3)
+        slabs = [f.rows(start, start + slab) for start in range(0, f.size, slab)]
+        assert np.array_equal(np.concatenate(slabs), f.coeffs)
+        assert np.array_equal(kernel.pack_rows(f.coeffs), f.keys)
+
+    def test_keys_are_sorted_distinct_and_read_only(self):
+        f = generate(GroupId.H4, 2)
+        assert (f.keys[1:] > f.keys[:-1]).all()
+        with pytest.raises(ValueError):
+            f.keys[0] = 0
+
+    def test_from_rows_keeps_row_order(self):
+        rows = np.array([[3, 0, -1, 2], [0, 0, 0, 0], [3, 0, -1, 2]])
+        f = Fragment.from_rows(GroupId.H2, 0, rows, "test")
+        assert f.coeffs.tolist() == rows.tolist() and f.size == 3
+
+    def test_rows_are_not_keys(self):
+        with pytest.raises(TypeError, match="from_rows"):
+            Fragment(GroupId.H2, 0, np.zeros((1, 4), dtype=np.int64), "test")
 
 
 class TestRootSumOracle:
@@ -187,6 +239,89 @@ class TestOrbits:
             assert order[GroupId.H2] % rec.size == 0
 
 
+@lru_cache(maxsize=None)
+def _cached(group, n):
+    return generate(group, n)
+
+
+def _sweep_orbits(f):
+    """(dominant row, row count, member row indices) per dominant point, in
+    key order, by the ``kernel.dominant_rows`` sweep over every row."""
+    refl = [r.compiled() for r in operators(f.group).reflections]
+    keys = kernel.pack_rows(kernel.dominant_rows(f.coeffs, refl))
+    distinct = np.unique(keys, return_index=True)[0]
+    return [
+        (tuple(kernel.unpack_keys(distinct[i:i + 1], f.coeffs.shape[1])[0].tolist()),
+         int((keys == key).sum()), np.flatnonzero(keys == key))
+        for i, key in enumerate(distinct)
+    ]
+
+
+class TestOrbitFilter:
+    @given(
+        st.sampled_from([(g, n) for g in GroupId for n in range(4)]),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_dominant_sweep(self, case, drop):
+        # the whole fragment takes the filter; one row dropped breaks the
+        # invariance and must take the sweep, unless the row is the origin,
+        # the one point every reflection fixes
+        f = _cached(*case)
+        invariant = True
+        if drop is not None:
+            keep = np.ones(f.size, dtype=bool)
+            keep[drop % f.size] = False
+            invariant = not f.rows(drop % f.size, drop % f.size + 1).any()
+            f = Fragment(f.group, f.n, f.keys[keep], "test")
+        expect = _sweep_orbits(f)
+        with mock.patch.object(kernel, "dominant_rows", wraps=kernel.dominant_rows) as sweep:
+            recs = orbits(f)
+        assert sweep.call_count == (0 if invariant else 1)
+        assert [(r.dominant.flat(), r.size) for r in recs] == [(d, c) for d, c, _ in expect]
+        if f.size <= 2000:
+            for rec, (_, _, index) in zip(recs, expect):
+                assert np.array_equal(rec.index, index)
+
+    @pytest.mark.parametrize("group", list(GroupId))
+    def test_size_table_is_the_orbit_of_each_face_point(self, group):
+        k = group.rank
+        refl = [r.compiled() for r in operators(group).reflections]
+        for mask, size in enumerate(_orbit_sizes(group).tolist()):
+            row = np.array([[0 if mask >> i & 1 else 1, 0] for i in range(k)]).reshape(1, -1)
+            orbit = kernel.closure(kernel.pack_rows(row), refl, 2 * k, DEFAULT_CAP)
+            assert orbit.size == size
+
+    def test_origin_dropped_keeps_the_filter(self, q2):
+        f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].coeffs.any(axis=1))], "test")
+        with mock.patch.object(kernel, "dominant_rows", wraps=kernel.dominant_rows) as sweep:
+            recs = orbits(f)
+        assert sweep.call_count == 0
+        assert sorted(r.size for r in recs) == [5, 5, 5, 5, 10, 10, 10, 10]
+
+    def test_unsorted_rows_take_the_sweep(self, q2):
+        f = Fragment(GroupId.H2, 2, q2[2].keys[::-1].copy(), "test")
+        with mock.patch.object(kernel, "dominant_rows", wraps=kernel.dominant_rows) as sweep:
+            recs = orbits(f)
+        assert sweep.call_count == 1
+        assert [(r.dominant, r.size) for r in recs] == [(r.dominant, r.size) for r in orbits(q2[2])]
+
+
+class TestShellOrder:
+    @pytest.mark.parametrize("group,n", [
+        (GroupId.A2, 4), (GroupId.H2, 5), (GroupId.H3, 2), (GroupId.H4, 1),
+    ])
+    def test_equals_a_sort_by_scalar_norm_sq(self, group, n):
+        f = generate(group, n)
+        norms = [norm_sq(p) for p in f.points]
+        distinct = sorted(set(norms), key=cmp_to_key(lambda s, t: (s - t).sign()))
+        sh = shells(f)
+        assert [s.norm for s in sh] == distinct
+        for s in sh:
+            assert s.index.tolist() == [i for i, v in enumerate(norms) if v == s.norm]
+            assert all(norm_sq(p) == s.norm for p in s.members)
+
+
 class TestShells:
     def test_q2_1_shells(self, q2):
         sh = shells(q2[1])
@@ -226,7 +361,7 @@ class TestTenfold:
     def test_single_root_not_invariant(self):
         root = next(iter(roots_omega(GroupId.H2)))
         frag = generate(GroupId.H2, 0)
-        broken = type(frag)(
+        broken = type(frag).from_rows(
             GroupId.H2, 0, np.array([p.flat() for p in (OmegaVector.zero(GroupId.H2), root)]),
             "word_bfs",
         )
@@ -243,7 +378,7 @@ class TestTenfold:
         coeffs = q2[n].coeffs
         if keep is not None:
             coeffs = coeffs[np.resize(np.array(keep), len(coeffs))]
-        f = Fragment(GroupId.H2, n, coeffs, "test")
+        f = Fragment.from_rows(GroupId.H2, n, coeffs, "test")
         pts = set(f.cyclo_points())
         assert check_tenfold(f) == all(xi_pow(1) * p in pts for p in pts)
 

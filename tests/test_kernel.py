@@ -1,6 +1,8 @@
 """The int64 Z[tau] kernel against the scalar GoldenInt/GoldenRational classes."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,60 @@ class TestPackedKeys:
             kernel.apply(op, np.array([[1 << 61, 0, 0, 0]], dtype=np.int64))
 
 
+_KEY = st.integers(0, (1 << 64) - 1)
+
+
+class TestUniqueKeys:
+    @given(st.one_of(
+        st.lists(_KEY, max_size=40),
+        st.lists(st.integers((1 << 63), (1 << 64) - 1), max_size=40),  # top bit set
+        st.lists(st.integers(0, 3), max_size=40),  # many repeats
+        st.builds(lambda key, count: [key] * count, _KEY, st.integers(1, 9)),  # all equal
+    ))
+    def test_equals_np_unique(self, values):
+        keys = np.array(values, dtype=np.uint64)
+        got = kernel.unique_keys(keys)
+        assert got.dtype == np.uint64
+        assert got.tolist() == np.unique(keys).tolist()
+
+    @pytest.mark.parametrize("values", ([], [7], [1 << 63] * 3, [(1 << 64) - 1, 0, (1 << 63)]))
+    def test_edge_cases(self, values):
+        keys = np.array(values, dtype=np.uint64)
+        assert kernel.unique_keys(keys).tolist() == sorted(set(values))
+
+
+def _hash_path_calls(source: str) -> list[int]:
+    """Lines of ``np.union1d`` and of ``np.unique(...)`` calls without a
+    ``return_*`` argument, the calls that take numpy's hash path."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "union1d":
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and not any((kw.arg or "").startswith("return_") for kw in node.keywords)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestSourceHasNoHashUnique:
+    def test_detector_flags_both_calls(self):
+        source = "np.union1d(a, b)\nnp.unique(x)\nnp.unique(x, return_index=True)\n"
+        assert _hash_path_calls(source) == [1, 2]
+
+    def test_src_is_clean(self):
+        package = Path(kernel.__file__).parent
+        found = {
+            path.name: lines
+            for path in sorted(package.glob("*.py"))
+            if (lines := _hash_path_calls(path.read_text()))
+        }
+        assert found == {}, "use kernel.unique_keys: sort-based, not hashed"
+
+
 class TestClosure:
     @pytest.mark.parametrize("group", GROUPS)
     @pytest.mark.parametrize("n", range(4))
@@ -191,7 +247,7 @@ class TestShellKeys:
         group, rows = case
         points = [OmegaVector.from_flat(group, r) for r in rows.tolist()]
         coeffs = np.array([p.flat() for p in points])
-        norms, labels = shell_labels(Fragment(group, 0, coeffs, "test"))
+        norms, labels = shell_labels(Fragment.from_rows(group, 0, coeffs, "test"))
         assert [norms[i] for i in labels.tolist()] == [norm_sq(p) for p in points]
         assert all((b - a).sign() > 0 for a, b in zip(norms, norms[1:]))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasih.golden import CycloInt, GoldenInt, TAU, TAU_CONJ, xi_pow
 from quasih.rootsystem import GroupId
-from quasih import lineanalysis
+from quasih import kernel, lineanalysis
 from quasih.fragment import ResourceLimitError, generate
 from quasih.lineanalysis import (
     DecompositionError,
@@ -130,7 +130,7 @@ class TestSortedValues:
         assert LineSet(lineanalysis._sorted_values(a, b)).values == expect
 
     def test_wrong_float_order_is_refused(self, monkeypatch):
-        monkeypatch.setattr(lineanalysis, "PHI", -lineanalysis.PHI)
+        monkeypatch.setattr(kernel, "PHI", -kernel.PHI)
         with pytest.raises(AssertionError, match="not strictly ascending"):
             lineanalysis._sorted_values([0, 0], [1, 2])
 
