@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .golden import GoldenInt, ONE, ZERO, compile_forms
-from .kernel import _INT64_HEADROOM, ResourceLimitError, _require, quadratic_forms
+from .kernel import _INT64_HEADROOM, _SLAB, ResourceLimitError, _require, quadratic_forms
 from .rootsystem import (
     CartanMatrix,
     GroupId,
@@ -283,15 +283,16 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
     determinant vanishes exactly when q0(u) = 2 det(A).a and
     q1(u) = 2 det(A).b.  Each form is quadratic in the last coefficient t,
     q = c + b*t + a*t^2, so the last coefficient is solved rather than
-    scanned: the grid of the 2k - 2 middle coefficients is built once with
-    its quadratic part and its linear coefficients against the lead and
-    the last coefficient, and for each lead value all 2b + 1 values of t
-    are tested at once by broadcasting, q0 on the whole solved grid and q1
-    only at the points q0 accepts.  This is int64 arithmetic only,
-    bound-checked in front, and memory is O((2b + 1)^(2k - 1)) per lead
-    value: 9 bytes a point of the solved grid for q0 and its test.  A
-    solved grid of more than ``ENUMERATION_CAP`` points raises
-    ``ResourceLimitError`` before anything is allocated.  Every hit is
+    scanned: the grid of the 2k - 2 middle coefficients is built one slab
+    of ``_SLAB`` points at a time with its quadratic part and its linear
+    coefficients against the lead and the last coefficient, and for each
+    lead value all 2b + 1 values of t are tested at once by broadcasting,
+    q0 on the solved slab and q1 only at the points q0 accepts.  This is
+    int64 arithmetic only, bound-checked in front, and memory is
+    O(_SLAB * (2b + 1)) whatever k: 9 bytes a point of the solved slab for
+    q0 and its test, besides the hits.  A solved grid of more than
+    ``ENUMERATION_CAP`` points raises ``ResourceLimitError`` before
+    anything is allocated, so the cap bounds the time.  Every hit is
     re-checked with the GoldenInt cofactor determinant.  Every candidate
     is positive semidefinite, which ``psd_count`` records exactly.
     """
@@ -311,28 +312,31 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
     cross = forms + forms.transpose(0, 2, 1)
 
     vals = np.arange(-coeff_bound, coeff_bound + 1, dtype=np.int64)
-    mid = np.indices((side,) * (2 * k - 2), dtype=np.int64)
-    mid = mid.reshape(2 * k - 2, side ** (2 * k - 2)).T - coeff_bound
-    # per form, over the middle grid: quadratic part and linear coefficients
-    mid_quad = np.stack([((mid @ g) * mid).sum(axis=1) for g in forms[:, 1:-1, 1:-1]])
-    lead_lin = cross[:, 0, 1:-1] @ mid.T
-    last_lin = cross[:, -1, 1:-1] @ mid.T
     last_quad = forms[:, -1, -1, None] * vals**2
-    q = np.empty((len(mid), side), dtype=np.int64)  # form q0, one buffer for every lead
+    grid, cells = (side,) * (2 * k - 2), volume // side
     hits: list[tuple[int, ...]] = []
-    for lead in vals.tolist():
-        c = mid_quad + lead * lead_lin + (forms[:, 0, 0] * lead * lead)[:, None]
-        b = last_lin + (cross[:, 0, -1] * lead)[:, None]
-        np.multiply(b[0, :, None], vals, out=q)
-        q += c[0, :, None]
-        q += last_quad[0]
-        rows, last = np.nonzero(q == target[0])
-        # q1 only at the grid points that q0 accepts
-        keep = c[1, rows] + b[1, rows] * vals[last] + last_quad[1, last] == target[1]
-        rows, last = rows[keep], last[keep]
-        hits.extend(
-            (lead, *middle, t) for middle, t in zip(mid[rows].tolist(), vals[last].tolist())
-        )
+    for lo in range(0, cells, _SLAB):
+        # one slab of the middle grid, in the C order of np.indices
+        flat = np.arange(lo, min(lo + _SLAB, cells))
+        mid = np.stack(np.unravel_index(flat, grid), axis=1) - coeff_bound
+        # per form, over the slab: quadratic part and linear coefficients
+        mid_quad = np.stack([((mid @ g) * mid).sum(axis=1) for g in forms[:, 1:-1, 1:-1]])
+        lead_lin = cross[:, 0, 1:-1] @ mid.T
+        last_lin = cross[:, -1, 1:-1] @ mid.T
+        q = np.empty((len(mid), side), dtype=np.int64)  # form q0, one buffer for every lead
+        for lead in vals.tolist():
+            c = mid_quad + lead * lead_lin + (forms[:, 0, 0] * lead * lead)[:, None]
+            b = last_lin + (cross[:, 0, -1] * lead)[:, None]
+            np.multiply(b[0, :, None], vals, out=q)
+            q += c[0, :, None]
+            q += last_quad[0]
+            rows, last = np.nonzero(q == target[0])
+            # q1 only at the grid points that q0 accepts
+            keep = c[1, rows] + b[1, rows] * vals[last] + last_quad[1, last] == target[1]
+            rows, last = rows[keep], last[keep]
+            hits.extend(
+                (lead, *middle, t) for middle, t in zip(mid[rows].tolist(), vals[last].tolist())
+            )
     hits.sort()
 
     candidates = []

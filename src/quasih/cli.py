@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .golden import PHI, golden_str
@@ -86,12 +87,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write each text chunk as it comes, to ``out`` or to stdout."""
+    """Write each text chunk as it comes, to ``out`` or to stdout.  An
+    unopenable ``out`` is a usage error; a reader that closes stdout early
+    (``| head``) ends the output quietly."""
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write --out {out}: {exc.strerror or exc}\n")
+            sys.exit(USAGE_ERROR)
+        with fh:
             fh.writelines(chunks)
-    else:
+        return
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the exit-time flush of what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_generate(args) -> int:

@@ -113,11 +113,15 @@ def _word_levels(group: GroupId, n: int, cap: int):
     refl = [r.compiled() for r in ops.reflections]
     trans = ops.translation.compiled()
     cols = 2 * group.rank
+    slab = kernel._SLAB
     level = kernel.pack_rows(np.zeros((1, cols), dtype=np.int64))
     yield level
     for _ in range(n):
         # a translation keeps rows distinct and in lexicographic order
-        shifted = kernel.pack_rows(kernel.apply(trans, kernel.unpack_keys(level, cols)))
+        shifted = np.concatenate([
+            kernel.pack_rows(kernel.apply(trans, kernel.unpack_keys(level[lo:lo + slab], cols)))
+            for lo in range(0, len(level), slab)
+        ])
         level = kernel.closure(shifted, refl, cols, cap)
         yield level
 
@@ -140,7 +144,12 @@ def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
         raise ResourceLimitError(f"fragment exceeded cap {cap}")
     prev = None
     for level in _word_levels(group, n, cap):
-        total = level if prev is None else kernel.unique_keys(np.concatenate([prev, level]))
+        if prev is None:
+            total = level
+        else:
+            # two sorted disjoint runs: the stable sort merges them in linear time
+            total = np.concatenate([level, prev[~kernel.isin_sorted(prev, level)]])
+            total.sort(kind="stable")
         if total.size > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
         prev = level

@@ -94,23 +94,38 @@ def unique_keys(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def isin_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` present in the sorted non-empty ``table``:
+    ``np.searchsorted`` lands on a key where it is present, and the index is
+    clipped for keys past the end.  ``np.isin`` would sort both arrays."""
+    at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return table[at] == keys
+
+
+# Rows per slab: of the frontier in ``closure`` and ``root_sums``, of a
+# level's translation in ``fragment._word_levels``, and of the middle grid
+# in ``affine.enumerate_generalized``.
+_SLAB = 4096
+
+
 def closure(seeds: np.ndarray, gens, cols: int, cap: int) -> np.ndarray:
     """Sorted keys of the closure of sorted unique ``seeds`` under ``gens``,
-    grown one frontier at a time; the cap is checked after every round."""
+    grown one frontier at a time from slabs of ``_SLAB`` rows; the cap is
+    checked after every round."""
     seen = frontier = seeds
     while frontier.size:
-        rows = unpack_keys(frontier, cols)
-        images = unique_keys(np.concatenate([pack_rows(apply(g, rows)) for g in gens]))
-        frontier = images[~np.isin(images, seen, assume_unique=True)]
+        fresh = []
+        for lo in range(0, len(frontier), _SLAB):
+            rows = unpack_keys(frontier[lo:lo + _SLAB], cols)
+            images = unique_keys(np.concatenate([pack_rows(apply(g, rows)) for g in gens]))
+            fresh.append(images[~isin_sorted(images, seen)])
+        frontier = unique_keys(np.concatenate(fresh))
         # two sorted disjoint runs: the stable sort merges them in linear time
-        seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
+        seen = np.concatenate([seen, frontier])
+        seen.sort(kind="stable")
         if seen.size > cap:
             raise ResourceLimitError(f"reflection closure exceeded cap {cap}")
     return seen
-
-
-# Frontier rows per slab of candidate sums in ``root_sums``.
-_SLAB = 4096
 
 
 def root_sums(roots: np.ndarray, n: int, cap: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

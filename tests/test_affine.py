@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,31 @@ class TestEnumerationCap:
         monkeypatch.setattr(affine, "ENUMERATION_CAP", 1 << 200)
         with pytest.raises(ResourceLimitError, match="unsafe for int64"):
             enumerate_generalized.__wrapped__(GroupId.H2, 1 << 31)
+
+
+class TestEnumerationSlabs:
+    # the uncached function, with the middle grid cut into small slabs
+    CASES = [(g, b) for g in (GroupId.H2, GroupId.H3) for b in (1, 2, 3)] + [(GroupId.H4, 2)]
+
+    @pytest.mark.parametrize("slab", [1, 5, 7])
+    def test_slab_size_does_not_change_the_result(self, monkeypatch, slab):
+        expect = [enumerate_generalized.__wrapped__(*case) for case in self.CASES]
+        monkeypatch.setattr(affine, "_SLAB", slab)
+        for case, want in zip(self.CASES, expect):
+            got = enumerate_generalized.__wrapped__(*case)
+            assert [c.coeffs for c in got.candidates] == [c.coeffs for c in want.candidates]
+            assert got.psd_count == want.psd_count
+
+    def test_peak_traced_allocation(self):
+        # one slab of the 7^6 middle grid at a time; the whole grid with
+        # its quadratic parts and (7^6, 7) buffer was 24.2 MB
+        tracemalloc.start()
+        try:
+            enumerate_generalized.__wrapped__(GroupId.H4, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestReferenceTables:

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+import quasih
 from quasih.cli import main
 from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.fragment import generate
@@ -145,6 +150,39 @@ class TestSchemas:
     def test_svg_deterministic(self):
         f = generate(GroupId.H2, 2)
         assert fragment_svg(f) == fragment_svg(f)
+
+
+def _cli_process(*argv):
+    """A cold ``python -m quasih.cli`` child on this checkout's package,
+    its stdout and stderr piped."""
+    path = [str(Path(quasih.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.Popen(
+        [sys.executable, "-m", "quasih.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
+class TestOutputErrors:
+    def test_reader_closing_stdout_ends_quietly(self):
+        # `| head -2`: about 1 MB of csv, far past a pipe buffer
+        proc = _cli_process("generate", "--group", "h2", "--n", "10")
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head[0] == b"a1,b1,a2,b2,x,y\n"
+        assert b"Traceback" not in err and err == b""
+
+    def test_unopenable_out_is_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        proc = _cli_process("generate", "--group", "h2", "--n", "1", "--out", str(target))
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and out == b""
+        assert b"Traceback" not in err
+        assert err.decode() == f"error: cannot write --out {target}: No such file or directory\n"
+        assert not target.parent.exists()
 
 
 class TestWriterMemory:

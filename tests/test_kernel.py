@@ -3,6 +3,7 @@
 import ast
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,6 +170,67 @@ class TestClosure:
     def test_coeffs_read_only(self):
         with pytest.raises(ValueError):
             generate(GroupId.H2, 1).coeffs[0, 0] = 1
+
+
+class TestIsinSorted:
+    @given(st.lists(_KEY, max_size=30), st.lists(_KEY, min_size=1, max_size=30),
+           st.lists(st.sampled_from([0, 1, (1 << 64) - 2, (1 << 64) - 1]), max_size=4))
+    def test_equals_np_isin(self, keys, table, ends):
+        keys = np.array(keys + ends + table[:3], dtype=np.uint64)
+        table = kernel.unique_keys(np.array(table + ends[:2], dtype=np.uint64))
+        assert kernel.isin_sorted(keys, table).tolist() == np.isin(keys, table).tolist()
+
+
+def _closure_reference(seeds, gens, cols):
+    """The closure with ``np.isin`` and ``np.union1d`` on whole frontiers."""
+    seen = frontier = seeds
+    while frontier.size:
+        rows = kernel.unpack_keys(frontier, cols)
+        images = np.unique(np.concatenate([kernel.pack_rows(kernel.apply(g, rows)) for g in gens]))
+        frontier = images[~np.isin(images, seen)]
+        seen = np.union1d(seen, frontier)
+    return seen
+
+
+@st.composite
+def closure_cases(draw):
+    """Seeds over the whole packed range, its ends included, and involutions
+    that keep it: column swaps and the flips x -> -1 - x, which exchange the
+    least and the greatest column value."""
+    cols = draw(st.sampled_from((2, 4, 8)))
+    half = 1 << (64 // cols - 1)
+    value = st.one_of(st.sampled_from((-half, -half + 1, half - 2, half - 1)),
+                      st.integers(-half, half - 1))
+    rows = draw(st.lists(st.lists(value, min_size=cols, max_size=cols), min_size=1, max_size=20))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        m, off = np.eye(cols, dtype=np.int64), np.zeros(cols, dtype=np.int64)
+        if i == j:
+            m[i, i], off[i] = -1, -1
+        else:
+            m[[i, j]] = m[[j, i]]
+        gens.append((m, off))
+    seeds = kernel.unique_keys(kernel.pack_rows(np.array(rows, dtype=np.int64)))
+    return seeds, gens, cols
+
+
+class TestClosureSlabs:
+    @given(closure_cases(), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_isin_reference(self, case, slab):
+        seeds, gens, cols = case
+        expect = _closure_reference(seeds, gens, cols)
+        with mock.patch.object(kernel, "_SLAB", slab):  # frontiers of many slabs
+            got = kernel.closure(seeds, gens, cols, cap=1 << 20)
+        assert got.dtype == np.uint64
+        assert got.tolist() == expect.tolist()
+
+    def test_h2_fragments_equal_with_small_slabs(self):
+        expect = [generate(GroupId.H2, n).keys for n in range(6)]
+        with mock.patch.object(kernel, "_SLAB", 3):
+            for n, keys in enumerate(expect):
+                assert np.array_equal(generate(GroupId.H2, n).keys, keys)
 
 
 def _scalar_root_sums(roots, n):
