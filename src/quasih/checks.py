@@ -343,7 +343,7 @@ def _cut2d(coeff_bound: int = 3):
     empties = defic[1] == 0 and defic[2] == 0
     nonempty = all(defic[n] > 0 for n in (3, 4, 5))
     equal12 = all(
-        np.array_equal(pack_rows(sigma_2d(n).rows), np.sort(pack_rows(cyclo_rows(_h2(n).coeffs))))
+        np.array_equal(pack_rows(sigma_2d(n).rows), np.sort(pack_rows(cyclo_rows(_h2(n).rows()))))
         for n in (1, 2)
     )
     ok = inclusion and empties and nonempty and equal12
@@ -405,7 +405,7 @@ def _min_distance(coeff_bound: int = 3):
     ok_2d = True
     details_2d = {}
     for n in range(1, 6):
-        exact_frag, d_frag = min_distance_2d(cyclo_rows(_h2(n).coeffs))
+        exact_frag, d_frag = min_distance_2d(cyclo_rows(_h2(n).rows()))
         exact_sig, d_sig = min_distance_2d(sigma_2d(n).rows)
         details_2d[n] = (d_frag, d_sig)
         if (exact_frag - exact_sig).sign() < 0:
@@ -418,11 +418,7 @@ def _tenfold(coeff_bound: int = 3):
     from .serialize import fragment_svg
 
     symmetric = all(check_tenfold(_h2(n)) for n in range(1, 7))
-    svg_counts_ok = True
-    for n in range(1, 7):
-        f = _h2(n)
-        if fragment_svg(f).count("<circle") != f.size:
-            svg_counts_ok = False
+    svg_counts_ok = all(fragment_svg(_h2(n)).count("<circle") == _h2(n).size for n in range(1, 7))
     return symmetric and svg_counts_ok, {
         "symmetric_n_le_6": symmetric,
         "svg_counts_ok": svg_counts_ok,

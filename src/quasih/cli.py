@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .golden import PHI, golden_str
 from .rootsystem import GroupId
@@ -87,24 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write each text chunk as it comes, to ``out`` or to stdout.  An
-    unopenable ``out`` is a usage error; a reader that closes stdout early
-    (``| head``) ends the output quietly."""
-    if out:
-        try:
-            fh = open(out, "w")
-        except OSError as exc:
-            sys.stderr.write(f"error: cannot write --out {out}: {exc.strerror or exc}\n")
-            sys.exit(USAGE_ERROR)
-        with fh:
-            fh.writelines(chunks)
-        return
+    """Write each text chunk as it comes, to ``out`` or to stdout.  A failed
+    open or write (a full disk) is a usage error; a reader that closes
+    stdout early (``| head``) ends the output quietly."""
     try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the exit-time flush of what is still buffered goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+            fh.writelines(chunks)
+            fh.flush()
+    except OSError as exc:
+        if not out:
+            # the exit-time flush of what is still buffered goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return
+        where = f"--out {out}" if out else "stdout"
+        sys.stderr.write(f"error: cannot write {where}: {exc.strerror or exc}\n")
+        sys.exit(USAGE_ERROR)
 
 
 def cmd_generate(args) -> int:

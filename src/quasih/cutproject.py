@@ -32,6 +32,7 @@ from .kernel import (
     compile_forms,
     cyclo_rows,
     exact_argmin,
+    isin_sorted,
     nonnegative_rows,
     pack_rows,
 )
@@ -160,8 +161,8 @@ def deficiency_rows_2d(n: int) -> np.ndarray:
     """The rows of the cut-and-project points missing from the fragment of
     the same cut-off, in sigma order: a set difference of packed row keys."""
     rows = sigma_2d(n).rows
-    fragment_keys = pack_rows(cyclo_rows(cached_fragment(GroupId.H2, n).rows()))
-    return rows[~np.isin(pack_rows(rows), fragment_keys)]
+    fragment_keys = np.sort(pack_rows(cyclo_rows(cached_fragment(GroupId.H2, n).rows())))
+    return rows[~isin_sorted(pack_rows(rows), fragment_keys)]
 
 
 def deficiencies_2d(n: int) -> tuple[CycloInt, ...]:
@@ -174,7 +175,7 @@ def fragment_in_window(fragment: Fragment) -> bool:
     the decagon window of the fragment's cut-off (trivial at n = 0)."""
     if fragment.n < 1:
         return True
-    rows = cyclo_rows(fragment.coeffs)
+    rows = cyclo_rows(fragment.rows())
     return len(nonnegative_rows(_window_forms(fragment.n), rows)) == len(rows)
 
 

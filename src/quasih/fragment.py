@@ -17,14 +17,15 @@ keys (``kernel.pack_rows``) of the Z[tau] coefficient rows
 10 for H3, 8 for H4).  Key order is lexicographic row order, and both
 constructions give the keys sorted and distinct, so output is
 reproducible bit for bit.
-``rows(start, stop)`` unpacks a slab of int64 rows; ``coeffs``, every row
-at once, and ``points``, the tuple of ``OmegaVector``, are built on first
-access only, for the checks, the tests and small n.  Closure, orbits and
-shells run on keys and slabs of rows through ``quasih.kernel``; orbits
-and shells hold row indices and build ``OmegaVector`` members only when
-read.  A coefficient outside the key range raises ``ResourceLimitError``
-instead of wrapping; points of cut-off n have coefficients of at most 2n
-in absolute value, far inside the range at any size the cap admits.
+``rows(start, stop)`` unpacks a slab of int64 rows, the program's only
+read of a fragment; ``coeffs``, every row at once, and ``points``, the
+``OmegaVector`` tuple, are built on first access only, for the tests and
+small n.  Closure, orbits, shells and the ten-fold check run on keys and
+slabs of rows through ``quasih.kernel``; orbits and shells hold row
+indices and build ``OmegaVector`` members only when read.  A coefficient
+outside the key range raises ``ResourceLimitError`` instead of wrapping;
+points of cut-off n have coefficients of at most 2n in absolute value,
+far inside the range at any size the cap admits.
 """
 
 from __future__ import annotations
@@ -198,10 +199,6 @@ def orbit_of(v: OmegaVector) -> frozenset[OmegaVector]:
     return frozenset(seen)
 
 
-# Rows per slab of the orbit and shell passes.
-_SLAB = 4096
-
-
 @dataclass(frozen=True, eq=False)
 class OrbitRecord:
     """One orbit of a fragment under the finite reflection group W: its
@@ -220,17 +217,11 @@ class OrbitRecord:
         refl = [r.compiled() for r in operators(group).reflections]
         seed = kernel.pack_rows(np.array([self.dominant.flat()], dtype=np.int64))
         orbit = kernel.closure(seed, refl, 2 * group.rank, DEFAULT_CAP)
-        return np.flatnonzero(np.isin(self.fragment.keys, orbit))
+        return np.flatnonzero(kernel.isin_sorted(self.fragment.keys, orbit))
 
     @cached_property
     def members(self) -> tuple[OmegaVector, ...]:
         return self.fragment.points_at(self.index)
-
-
-def _groups(labels: np.ndarray, count: int) -> list[np.ndarray]:
-    """Row indices carrying each label 0..count-1, in row order."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -260,53 +251,37 @@ def _orbit_sizes(group: GroupId) -> np.ndarray:
     return sizes
 
 
-def _invariant(fragment: Fragment, refl) -> bool:
-    """Whether the keys are sorted and distinct and hold every simple
-    reflection's image of every row, looked up by ``np.searchsorted``."""
-    keys = fragment.keys
-    if not (keys[1:] > keys[:-1]).all():
-        return False
-    for start in range(0, fragment.size, _SLAB):
-        rows = fragment.rows(start, start + _SLAB)
-        for op in refl:
-            try:
-                image = kernel.pack_rows(kernel.apply(op, rows))
-            except ResourceLimitError:  # outside the key range, so no row
-                return False
-            if (keys[np.minimum(np.searchsorted(keys, image), len(keys) - 1)] != image).any():
-                return False
-    return True
-
-
 def orbits(fragment: Fragment) -> tuple[OrbitRecord, ...]:
     """Partition into reflection-group orbits keyed by dominant point, in
     the order of the dominant points' keys.
 
     A W-invariant fragment holds exactly one dominant row, with every
     coordinate >= 0, per orbit, and that orbit has ``_orbit_sizes`` points:
-    after the ``_invariant`` guard, one ``golden_sign`` pass over slabs of
-    rows finds the orbits.  Any other row set falls back to the
-    ``kernel.dominant_rows`` sweep and counts its rows per dominant point.
+    once the keys are sorted and distinct and ``kernel.closed_under`` the
+    reflections, one ``golden_sign`` pass over slabs of rows finds them.
+    Any other row set falls back to the ``kernel.dominant_rows`` sweep and
+    counts its rows per dominant point.
     """
     group = fragment.group
     k = group.rank
     refl = [r.compiled() for r in operators(group).reflections]
-    if _invariant(fragment, refl):
+    keys = fragment.keys
+    if (keys[1:] > keys[:-1]).all() and kernel.closed_under(keys, refl, 2 * k):
         dominant = np.empty(fragment.size, dtype=bool)
-        for start in range(0, fragment.size, _SLAB):
-            rows = fragment.rows(start, start + _SLAB)
+        for start in range(0, fragment.size, kernel._SLAB):
+            rows = fragment.rows(start, start + kernel._SLAB)
             sign = kernel.golden_sign(rows[:, 0::2], rows[:, 1::2])
             dominant[start:start + len(rows)] = (sign >= 0).all(axis=1)
-        dom = kernel.unpack_keys(fragment.keys[dominant], 2 * k)
+        dom = kernel.unpack_keys(keys[dominant], 2 * k)
         zero = (dom[:, 0::2] == 0) & (dom[:, 1::2] == 0)
         sizes = _orbit_sizes(group)[(zero << np.arange(k)).sum(axis=1)]
         if sizes.sum() != fragment.size:
             raise AssertionError("the orbit sizes of an invariant fragment do not sum to its size")
     else:
-        keys, sizes = np.unique(
+        distinct, sizes = np.unique(
             kernel.pack_rows(kernel.dominant_rows(fragment.rows(), refl)), return_counts=True
         )
-        dom = kernel.unpack_keys(keys, 2 * k)
+        dom = kernel.unpack_keys(distinct, 2 * k)
     return tuple(
         OrbitRecord(OmegaVector.from_flat(group, d), size, fragment)
         for d, size in zip(dom.tolist(), sizes.tolist())
@@ -342,8 +317,8 @@ def shell_labels(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
     is computed one slab of rows at a time and kept as packed keys."""
     group = fragment.group
     qkeys = np.empty(fragment.size, dtype=np.uint64)
-    for start in range(0, fragment.size, _SLAB):
-        q = kernel.quadratic_form_rows(group, fragment.rows(start, start + _SLAB))
+    for start in range(0, fragment.size, kernel._SLAB):
+        q = kernel.quadratic_form_rows(group, fragment.rows(start, start + kernel._SLAB))
         qkeys[start:start + len(q)] = kernel.pack_rows(q)
     distinct = kernel.unique_keys(qkeys)
     q = kernel.unpack_keys(distinct, 2)
@@ -358,9 +333,9 @@ def shell_labels(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
 def shells(fragment: Fragment) -> tuple[Shell, ...]:
     """Concentric shells: points grouped by exact squared distance."""
     norms, labels = shell_labels(fragment)
-    return tuple(
-        Shell(norm, idx, fragment) for norm, idx in zip(norms, _groups(labels, len(norms)))
-    )
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels, minlength=len(norms)))[:-1])
+    return tuple(Shell(norm, idx, fragment) for norm, idx in zip(norms, groups))
 
 
 def _xi_times(x):
@@ -373,13 +348,13 @@ _XI_ROTATION = compile_forms(_xi_times, 4)
 
 
 def check_tenfold(fragment: Fragment) -> bool:
-    """Exact invariance of the cyclotomic image under rotation by xi: every
-    rotated row's packed key is among the rows' keys."""
+    """Exact invariance of the cyclotomic image under rotation by xi: the
+    sorted packed keys of the cyclotomic rows are ``kernel.closed_under``
+    the rotation."""
     if fragment.group is not GroupId.H2:
         raise ValueError("ten-fold symmetry is an H2 property")
-    rows = kernel.cyclo_rows(fragment.coeffs)
-    rotated = kernel.pack_rows(kernel.apply(_XI_ROTATION, rows))
-    return bool(np.isin(rotated, kernel.pack_rows(rows)).all())
+    keys = np.sort(kernel.pack_rows(kernel.cyclo_rows(fragment.rows())))
+    return kernel.closed_under(keys, [_XI_ROTATION], 4)
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,7 @@ float may propose a value (the thresholds of ``box_nonnegative``), but
 exact signs certify it before it is used.  The scalar
 ``GoldenInt``/``GoldenRational`` classes stay the reference these
 functions are tested against, and every integer matrix here is read off
-them by ``golden.compile_forms`` or ``golden.bilinear_forms``, save the
-cyclotomic map of ``cyclo_rows``.
+them by ``golden.compile_forms`` or ``golden.bilinear_forms``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .golden import PHI, ZERO, GoldenInt, bilinear_forms, compile_forms
-from .rootsystem import _MODELS, GroupId, _alpha_numerators, cartan, golden_adjugate
+from .rootsystem import _MODELS, GroupId, _alpha_numerators, _cyclo_map, cartan, golden_adjugate
 
 _INT64_HEADROOM = 1 << 62
 
@@ -102,9 +101,9 @@ def isin_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[at] == keys
 
 
-# Rows per slab: of the frontier in ``closure`` and ``root_sums``, of a
-# level's translation in ``fragment._word_levels``, and of the middle grid
-# in ``affine.enumerate_generalized``.
+# Rows per slab in ``closure``, ``closed_under``, ``root_sums``,
+# ``fragment._word_levels``, ``fragment.orbits``, ``fragment.shell_labels``
+# and ``affine.enumerate_generalized`` (its middle grid).
 _SLAB = 4096
 
 
@@ -126,6 +125,21 @@ def closure(seeds: np.ndarray, gens, cols: int, cap: int) -> np.ndarray:
         if seen.size > cap:
             raise ResourceLimitError(f"reflection closure exceeded cap {cap}")
     return seen
+
+
+def closed_under(keys: np.ndarray, ops, cols: int) -> bool:
+    """Whether the sorted distinct ``keys`` hold every row's image under
+    every compiled op, one slab of ``_SLAB`` rows at a time; an image
+    outside the packed range is no key, so it means "not closed"."""
+    for lo in range(0, len(keys), _SLAB):
+        rows = unpack_keys(keys[lo:lo + _SLAB], cols)
+        for op in ops:
+            try:
+                if not isin_sorted(pack_rows(apply(op, rows)), keys).all():
+                    return False
+            except ResourceLimitError:
+                return False
+    return True
 
 
 def root_sums(roots: np.ndarray, n: int, cap: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -291,14 +305,13 @@ def quadratic_form_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
 def cyclo_rows(x: np.ndarray) -> np.ndarray:
     """(N, 4) rows (p.a, p.b, q.a, q.b) of the cyclotomic images p + q*xi
     of H2 root-lattice rows, those of ``rootsystem.cyclo_from_omega``.  The
-    alpha coordinates c1, c2 are the numerators of A^{-1} v divided exactly
-    by N(det A), and c1 + c2*xi^4 = (c1 - tau*c2) + c2*xi."""
+    alpha coordinates are the numerators of A^{-1} v divided exactly by
+    N(det A), and ``rootsystem._cyclo_map`` maps them to the rows."""
     forms, norm = _alpha_numerators(GroupId.H2)
     num = apply(forms, x)
     if (num % norm).any():
         raise ValueError(f"a row is outside the H2 root lattice: N(det A) = {norm} does not divide it")
-    a1, b1, a2, b2 = (num // norm).T
-    return np.stack([a1 - b2, b1 - a2 - b2, a2, b2], axis=1)
+    return apply(_cyclo_map(), num // norm)
 
 
 def cartesian_rows(group: GroupId, x: np.ndarray) -> np.ndarray:

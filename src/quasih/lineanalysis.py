@@ -28,6 +28,7 @@ from .kernel import (
     compile_forms,
     exact_argmin,
     exact_argsort,
+    isin_sorted,
     pack_rows,
     root_sums,
     unpack_keys,
@@ -177,8 +178,8 @@ def deficiencies_1d(n: int) -> LineSet:
     section, in sigma order: a set difference of packed row keys.  Empty
     for n <= 2 and provably nonempty from n = 3 on."""
     w = Window1D.symmetric(n)
-    rows = sigma_1d(w, w).rows
-    return LineSet(rows[~np.isin(pack_rows(rows), pack_rows(line_closed_form(n).rows))])
+    rows, section = sigma_1d(w, w).rows, np.sort(pack_rows(line_closed_form(n).rows))
+    return LineSet(rows[~isin_sorted(pack_rows(rows), section)])
 
 
 def mn_nn(n: int) -> tuple[int, int]:
@@ -264,18 +265,18 @@ _SHIFT_SLAB = 1 << 16
 
 def scaling_check(n: int) -> bool:
     """tau * L(n) lands inside L(2n), and patterns translate: (L(n) + x)
-    stays inside L(2n) for every x in L(n).  Membership is ``np.isin`` on
-    packed row keys of the enumerated L(2n); L(n) is shifted by a slab of
-    x at a time, so memory stays O(|L(n)|)."""
-    target = pack_rows(line_closed_form(2 * n).rows)
+    stays inside L(2n) for every x in L(n).  Membership is ``isin_sorted``
+    against the packed row keys of the enumerated L(2n), sorted once; L(n)
+    is shifted by a slab of x at a time, so memory stays O(|L(n)|)."""
+    target = np.sort(pack_rows(line_closed_form(2 * n).rows))
     pattern = line_closed_form(n).rows
     tau = compile_forms(lambda x: (TAU * GoldenInt(*x),), 2)
-    if not np.isin(pack_rows(apply(tau, pattern)), target).all():
+    if not isin_sorted(pack_rows(apply(tau, pattern)), target).all():
         return False
     step = _SHIFT_SLAB // (len(pattern) + 1) + 1  # at most _SHIFT_SLAB + |L(n)| sums
     for lo in range(0, len(pattern), step):
         shifted = (pattern[lo:lo + step, None] + pattern).reshape(-1, 2)
-        if not np.isin(pack_rows(shifted), target).all():
+        if not isin_sorted(pack_rows(shifted), target).all():
             return False
     return True
 

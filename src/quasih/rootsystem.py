@@ -384,3 +384,15 @@ def omega_from_cyclo(x: CycloInt) -> OmegaVector:
     c1 = x.p + TAU * x.q
     c2 = x.q
     return omega_from_alpha(AlphaVector(GroupId.H2, (c1, c2)))
+
+
+@lru_cache(maxsize=None)
+def _cyclo_map():
+    """``cyclo_from_omega`` compiled on alpha rows (c1.a, c1.b, c2.a, c2.b)."""
+
+    def cyclo(c):
+        alpha = AlphaVector(GroupId.H2, (GoldenInt(*c[:2]), GoldenInt(*c[2:])))
+        z = cyclo_from_omega(omega_from_alpha(alpha))
+        return z.p, z.q
+
+    return compile_forms(cyclo, 4)

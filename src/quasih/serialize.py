@@ -41,11 +41,6 @@ _SHELL_COLORS = (
 )
 
 
-def _fmt(value: float) -> str:
-    out = f"{value:.12f}"
-    return "0.000000000000" if out == "-0.000000000000" else out
-
-
 def _chunks(fragment: Fragment, normalize: bool):
     """(coefficient rows, Cartesian rows) as lists, CHUNK_ROWS points at a
     time, in fragment order."""
@@ -188,11 +183,8 @@ def line_report_json(doc: dict) -> str:
 
 
 def line_report_csv(doc: dict) -> str:
-    lines = ["kind,value,level,float"]
-    for entry in doc["values"]:
-        lines.append(
-            f"point,{entry['value']},{entry['level']},{_fmt(entry['float'])}"
-        )
-    for entry in doc["deficiencies"]:
-        lines.append(f"deficiency,{entry['value']},,{_fmt(entry['float'])}")
-    return "\n".join(lines) + "\n"
+    """The ``line`` report as CSV; a float rounding to -0 prints as 0."""
+    lines = ["kind,value,level,float\n"]
+    lines += ["point,%s,%d,%.12f\n" % (e["value"], e["level"], e["float"]) for e in doc["values"]]
+    lines += ["deficiency,%s,,%.12f\n" % (e["value"], e["float"]) for e in doc["deficiencies"]]
+    return "".join(lines).replace(",-0.000000000000", ",0.000000000000")

@@ -152,15 +152,18 @@ class TestSchemas:
         assert fragment_svg(f) == fragment_svg(f)
 
 
-def _cli_process(*argv):
+def _cli_process(*argv, stdout=subprocess.PIPE):
     """A cold ``python -m quasih.cli`` child on this checkout's package,
-    its stdout and stderr piped."""
+    its stderr and by default its stdout piped."""
     path = [str(Path(quasih.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.Popen(
         [sys.executable, "-m", "quasih.cli", *argv],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env, stdout=stdout, stderr=subprocess.PIPE,
     )
+
+
+_needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
 class TestOutputErrors:
@@ -183,6 +186,21 @@ class TestOutputErrors:
         assert b"Traceback" not in err
         assert err.decode() == f"error: cannot write --out {target}: No such file or directory\n"
         assert not target.parent.exists()
+
+    @_needs_dev_full
+    def test_full_out_is_usage_error(self):
+        proc = _cli_process("generate", "--group", "h2", "--n", "3", "--out", "/dev/full")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and out == b""
+        assert err.decode() == "error: cannot write --out /dev/full: No space left on device\n"
+
+    @_needs_dev_full
+    def test_full_stdout_is_usage_error(self):
+        with open("/dev/full", "wb") as full:
+            proc = _cli_process("generate", "--group", "h2", "--n", "3", stdout=full)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err.decode() == "error: cannot write stdout: No space left on device\n"
 
 
 class TestWriterMemory:

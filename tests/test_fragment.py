@@ -371,6 +371,12 @@ class TestTenfold:
         with pytest.raises(ValueError):
             check_tenfold(generate(GroupId.H3, 0))
 
+    def test_rotation_past_the_key_range_is_not_invariant(self):
+        # cyclotomic row (1775, 15764, -32547, -24217); its rotation by xi
+        # has q.b = -41000, outside the 16-bit packed range
+        row = np.array([[-20667, -25236, -24094, 15008]], dtype=np.int64)
+        assert not check_tenfold(Fragment.from_rows(GroupId.H2, 0, row, "test"))
+
     @given(st.integers(0, 4), st.one_of(st.none(), st.lists(st.booleans(), min_size=1)))
     @settings(max_examples=60)
     def test_rows_agree_with_scalar_rotation(self, q2, n, keep):

@@ -145,6 +145,37 @@ def _hash_path_calls(source: str) -> list[int]:
     return sorted(lines)
 
 
+def _membership_reads(source: str) -> list[tuple[str, str | None, int]]:
+    """(attribute, enclosing function, line) of every ``np.isin`` and of
+    every read of a ``.coeffs`` attribute, in line order."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and (
+                (child.attr == "isin" and getattr(child.value, "id", None) == "np")
+                or (child.attr == "coeffs" and isinstance(child.ctx, ast.Load))
+            ):
+                found.append((child.attr, func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda hit: hit[2])
+
+
+# The one membership test and the one coefficient read that stay: the
+# root-sum oracle shares no membership code with the word BFS, and
+# ``coeffs`` in ``affine`` is a ``CartanCandidate`` field, not a fragment's.
+_ALLOWED_READS = {
+    ("kernel.py", "isin", "root_sums"),
+    ("affine.py", "coeffs", "border"),
+    ("affine.py", "coeffs", "reference_diff"),
+}
+
+
 class TestSourceHasNoHashUnique:
     def test_detector_flags_both_calls(self):
         source = "np.union1d(a, b)\nnp.unique(x)\nnp.unique(x, return_index=True)\n"
@@ -158,6 +189,25 @@ class TestSourceHasNoHashUnique:
             if (lines := _hash_path_calls(path.read_text()))
         }
         assert found == {}, "use kernel.unique_keys: sort-based, not hashed"
+
+    def test_membership_detector_flags_isin_and_coeffs_reads(self):
+        source = (
+            "def f(x, keys):\n    np.isin(x, keys)\n    x.coeffs = 1\n    return x.coeffs\n"
+            "kernel.isin_sorted(a, b)\nnp.isin(a, b)\nf(x).coeffs[0]\n"
+        )
+        assert _membership_reads(source) == [
+            ("isin", "f", 2), ("coeffs", "f", 4), ("isin", None, 6), ("coeffs", None, 7),
+        ]
+
+    def test_src_has_one_membership_test_and_reads_rows(self):
+        package = Path(kernel.__file__).parent
+        found = [
+            (path.name, attr, func, line)
+            for path in sorted(package.glob("*.py"))
+            for attr, func, line in _membership_reads(path.read_text())
+            if (path.name, attr, func) not in _ALLOWED_READS
+        ]
+        assert found == [], "use kernel.isin_sorted on a sorted table, and Fragment.rows"
 
 
 class TestClosure:
@@ -231,6 +281,83 @@ class TestClosureSlabs:
         with mock.patch.object(kernel, "_SLAB", 3):
             for n, keys in enumerate(expect):
                 assert np.array_equal(generate(GroupId.H2, n).keys, keys)
+
+
+def _closed_reference(rows, ops):
+    """Whether the set of ``rows`` holds every row's image under every
+    (M, off), on Python integers."""
+    present = set(map(tuple, rows))
+    for m, off in ops:
+        m, off = m.tolist(), off.tolist()
+        for r in rows:
+            image = tuple(sum(e * x for e, x in zip(row, r)) + o for row, o in zip(m, off))
+            if image not in present:
+                return False
+    return True
+
+
+@st.composite
+def closed_under_cases(draw):
+    """Keys of ``closure_cases`` seeds, often closed under its generators
+    (which keep the packed range) and then sometimes short of one key,
+    down to none; sometimes one more op, a negation x -> -x or a
+    translation, that pushes a row at an end of the range past it."""
+    seeds, ops, cols = draw(closure_cases())
+    closed = draw(st.sampled_from((False, True, True)))
+    keys = _closure_reference(seeds, ops, cols) if closed else seeds
+    if draw(st.booleans()):
+        keys = np.delete(keys, draw(st.integers(0, keys.size - 1)))
+    push = draw(st.sampled_from(("none", "none", "negate", "translate")))
+    if push != "none":
+        m, off = np.eye(cols, dtype=np.int64), np.zeros(cols, dtype=np.int64)
+        c = draw(st.integers(0, cols - 1))
+        if push == "negate":
+            m[c, c] = -1
+        else:
+            off[c] = 1
+        ops = ops + [(m, off)]
+    return kernel.unpack_keys(keys, cols).tolist(), keys, ops, cols
+
+
+class TestClosedUnder:
+    @given(closed_under_cases(), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_set_reference(self, case, slab):
+        rows, keys, ops, cols = case
+        with mock.patch.object(kernel, "_SLAB", slab):  # keys of many slabs
+            assert kernel.closed_under(keys, ops, cols) == _closed_reference(rows, ops)
+
+    @pytest.mark.parametrize("slab", range(1, 6))
+    def test_fragment_short_of_one_row(self, slab):
+        # every row of the H2 fragment of cut-off 3 but one: the rows whose
+        # images are the dropped one lie in slabs all over the keys
+        f = generate(GroupId.H2, 3)
+        refl = [r.compiled() for r in operators(GroupId.H2).reflections]
+        with mock.patch.object(kernel, "_SLAB", slab):
+            assert kernel.closed_under(f.keys, refl, 4)
+            for drop in range(1, f.size, 7):
+                assert not kernel.closed_under(np.delete(f.keys, drop), refl, 4)
+
+    @pytest.mark.parametrize("cols", (2, 4))
+    def test_empty_keys_are_closed(self, cols):
+        op = (np.eye(cols, dtype=np.int64), np.ones(cols, dtype=np.int64))
+        assert kernel.closed_under(np.zeros(0, dtype=np.uint64), [op], cols)
+
+    @pytest.mark.parametrize("cols", (2, 4))
+    def test_image_past_the_packed_range_is_not_closed(self, cols):
+        # closed under x -> -x in the first column but for the least value,
+        # whose image is one past the greatest
+        half = 1 << (64 // cols - 1)
+        rows = np.zeros((3, cols), dtype=np.int64)
+        rows[:, 0] = [-half, -5, 5]
+        negate = np.eye(cols, dtype=np.int64)
+        negate[0, 0] = -1
+        keys = kernel.pack_rows(rows)
+        assert kernel.closed_under(keys[1:], [(negate, np.zeros(cols, dtype=np.int64))], cols)
+        assert not kernel.closed_under(keys, [(negate, np.zeros(cols, dtype=np.int64))], cols)
+        # an image past the int64 headroom of ``apply`` is outside it too
+        big = (np.eye(cols, dtype=np.int64) << 50, np.zeros(cols, dtype=np.int64))
+        assert not kernel.closed_under(keys, [big], cols)
 
 
 def _scalar_root_sums(roots, n):
