@@ -22,19 +22,21 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .golden import _XI_COMPLEX, PHI, CycloInt, GoldenInt, bilinear_forms, xi_pow
+from .golden import _XI_COMPLEX, PHI, CycloInt, GoldenInt, bilinear_forms, compile_forms, xi_pow
 from .fragment import Fragment, cached_fragment
 from .kernel import (
     ResourceLimitError,
     _absmax,
     _require,
     box_nonnegative,
-    compile_forms,
     cyclo_rows,
     exact_argmin,
+    exact_argsort,
+    golden_sign,
     isin_sorted,
     nonnegative_rows,
     pack_rows,
+    unpack_keys,
 )
 from .rootsystem import GroupId
 
@@ -179,12 +181,6 @@ def fragment_in_window(fragment: Fragment) -> bool:
     return len(nonnegative_rows(_window_forms(fragment.n), rows)) == len(rows)
 
 
-# Rows per slab of pairs in ``min_distance_2d``: a slab's pairs are two
-# int64 blocks of _PAIR_SLAB * N entries, 1 MB at the 1,991 points of
-# Sigma(D(5)).
-_PAIR_SLAB = 32
-
-
 def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:
     """The exact least squared distance over all pairs of the distinct
     module points (p.a, p.b, q.a, q.b) ``rows``, and the smallest float
@@ -192,43 +188,63 @@ def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:
 
     |x - y|^2 = |x|^2 + |y|^2 - (x*conj(y) + conj(x)*y) is an element of
     Z[tau]; ``bilinear_forms`` reads the cross term off ``CycloInt`` as an
-    integer pair.  Rows i of one slab of ``_PAIR_SLAB`` are paired with
-    every row j > i, and ``exact_argmin`` finds each slab's exact minimum,
-    then the least of those.  Every value stays below 2^29 in absolute value, checked up
-    front, so the int64 products cannot wrap.
+    integer pair.  The pairs are swept in order of real part: since
+    Re(xi) = tau/2, 2*Re(x) = (2p.a + q.b) + (2p.b + q.a + q.b)*tau, and
+    ``exact_argsort`` orders its distinct values.  For offsets k = 1, 2, ...
+    each row i still active meets row i + k, and ``exact_argmin`` finds the
+    least of those pairs; row i retires once (2*dRe)^2 > 4*delta, with dRe
+    the real-part gap to row i + k and delta the least value so far, since
+    every later partner is at least that far.  The test is strict, so every
+    pair tied at the minimum is visited.  Memory is O(N).  Every value
+    passed to ``golden_sign`` stays below 2^29 in absolute value, checked
+    up front, so the int64 products cannot wrap.
     """
     if len(rows) < 2:
         raise ValueError("need at least two points for a distance")
     # a pair difference has coefficients of at most 2m, and its squared
-    # distance at most 12 (2m)^2 per coefficient; certification subtracts two
+    # distance at most 12 (2m)^2 = 48m^2 per coefficient; certification
+    # subtracts two.  The doubled real-part gap has coefficients of at most
+    # 6m and 8m, so its square is at most 160m^2, and the retirement test
+    # subtracts 4*delta from it: 160m^2 + 4 * 48m^2 = 352m^2
     m = _absmax(rows)
-    _require(96 * m * m, 1 << 29, "squared distance")
+    _require(352 * m * m, 1 << 29, "squared distance")
 
     def cross(x, y):
         z = _point(x) * _point(y).complex_conj()
         return (z + z.complex_conj()).p
 
+    re2 = np.stack([2 * rows[:, 0] + rows[:, 3], 2 * rows[:, 1] + rows[:, 2] + rows[:, 3]], axis=1)
+    keys, inverse = np.unique(pack_rows(re2), return_inverse=True)
+    distinct = unpack_keys(keys, 2)
+    rank = np.argsort(exact_argsort(distinct[:, 0], distinct[:, 1]))
+    order = np.argsort(rank[inverse], kind="stable")
+    rows, re2 = rows[order], re2[order]
     g0, g1 = bilinear_forms(cross, 4)
-    norm0 = ((rows @ g0) * rows).sum(axis=1) // 2
-    norm1 = ((rows @ g1) * rows).sum(axis=1) // 2
+    cross0, cross1 = rows @ g0, rows @ g1
+    norm0 = (cross0 * rows).sum(axis=1) // 2
+    norm1 = (cross1 * rows).sum(axis=1) // 2
     z = rows[:, 0] + rows[:, 1] * PHI + (rows[:, 2] + rows[:, 3] * PHI) * _XI_COMPLEX
-    best = []
-    for lo in range(0, len(rows) - 1, _PAIR_SLAB):
-        x, rest = rows[lo:lo + _PAIR_SLAB], rows[lo:].T
-        size = len(x)
-        # column c of a block is row lo + c; the pairs are the strict upper
-        # triangle of its leading square and every column after it.  The
-        # minimum is not 0, so no diagonal entry ties with it, and a tie
-        # below the diagonal repeats a pair of the same slab.
-        upper = np.triu(np.ones((size, size), dtype=bool), 1)
-        block0 = norm0[lo:lo + size, None] + norm0[lo:] - (x @ g0) @ rest
-        block1 = norm1[lo:lo + size, None] + norm1[lo:] - (x @ g1) @ rest
-        a, b = (np.concatenate([q[:, :size][upper], q[:, size:].ravel()]) for q in (block0, block1))
-        k = exact_argmin(a, b)
-        i, j = np.nonzero((block0 == a[k]) & (block1 == b[k]))
-        # np.hypot rounds as abs() of a Python complex does
-        d = z[lo + i] - z[lo + j]
-        best.append((a[k], b[k], np.hypot(d.real, d.imag).min()))
-    a, b, dist = (np.array(column) for column in zip(*best))
-    k = exact_argmin(a, b)
-    return GoldenInt(int(a[k]), int(b[k])), float(dist[(a == a[k]) & (b == b[k])].min())
+    best = None
+    active = np.arange(len(rows) - 1)
+    k = 1
+    while active.size:
+        j = active + k
+        if best is not None:
+            ga, gb = (re2[j] - re2[active]).T
+            keep = golden_sign(ga * ga + gb * gb - 4 * best[0], (2 * ga + gb) * gb - 4 * best[1]) <= 0
+            active, j = active[keep], j[keep]
+            if not active.size:
+                break
+        a = norm0[active] + norm0[j] - (cross0[active] * rows[j]).sum(axis=1)
+        b = norm1[active] + norm1[j] - (cross1[active] * rows[j]).sum(axis=1)
+        i = exact_argmin(a, b)
+        sign = 1 if best is None else int(golden_sign(best[0] - a[i], best[1] - b[i]))
+        if sign >= 0:
+            tied = (a == a[i]) & (b == b[i])
+            # np.hypot rounds as abs() of a Python complex does
+            d = z[active[tied]] - z[j[tied]]
+            dist = np.hypot(d.real, d.imag).min()
+            best = (a[i], b[i], dist if sign > 0 else min(dist, best[2]))
+        k += 1
+        active = active[active + k < len(rows)]
+    return GoldenInt(int(best[0]), int(best[1])), float(best[2])

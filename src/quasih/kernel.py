@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .golden import PHI, ZERO, GoldenInt, bilinear_forms, compile_forms
+from .golden import PHI, ZERO, GoldenInt, bilinear_forms
 from .rootsystem import _MODELS, GroupId, _alpha_numerators, _cyclo_map, cartan, golden_adjugate
 
 _INT64_HEADROOM = 1 << 62

@@ -21,11 +21,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fragment import DEFAULT_CAP
-from .golden import TAU, CycloInt, GoldenInt, xi_pow
+from .golden import TAU, CycloInt, GoldenInt, compile_forms, xi_pow
 from .kernel import (
     apply,
     box_nonnegative,
-    compile_forms,
     exact_argmin,
     exact_argsort,
     isin_sorted,

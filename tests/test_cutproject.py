@@ -1,13 +1,14 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quasih import cutproject, kernel
+from quasih import cutproject, golden, kernel
 from quasih.golden import CycloInt, GoldenInt, TAU, xi_pow
 from quasih.rootsystem import GroupId, cyclo_from_omega, roots_omega
 from quasih.fragment import Fragment, ResourceLimitError, generate
@@ -167,7 +168,7 @@ class TestSigma2D:
             return cutproject._edge_forms(x, n) + cutproject._edge_forms(x.star(), n)
 
         rows = np.array(coords, dtype=np.int64)
-        values = kernel.apply(kernel.compile_forms(forms, 4), rows)
+        values = kernel.apply(golden.compile_forms(forms, 4), rows)
         assert values.tolist() == [[c for v in forms(p) for c in (v.a, v.b)] for p in coords]
 
 
@@ -243,19 +244,60 @@ def _scalar_min_distance(points):
     return best, best_float
 
 
+def _assert_equals_scalar(coords):
+    """``min_distance_2d`` of the rows ``coords`` gives the exact value and
+    the ``float.hex`` of ``_scalar_min_distance``."""
+    exact, dist = cutproject.min_distance_2d(np.array(coords, dtype=np.int64))
+    expect_exact, expect_dist = _scalar_min_distance([cutproject._point(c) for c in coords])
+    assert exact == expect_exact
+    assert dist.hex() == expect_dist.hex()
+    return exact, dist
+
+
+@st.composite
+def _sweep_sets(draw):
+    """Distinct module points built to stress the real-part sweep of
+    ``min_distance_2d``, in any order: a column of rows sharing one real
+    part, which never retire while they meet each other, translates of
+    some of the points by one step, whose pairs tie at offsets that differ
+    with the rows between them, a few points anywhere, or just two."""
+    small = st.integers(-4, 4)
+    point = st.tuples(small, small, small, small)
+    rows = set(draw(st.lists(point, max_size=6)))
+    # 2*Re(x) = (2p.a + q.b) + (2p.b + q.a + q.b)*tau stays (ra, rb)
+    ra, rb = draw(small), draw(small)
+    for pa, pb in draw(st.lists(st.tuples(small, small), min_size=2, max_size=12)):
+        qb = ra - 2 * pa
+        rows.add((pa, pb, rb - 2 * pb - qb, qb))
+    step = draw(st.tuples(*[st.integers(-1, 1)] * 4).filter(any))
+    for x in draw(st.lists(st.sampled_from(sorted(rows)), min_size=1, max_size=12)):
+        rows.add(tuple(c + s for c, s in zip(x, step)))
+    if draw(st.sampled_from(range(5))) == 4:
+        rows = set(draw(st.lists(point, min_size=2, max_size=2, unique=True)))
+    assume(len(rows) >= 2)
+    return draw(st.permutations(sorted(rows)))
+
+
 class TestMinDistance2D:
-    @given(st.lists(st.tuples(*[st.integers(-6, 6)] * 4), min_size=2, max_size=40, unique=True),
-           st.sampled_from((1, 3, 32)))
+    @given(st.lists(st.tuples(*[st.integers(-6, 6)] * 4), min_size=2, max_size=40, unique=True))
     @settings(max_examples=80)
-    def test_equals_scalar_brute_force(self, coords, slab):
-        # slabs of 1 and 3 rows put tied pairs in several slabs
-        rows = np.array(coords, dtype=np.int64)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cutproject, "_PAIR_SLAB", slab)
-            exact, dist = cutproject.min_distance_2d(rows)
-        expect_exact, expect_dist = _scalar_min_distance([cutproject._point(c) for c in coords])
-        assert exact == expect_exact
-        assert dist.hex() == expect_dist.hex()
+    def test_equals_scalar_brute_force(self, coords):
+        _assert_equals_scalar(coords)
+
+    @given(_sweep_sets())
+    @settings(max_examples=150)
+    def test_sweep_sets_equal_scalar_brute_force(self, coords):
+        _assert_equals_scalar(coords)
+
+    def test_tie_at_the_retirement_bound_is_visited(self):
+        # 0 and h = -3 + 2*tau differ by a real step, so (2*dRe)^2 = 4|h|^2
+        # exactly; the last row lies between them in real part, which puts
+        # that pair at offset 2, after the pair (y, y + xi*h) at offset 1
+        # has set delta = |h|^2.  The real pair has the least float of the tie
+        exact, dist = _assert_equals_scalar(
+            [(0, 0, 0, 0), (-3, 2, 0, 0), (40, 0, -3, -3), (40, 0, -6, -1), (-27, 17, -20, 12)])
+        assert exact == GoldenInt(13, -8)
+        assert dist.hex() == "0x1.e3779b97f4a80p-3"
 
     @given(st.lists(st.tuples(*[st.integers(-6, 6)] * 4), min_size=2, max_size=30, unique=True),
            st.sampled_from((float("nan"), 100.0, -100.0)))
@@ -266,8 +308,27 @@ class TestMinDistance2D:
         expect = cutproject.min_distance_2d(rows)[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cutproject, "PHI", phi)
-            mp.setattr(cutproject, "_PAIR_SLAB", 3)
             assert cutproject.min_distance_2d(rows)[0] == expect
+
+    @pytest.mark.parametrize("phi", (-golden.PHI, float("nan")))
+    def test_wrong_float_order_of_the_sweep_raises(self, monkeypatch, phi):
+        # 2*Re is 1 in the first row and tau in the second; either float
+        # proposal puts tau first, which is refused, never swept
+        monkeypatch.setattr(kernel, "PHI", phi)
+        rows = np.array([[0, 0, -1, 1], [0, 0, 1, 0]], dtype=np.int64)
+        with pytest.raises(AssertionError, match="not strictly ascending"):
+            cutproject.min_distance_2d(rows)
+
+    def test_peak_traced_allocation(self):
+        # O(N) arrays of the 1,991 rows; the pair blocks took 6.3 MB
+        rows = sigma_2d(5).rows
+        tracemalloc.start()
+        try:
+            cutproject.min_distance_2d(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_window_sets_match_the_float_loop(self, n):
@@ -283,11 +344,25 @@ class TestMinDistance2D:
             cutproject.min_distance_2d(np.zeros((1, 4), dtype=np.int64))
 
     def test_past_int64_guard_raises(self):
-        # pair values must stay below 2^29: coefficients up to 2^11 pass
-        ok = np.array([[0, 0, 0, 0], [1 << 11, 0, 0, 0]], dtype=np.int64)
-        assert cutproject.min_distance_2d(ok)[0] == GoldenInt(1 << 22, 0)
+        # values passed to golden_sign must stay below 2^29: coefficients
+        # up to 2^10 pass
+        ok = np.array([[0, 0, 0, 0], [1 << 10, 0, 0, 0]], dtype=np.int64)
+        assert cutproject.min_distance_2d(ok)[0] == GoldenInt(1 << 20, 0)
         with pytest.raises(ResourceLimitError):
-            cutproject.min_distance_2d(np.array([[0, 0, 0, 0], [1 << 12, 0, 0, 0]], dtype=np.int64))
+            cutproject.min_distance_2d(np.array([[0, 0, 0, 0], [1 << 11, 0, 0, 0]], dtype=np.int64))
+
+    @pytest.mark.parametrize("coords", ("diagonal", "grid"))
+    def test_guard_admits_no_failure_part_way(self, coords):
+        # m = 1,234 is the largest coefficient the guard admits.  The rows
+        # -m, 0 and m in every coordinate meet the widest real-part gap at
+        # offset 2, where golden_sign gets 116 m^2; the grid {-m, 0, m}^4
+        # has many pairs of large values
+        m = 1234
+        cube = (-m, 0, m)
+        points = [(v,) * 4 for v in cube] if coords == "diagonal" else list(itertools.product(cube, repeat=4))
+        _assert_equals_scalar(points)
+        with pytest.raises(ResourceLimitError):
+            cutproject.min_distance_2d(np.array(points, dtype=np.int64) * (m + 1) // m)
 
 
 class TestDeficiencyRows:

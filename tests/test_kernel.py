@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasih import kernel
+from quasih import golden, kernel
 from quasih.affine import operators
 from quasih.fragment import (
     Fragment,
@@ -166,6 +166,19 @@ def _membership_reads(source: str) -> list[tuple[str, str | None, int]]:
     return sorted(found, key=lambda hit: hit[2])
 
 
+def _unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every name an import binds and no expression of the
+    module reads; ``from __future__`` imports bind nothing."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported.setdefault((alias.asname or alias.name).split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
 # The one membership test and the one coefficient read that stay: the
 # root-sum oracle shares no membership code with the word BFS, and
 # ``coeffs`` in ``affine`` is a ``CartanCandidate`` field, not a fragment's.
@@ -208,6 +221,40 @@ class TestSourceHasNoHashUnique:
             if (path.name, attr, func) not in _ALLOWED_READS
         ]
         assert found == [], "use kernel.isin_sorted on a sorted table, and Fragment.rows"
+
+    def test_unused_import_detector(self):
+        source = (
+            "from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+            "from .golden import PHI, compile_forms\n\ndef f(x: np.ndarray):\n    return os.sep, PHI\n"
+        )
+        assert _unused_imports(source) == [(4, "compile_forms")]
+
+    def test_src_imports_only_what_it_uses(self):
+        # ``__init__`` imports to re-export
+        package = Path(kernel.__file__).parent
+        found = {
+            path.name: names
+            for path in sorted(package.glob("*.py"))
+            if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+        }
+        assert found == {}, "import a name from the module that defines it, where it is used"
+
+
+# F(k+1) - F(k)*tau: values near 0 with alternating sign, about 1e-6 apart
+_NEAR_TIES = [(hi, -lo) for lo, hi in zip(_fibonacci(30), _fibonacci(31)[1:])]
+
+
+class TestExactArgmin:
+    @given(st.lists(st.one_of(st.tuples(st.integers(-500, 500), st.integers(-500, 500)),
+                              st.sampled_from(_NEAR_TIES)), min_size=1, max_size=40),
+           st.sampled_from((float("nan"), 100.0, -100.0)))
+    def test_exact_under_a_wrong_float_proposal(self, pairs, phi):
+        # the float argmin only proposes: with nan or a wrong tau the exact
+        # signs still end at the least value
+        a, b = np.array(pairs, dtype=np.int64).T
+        with mock.patch.object(kernel, "PHI", phi):
+            best = kernel.exact_argmin(a, b)
+        assert GoldenInt(int(a[best]), int(b[best])) == min(GoldenInt(x, y) for x, y in pairs)
 
 
 class TestClosure:
@@ -563,14 +610,14 @@ class TestCompiledForms:
     def test_compile_matches_scalar(self, case, points):
         dims, fn = case
         rows = np.array([p[:dims] for p in points], dtype=np.int64)
-        values = kernel.apply(kernel.compile_forms(fn, dims), rows)
+        values = kernel.apply(golden.compile_forms(fn, dims), rows)
         assert values.tolist() == [_flat(fn(tuple(r))) for r in rows.tolist()]
 
     @given(affine_forms(), st.integers(0, 4))
     @settings(max_examples=60)
     def test_box_scan_matches_scalar(self, case, bound):
         dims, fn = case
-        rows = kernel.box_nonnegative(bound, dims, kernel.compile_forms(fn, dims))
+        rows = kernel.box_nonnegative(bound, dims, golden.compile_forms(fn, dims))
         expect = [
             list(p) for p in itertools.product(range(-bound, bound + 1), repeat=dims)
             if all(v.sign() >= 0 for v in fn(p))
@@ -582,7 +629,7 @@ class TestCompiledForms:
     def test_box_scan_exact_under_a_wrong_float_proposal(self, case, bound, phi):
         # the float quotient only proposes each threshold; exact signs move it
         dims, fn = case
-        forms = kernel.compile_forms(fn, dims)
+        forms = golden.compile_forms(fn, dims)
         expect = kernel.box_nonnegative(bound, dims, forms).tolist()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "PHI", phi)
