@@ -17,7 +17,10 @@ recorded in json and csv before the 1D section moved to int64 rows.
 ``generate --group h4 --n 3 --format json`` (every H4 orbit pattern) and
 ``generate --group h2 --n 10 --format svg`` (the benchmark's SVG) were
 recorded before fragments were held as packed keys and orbits, shells and
-the writers ran on slabs of rows.  Any
+the writers ran on slabs of rows.  ``generate --group a2 --n 12`` in csv
+and json (469 points, four coordinates whose c * 1e12 lies within one ulp
+of a half-integer) was recorded before the writers printed decimal text
+from int64 digit tables.  Any
 change to a rendered byte (point order, a float digit, JSON layout) fails
 here.
 """
@@ -77,6 +80,8 @@ DIGESTS = (
     ("line --n 200 --format csv", "e671130d3411eb5cc67531fb6d8a88ea6cb845b1ff5fee81667d40a729084731"),
     ("generate --group h4 --n 3 --format json", "59e907756f07b7f26cbc45dd7a0f31c5b2080a63410761a71ccacafb5fa523e4"),
     ("generate --group h2 --n 10 --format svg", "7a41bbcb38a1b0f93ff3b68fb263a50aee615437834abeb7e6b376e271a3083b"),
+    ("generate --group a2 --n 12 --format csv", "44e5d9c5ac5b4c0b522b66d35b5340ae461b07a6ad272d718420e0744acee024"),
+    ("generate --group a2 --n 12 --format json", "28689009408906e18482cc5e1d73b9fc37791b40cd6436478f7abe8dcae054f4"),
 )
 
 # sha256 of the ``verify`` report with every ``elapsed`` key dropped, dumped
