@@ -296,10 +296,15 @@ def roots(group: GroupId) -> tuple[AlphaVector, ...]:
 
 @lru_cache(maxsize=None)
 def highest_root(group: GroupId) -> OmegaVector:
-    dominant = [v for v in roots_omega(group) if v.is_dominant()]
-    if len(dominant) != 1:
-        raise AssertionError(f"{group} has {len(dominant)} dominant roots")
-    return dominant[0]
+    """The one dominant root, by walking alpha_1 into the dominant chamber:
+    all roots of these groups have one length, so they form one W-orbit
+    whose dominant element is the highest root, and reflecting a root v in
+    a simple root alpha_j with v_j < 0 raises its height (H4: 22 steps)."""
+    refl = [simple_reflection_matrix(group, j) for j in range(group.rank)]
+    v = cartan(group).entries[0]
+    while (j := next((j for j, c in enumerate(v) if c.sign() < 0), None)) is not None:
+        v = mat_vec(refl[j], v)
+    return OmegaVector(group, v)
 
 
 def norm_sq(v: OmegaVector) -> GoldenRational:

@@ -6,8 +6,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 try:
     import jsonschema
@@ -20,8 +23,12 @@ from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.fragment import generate
 from quasih.kernel import cyclo_rows
 from quasih.lineanalysis import LINE_CAP, LineSet, deficiencies_1d
-from quasih.rootsystem import GroupId
+from quasih import serialize
+from quasih.rootsystem import GroupId, OmegaVector, cartesian
 from quasih.serialize import (
+    _decimal_words,
+    _int_words,
+    _text,
     fragment_csv,
     fragment_csv_chunks,
     fragment_json,
@@ -221,6 +228,106 @@ class TestWriterMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+def _near(draw, value, ulps=3):
+    """``value`` or a neighbour at most ``ulps`` doubles away, either sign."""
+    x = float(value) * draw(st.sampled_from((1.0, -1.0)))
+    for _ in range(draw(st.integers(0, ulps))):
+        x = float(np.nextafter(x, draw(st.sampled_from((math.inf, -math.inf)))))
+    return x
+
+
+@st.composite
+def decimal_values(draw, places):
+    """Floats where decimal text is hard to get right at ``places``: ties
+    (k + 0.5) / 10**places and their neighbours, values near the 1e-4 of
+    repr's exponent form and the 1000 of the table, zeros of either sign,
+    tiny values that round to zero, and any double at all."""
+    return draw(st.one_of(
+        st.floats(),
+        st.floats(-2000, 2000),
+        st.floats(-1e-9, 1e-9),
+        st.builds(lambda k: (k + 0.5) / 10 ** places, st.integers(-10 ** 16, 10 ** 16)).flatmap(
+            lambda x: st.composite(lambda d: _near(d, x))()),
+        st.sampled_from((1e-4, 1000.0, 0.5 / 10 ** places, 0.0)).flatmap(
+            lambda x: st.composite(lambda d: _near(d, x, 40))()),
+    ))
+
+
+def _rows(words):
+    return _text(words, "\n")
+
+
+class TestDecimalText:
+    """The digit-table formatter against Python's own text, value by value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-2 ** 63, 2 ** 63 - 1),
+        st.integers(-20_000, 20_000),
+        st.sampled_from((-2 ** 63, 2 ** 63 - 1, -10 ** 18, 10 ** 18 - 1, 0)),
+    ), min_size=1, max_size=40))
+    def test_int_is_percent_d(self, values):
+        x = np.array(values, dtype=np.int64)
+        assert _rows(_int_words(x)) == "".join("%d\n" % v for v in values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(decimal_values(12), min_size=1, max_size=40))
+    def test_fixed_12_is_percent_f_with_unsigned_zero(self, values):
+        expected = ["%.12f" % v for v in values]
+        expected = [t[1:] if t == "-0.000000000000" else t for t in expected]
+        assert _rows(_decimal_words(np.array(values), 12)) == "".join(t + "\n" for t in expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(decimal_values(12), min_size=1, max_size=40))
+    def test_shortest_12_is_repr_of_round(self, values):
+        expected = "".join(repr(round(v, 12) + 0.0) + "\n" for v in values)
+        assert _rows(_decimal_words(np.array(values), 12, shortest=True)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(decimal_values(3), min_size=1, max_size=40))
+    def test_fixed_3_is_percent_f(self, values):
+        expected = "".join("%.3f\n" % v for v in values)
+        assert _rows(_decimal_words(np.array(values), 3, signed_zero=True)) == expected
+
+    def test_chunk_of_cells_keeps_its_rows_and_columns(self):
+        c = np.array([[1.5, -0.0], [1e-5, 1234.5]])
+        words = _decimal_words(c, 12, shortest=True)
+        assert _text(words[:, 0], ",", words[:, 1], ";") == "1.5,0.0;1e-05,1234.5;"
+
+    def test_a2_n12_takes_python_text_for_its_four_ties(self, monkeypatch):
+        # four coordinates of a2 n=12 (+-10.5 * sqrt 2, 14.8492424049175)
+        # have c * 1e12 on a half-integer; every other one is at least one
+        # spacing away and printed from the tables
+        texts = []
+        words = serialize._words
+        monkeypatch.setattr(serialize, "_words", lambda t, w=0: texts.append(t) or words(t, w))
+        fragment = generate(GroupId.A2, 12)
+        fragment_csv(fragment)
+        assert sorted(texts) == ["-14.849242404918"] * 2 + ["14.849242404918"] * 2
+        texts.clear()
+        fragment_json(fragment)
+        assert len(texts) == 4
+
+    def test_svg_scale_is_the_largest_math_hypot(self):
+        # np.hypot differs from math.hypot in the last bit on 1,244 of these
+        # 221,551 points; the writer must scale by the largest math.hypot
+        fragment = generate(GroupId.H2, 20)
+        rows = fragment.rows(0, fragment.size).tolist()
+        xy = [cartesian(OmegaVector.from_flat(GroupId.H2, r)) for r in rows]
+        scale = 450.0 / max(math.hypot(x, y) for x, y in xy)
+        pts = np.array(xy)
+        assert (np.hypot(pts[:, 0], pts[:, 1]) != [math.hypot(x, y) for x, y in xy]).sum() == 1244
+        _, labels = serialize.shell_labels(fragment)
+        colors = serialize._SHELL_COLORS
+        circles = "".join(
+            '\n<circle cx="%.3f" cy="%.3f" r="4" fill="%s"/>'
+            % (500.0 + scale * x, 500.0 - scale * y, colors[s % len(colors)])
+            for (x, y), s in zip(xy, labels.tolist())
+        )
+        svg = fragment_svg(fragment)
+        assert svg[svg.index("\n<circle"):] == circles + "\n</svg>\n"
 
 
 class TestLineCommand:

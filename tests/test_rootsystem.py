@@ -152,6 +152,12 @@ class TestHighestRoot:
     def test_dominant(self, group):
         assert highest_root(group).is_dominant()
 
+    @pytest.mark.parametrize("group", ALL_GROUPS)
+    def test_walk_ends_at_the_one_dominant_root_of_the_closure(self, group):
+        # the chamber walk against the full reflection closure
+        dominant = [v for v in roots_omega(group) if v.is_dominant()]
+        assert dominant == [highest_root(group)]
+
 
 class TestBasisChange:
     def test_h2_alpha1(self):
