@@ -37,10 +37,8 @@ class AffineOperator:
     """An exact affine map v -> matrix.v + offset on omega coordinates."""
 
     group: GroupId
-    kind: str
     matrix: Matrix
     offset: tuple[GoldenInt, ...]
-    index: int | None = None
 
     def apply(self, v: OmegaVector) -> OmegaVector:
         coords = mat_vec(self.matrix, v.coords)
@@ -51,7 +49,7 @@ class AffineOperator:
         m = mat_mul(self.matrix, other.matrix)
         t = mat_vec(self.matrix, other.offset)
         t = tuple(a + b for a, b in zip(t, self.offset))
-        return AffineOperator(self.group, "composite", m, t)
+        return AffineOperator(self.group, m, t)
 
     def power(self, n: int) -> AffineOperator:
         out = identity_operator(self.group)
@@ -82,7 +80,7 @@ class AffineOperator:
 
 def identity_operator(group: GroupId) -> AffineOperator:
     k = group.rank
-    return AffineOperator(group, "identity", golden_identity(k), (ZERO,) * k)
+    return AffineOperator(group, golden_identity(k), (ZERO,) * k)
 
 
 @dataclass(frozen=True)
@@ -123,14 +121,11 @@ def _root_reflection_matrix(group: GroupId, root_omega: OmegaVector) -> Matrix:
 def operators(group: GroupId) -> OperatorSet:
     k = group.rank
     zero = (ZERO,) * k
-    refl = tuple(
-        AffineOperator(group, "reflection", simple_reflection_matrix(group, j), zero, j)
-        for j in range(k)
-    )
+    refl = tuple(AffineOperator(group, simple_reflection_matrix(group, j), zero) for j in range(k))
     ah = highest_root(group)
-    r0 = AffineOperator(group, "root_reflection", _root_reflection_matrix(group, ah), zero)
-    raff = AffineOperator(group, "affine_reflection", r0.matrix, ah.coords)
-    trans = AffineOperator(group, "translation", golden_identity(k), ah.coords)
+    r0 = AffineOperator(group, _root_reflection_matrix(group, ah), zero)
+    raff = AffineOperator(group, r0.matrix, ah.coords)
+    trans = AffineOperator(group, golden_identity(k), ah.coords)
     return OperatorSet(group, refl, r0, raff, trans)
 
 
@@ -143,7 +138,7 @@ def _border_matrix(group: GroupId, border: tuple[GoldenInt, ...]) -> CartanMatri
     rows = [top]
     for i in range(group.rank):
         rows.append((border[i],) + base[i])
-    return CartanMatrix(group, True, tuple(rows))
+    return CartanMatrix(group, tuple(rows))
 
 
 @lru_cache(maxsize=None)

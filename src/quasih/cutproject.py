@@ -11,12 +11,10 @@ sufficient integer box in ``sigma_2d`` and a fragment's points in
 ``fragment_in_window``, so no float decides a member or the scan range.
 Point sets are (N, 4) int64 rows (p.a, p.b, q.a, q.b), compared as packed
 keys; ``CycloInt`` values are built only where they are read.
-``decagon_contains`` is a float reference for tests only.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -40,37 +38,8 @@ from .kernel import (
 )
 from .rootsystem import GroupId
 
-DEFAULT_BOX_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class DecagonWindow:
-    """Regular decagon of circumradius n with vertices on the root rays."""
-
-    n: int
-
-    def vertices(self) -> tuple[CycloInt, ...]:
-        return tuple(xi_pow(j) * self.n for j in range(10))
-
-    def vertices_complex(self) -> tuple[complex, ...]:
-        """The vertices n*exp(i*pi*j/5) as floats, for ``decagon_contains``."""
-        return tuple(cmath.rect(self.n, cmath.pi * j / 5) for j in range(10))
-
-
-def decagon_contains(p: complex, n: int, tol: float = 1e-9) -> bool:
-    """Float half-plane test; boundary counts as inside within tol."""
-    if n < 1:
-        raise ValueError("window radius must be positive")
-    verts = DecagonWindow(n).vertices_complex()
-    for j in range(10):
-        a = verts[j]
-        b = verts[(j + 1) % 10]
-        edge = b - a
-        rel = p - a
-        cross = edge.real * rel.imag - edge.imag * rel.real
-        if cross < -tol * abs(edge):
-            return False
-    return True
+# Largest integer box, in points, that ``sigma_2d`` scans.
+BOX_CAP = 10_000_000
 
 
 def _edge_forms(x: CycloInt, n: int) -> tuple[GoldenInt, ...]:
@@ -82,13 +51,6 @@ def _edge_forms(x: CycloInt, n: int) -> tuple[GoldenInt, ...]:
     """
     edge_conj = xi_pow(9) - xi_pow(0)
     return tuple((xi_pow(-j) * edge_conj * (x - xi_pow(j) * n)).q for j in range(10))
-
-
-def decagon_contains_exact(x: CycloInt, n: int) -> bool:
-    """Exact membership for module points (closed decagon)."""
-    if n < 1:
-        raise ValueError("window radius must be positive")
-    return all(w.sign() >= 0 for w in _edge_forms(x, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +92,7 @@ def _window_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def sigma_2d(n: int, box_cap: int = DEFAULT_BOX_CAP) -> CutProjectSet2D:
+def sigma_2d(n: int) -> CutProjectSet2D:
     """Sigma(D(n)) intersected with D(n): both x and star(x) in the window.
 
     Points x = p + q*xi are scanned over their coordinates
@@ -152,7 +114,7 @@ def sigma_2d(n: int, box_cap: int = DEFAULT_BOX_CAP) -> CutProjectSet2D:
         raise ValueError("window radius must be positive")
     bound = 5 * n // 4 + 1
     volume = (2 * bound + 1) ** 4
-    if volume > box_cap:
+    if volume > BOX_CAP:
         raise ResourceLimitError(f"enumeration box of {volume} points exceeds cap")
     rows = box_nonnegative(bound, 4, _window_forms(n))
     rows.setflags(write=False)

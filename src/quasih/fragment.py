@@ -42,7 +42,6 @@ from .rootsystem import (
     GroupId,
     OmegaVector,
     cartan,
-    cyclo_from_omega,
     golden_det,
     roots_omega,
 )
@@ -102,11 +101,6 @@ class Fragment:
     def point_set(self) -> frozenset[OmegaVector]:
         return frozenset(self.points)
 
-    def cyclo_points(self) -> tuple[CycloInt, ...]:
-        if self.group is not GroupId.H2:
-            raise ValueError("cyclotomic image only exists for H2 fragments")
-        return tuple(cyclo_from_omega(v) for v in self.points)
-
 
 def _word_levels(group: GroupId, n: int, cap: int):
     """The sorted keys of the levels S_0, ..., S_n, one at a time."""
@@ -164,39 +158,6 @@ def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment
     roots = np.array([v.flat() for v in roots_omega(group)], dtype=np.int64)
     levels = kernel.root_sums(roots, n, cap)
     return Fragment(group, n, np.sort(np.concatenate([k for k, _, _ in levels])), "root_sum")
-
-
-def to_dominant(v: OmegaVector) -> tuple[OmegaVector, tuple[int, ...]]:
-    """Reflect any negative coordinate until none is left.
-
-    Returns the dominant representative together with the word applied,
-    as reflection indices in application order (first applied first).
-    """
-    ops = operators(v.group)
-    word: list[int] = []
-    current = v
-    while True:
-        for i, c in enumerate(current.coords):
-            if c.sign() < 0:
-                current = ops.reflections[i].apply(current)
-                word.append(i)
-                break
-        else:
-            return current, tuple(word)
-
-
-def orbit_of(v: OmegaVector) -> frozenset[OmegaVector]:
-    ops = operators(v.group)
-    seen = {v}
-    stack = [v]
-    while stack:
-        p = stack.pop()
-        for r in ops.reflections:
-            q = r.apply(p)
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return frozenset(seen)
 
 
 @dataclass(frozen=True, eq=False)

@@ -173,7 +173,7 @@ def root_sums(roots: np.ndarray, n: int, cap: int) -> list[tuple[np.ndarray, np.
 
 def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
     """Reflect each row at its first negative coordinate until every row is
-    dominant, the rule of ``to_dominant`` applied to all rows at once."""
+    dominant, the rule of ``rootsystem.to_dominant`` applied to all rows at once."""
     x = x.copy()
     active = np.arange(len(x))
     while active.size:

@@ -93,11 +93,6 @@ def _level(u, v):
     return np.minimum.reduce([abs(u - c) + 2 * abs(v + c) + 2 * abs(c) for c in (u, -v, 0)])
 
 
-def line_contains(x: GoldenInt, n: int) -> bool:
-    """O(1) membership test for the closed form."""
-    return bool(_level(x.a, x.b) <= n)
-
-
 def line_bruteforce(n: int) -> LineSet:
     """Independent derivation: the sums of at most n decagonal roots
     xi^0..xi^9 (``kernel.root_sums``) that land exactly on the real axis,
@@ -141,12 +136,6 @@ class Window1D:
     def symmetric(cls, n: GoldenInt | int) -> Window1D:
         n = GoldenInt.coerce(n)
         return cls.make(-n, n)
-
-    def contains(self, x: GoldenInt) -> bool:
-        return (x - self.lo).sign() >= 0 and (self.hi - x).sign() >= 0
-
-    def contains_conj(self, x: GoldenInt) -> bool:
-        return self.contains(x.conj())
 
 
 @lru_cache(maxsize=None)

@@ -63,15 +63,7 @@ _CHAIN: dict[GroupId, tuple[GoldenInt, ...]] = {
 @dataclass(frozen=True)
 class CartanMatrix:
     group: GroupId
-    extended: bool
     entries: Matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij: tuple[int, int]) -> GoldenInt:
-        return self.entries[ij[0]][ij[1]]
 
 
 @dataclass(frozen=True)
@@ -208,7 +200,7 @@ def cartan(group: GroupId) -> CartanMatrix:
     for i, bond in enumerate(chain):
         entries[i][i + 1] = bond
         entries[i + 1][i] = bond
-    return CartanMatrix(group, False, tuple(tuple(row) for row in entries))
+    return CartanMatrix(group, tuple(tuple(row) for row in entries))
 
 
 @lru_cache(maxsize=None)
@@ -270,41 +262,50 @@ def simple_reflection_matrix(group: GroupId, j: int) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
+def orbit_of(v: OmegaVector) -> frozenset[OmegaVector]:
+    """The W-orbit of v: its closure under the simple reflections."""
+    refl = [simple_reflection_matrix(v.group, j) for j in range(v.group.rank)]
+    seen = {v.coords}
+    stack = [v.coords]
+    while stack:
+        p = stack.pop()
+        for m in refl:
+            q = mat_vec(m, p)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return frozenset(OmegaVector(v.group, c) for c in seen)
+
+
+def to_dominant(v: OmegaVector) -> tuple[OmegaVector, tuple[int, ...]]:
+    """Reflect in the first negative coordinate until none is left.
+
+    Returns the dominant representative together with the word applied,
+    as reflection indices in application order (first applied first).
+    """
+    refl = [simple_reflection_matrix(v.group, j) for j in range(v.group.rank)]
+    coords, word = v.coords, []
+    while (j := next((j for j, c in enumerate(coords) if c.sign() < 0), None)) is not None:
+        coords = mat_vec(refl[j], coords)
+        word.append(j)
+    return OmegaVector(v.group, coords), tuple(word)
+
+
 @lru_cache(maxsize=None)
 def roots_omega(group: GroupId) -> tuple[OmegaVector, ...]:
-    """The full root system in omega coordinates, by reflection closure."""
-    k = group.rank
-    refl = [simple_reflection_matrix(group, j) for j in range(k)]
-    a = cartan(group).entries
-    seen = {a[j] for j in range(k)}
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for m in refl:
-            w = mat_vec(m, v)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    ordered = sorted(seen, key=lambda c: tuple((g.a, g.b) for g in c))
-    return tuple(OmegaVector(group, c) for c in ordered)
-
-
-def roots(group: GroupId) -> tuple[AlphaVector, ...]:
-    """The root system in simple-root coordinates (always integral)."""
-    return tuple(alpha_vector_from_omega(v) for v in roots_omega(group))
+    """The full root system in omega coordinates, in row order: all roots
+    of these groups have one length, so they form one W-orbit, that of
+    alpha_1, whose omega row is the first row of the Cartan matrix."""
+    alpha_1 = OmegaVector(group, cartan(group).entries[0])
+    return tuple(sorted(orbit_of(alpha_1), key=OmegaVector.flat))
 
 
 @lru_cache(maxsize=None)
 def highest_root(group: GroupId) -> OmegaVector:
-    """The one dominant root, by walking alpha_1 into the dominant chamber:
-    all roots of these groups have one length, so they form one W-orbit
-    whose dominant element is the highest root, and reflecting a root v in
-    a simple root alpha_j with v_j < 0 raises its height (H4: 22 steps)."""
-    refl = [simple_reflection_matrix(group, j) for j in range(group.rank)]
-    v = cartan(group).entries[0]
-    while (j := next((j for j, c in enumerate(v) if c.sign() < 0), None)) is not None:
-        v = mat_vec(refl[j], v)
-    return OmegaVector(group, v)
+    """The one dominant root, the dominant element of the orbit of alpha_1:
+    reflecting a root v in a simple root alpha_j with v_j < 0 raises its
+    height (H4: 22 steps)."""
+    return to_dominant(OmegaVector(group, cartan(group).entries[0]))[0]
 
 
 def norm_sq(v: OmegaVector) -> GoldenRational:
@@ -381,14 +382,6 @@ def cyclo_from_omega(v: OmegaVector) -> CycloInt:
         raise ValueError("cyclotomic form only exists for H2")
     c1, c2 = (c.as_golden() for c in alpha_from_omega(v))
     return CycloInt.from_golden(c1) + xi_pow(4) * c2
-
-
-def omega_from_cyclo(x: CycloInt) -> OmegaVector:
-    """Inverse of cyclo_from_omega: with xi = tau*xi^0 + xi^4 the alpha
-    coordinates of p + q*xi are (p + tau*q, q)."""
-    c1 = x.p + TAU * x.q
-    c2 = x.q
-    return omega_from_alpha(AlphaVector(GroupId.H2, (c1, c2)))
 
 
 @lru_cache(maxsize=None)

@@ -278,7 +278,7 @@ class TestEnumeration:
         # a symmetric block with a negative determinant: the exact minors
         # refuse it instead of counting its candidates as PSD
         entries = ((GoldenInt(2), GoldenInt(-3)), (GoldenInt(-3), GoldenInt(2)))
-        monkeypatch.setattr(affine, "cartan", lambda group: CartanMatrix(group, False, entries))
+        monkeypatch.setattr(affine, "cartan", lambda group: CartanMatrix(group, entries))
         with pytest.raises(AssertionError, match="not positive definite"):
             enumerate_generalized.__wrapped__(GroupId.H2, 2)
 

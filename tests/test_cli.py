@@ -493,3 +493,15 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "--only", "nope")
         assert exc.value.code == 1
+
+
+class TestReadme:
+    def test_library_quick_start_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == [
+            "61",
+            "[10, 10, 5, 5, 1, 5, 10, 10, 5]",
+            "['1-2*tau', '-1+2*tau']",
+        ]

@@ -12,14 +12,8 @@ from quasih import cutproject, golden, kernel
 from quasih.golden import CycloInt, GoldenInt, TAU, xi_pow
 from quasih.rootsystem import GroupId, cyclo_from_omega, roots_omega
 from quasih.fragment import Fragment, ResourceLimitError, generate
-from quasih.cutproject import (
-    DecagonWindow,
-    decagon_contains,
-    decagon_contains_exact,
-    deficiencies_2d,
-    fragment_in_window,
-    sigma_2d,
-)
+from quasih.cutproject import deficiencies_2d, fragment_in_window, sigma_2d
+from oracles import DecagonWindow, cyclo_points, decagon_contains, decagon_contains_exact
 
 
 def _module_point(x1, x2, x3, x4):
@@ -102,14 +96,14 @@ class TestStarOnRoots:
 class TestSigma2D:
     @pytest.mark.parametrize("n", (1, 2))
     def test_equals_fragment_at_small_n(self, n):
-        assert sigma_2d(n).point_set() == set(generate(GroupId.H2, n).cyclo_points())
+        assert sigma_2d(n).point_set() == set(cyclo_points(generate(GroupId.H2, n)))
 
     def test_n1_count(self):
         assert sigma_2d(1).size == 11
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_contains_fragment(self, n):
-        assert set(generate(GroupId.H2, n).cyclo_points()) <= sigma_2d(n).point_set()
+        assert set(cyclo_points(generate(GroupId.H2, n))) <= sigma_2d(n).point_set()
 
     @pytest.mark.parametrize("n", (1, 3))
     def test_members_and_stars_in_window(self, n):
@@ -126,9 +120,11 @@ class TestSigma2D:
         keys = [x.sort_key() for x in sigma_2d(2).points]
         assert keys == sorted(keys)
 
-    def test_box_cap(self):
+    def test_box_cap(self, monkeypatch):
+        # uncached, so a memoized sigma_2d(5) cannot skip the cap
+        monkeypatch.setattr(cutproject, "BOX_CAP", 10)
         with pytest.raises(ResourceLimitError):
-            sigma_2d(5, box_cap=10)
+            sigma_2d.__wrapped__(5)
 
     def test_largest_n_under_default_cap(self, monkeypatch):
         # |x_i| <= 5n//4 + 1: 55^4 boxes fit at n = 21, 57^4 do not at n = 22;
@@ -210,7 +206,7 @@ class TestFragmentInWindow:
         cutoff = max(n - 1, 1)
         inside = np.array([
             (decagon_contains_exact(x, cutoff), decagon_contains_exact(x.star(), cutoff))
-            for x in whole.cyclo_points()
+            for x in cyclo_points(whole)
         ])
         for keep in (slice(None), inside[:, 0], inside[:, 1]):
             f = Fragment.from_rows(GroupId.H2, cutoff, whole.coeffs[keep], "test")
@@ -224,7 +220,7 @@ class TestFragmentInWindow:
         # the dominant outer point n*alpha_H maps to the window vertex n*xi^2
         n = 3
         f = generate(GroupId.H2, n)
-        assert xi_pow(2) * n in set(f.cyclo_points())
+        assert xi_pow(2) * n in set(cyclo_points(f))
         assert xi_pow(2) * n in set(DecagonWindow(n).vertices())
 
 
@@ -332,7 +328,7 @@ class TestMinDistance2D:
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_window_sets_match_the_float_loop(self, n):
-        for points in (sigma_2d(n).points, generate(GroupId.H2, n).cyclo_points()):
+        for points in (sigma_2d(n).points, cyclo_points(generate(GroupId.H2, n))):
             rows = np.array([x.sort_key() for x in points], dtype=np.int64)
             exact, dist = cutproject.min_distance_2d(rows)
             expect_exact, expect_dist = _scalar_min_distance(points)
@@ -368,7 +364,7 @@ class TestMinDistance2D:
 class TestDeficiencyRows:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equal_the_scalar_list_in_order(self, n):
-        fragment_points = frozenset(generate(GroupId.H2, n).cyclo_points())
+        fragment_points = frozenset(cyclo_points(generate(GroupId.H2, n)))
         expect = [x for x in sigma_2d(n).points if x not in fragment_points]
         assert list(deficiencies_2d(n)) == expect
         assert cutproject.deficiency_rows_2d(n).tolist() == [list(x.sort_key()) for x in expect]

@@ -18,7 +18,6 @@ from quasih.fragment import (
     generate,
     generate_rootsum,
     shell_labels,
-    to_dominant,
 )
 from quasih.golden import GoldenInt, GoldenRational
 from quasih.rootsystem import (
@@ -34,7 +33,9 @@ from quasih.rootsystem import (
     golden_adjugate,
     norm_sq,
     omega_from_alpha,
+    to_dominant,
 )
+from oracles import cyclo_points
 
 GROUPS = tuple(GroupId)
 SIGN_LIMIT = (1 << 29) - 1
@@ -179,6 +180,42 @@ def _unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _unreferenced_definitions(sources: dict[str, str], kept: set[str]) -> list[tuple[str, str]]:
+    """(file, name) of every module-level function or class of ``sources``
+    that no name or attribute in any of them reads, apart from ``kept``
+    and the checks registered with ``@_check``."""
+    defined, read = [], set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_check"
+                for d in node.decorator_list
+            ):
+                defined.append((path, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    read |= kept
+    return sorted((path, name) for path, name in defined if name not in read)
+
+
+def _traced_names() -> set[str]:
+    """The functions in ``LAYERS`` and the classes in ``COUNTED`` of
+    ``perfbench/tracer.py``, which looks them up by name."""
+    tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("LAYERS", "COUNTED")
+    }
+    return {f for names in tables["LAYERS"].values() for f in names} | {
+        cls for cls, _ in tables["COUNTED"].values()
+    }
+
+
 # The one membership test and the one coefficient read that stay: the
 # root-sum oracle shares no membership code with the word BFS, and
 # ``coeffs`` in ``affine`` is a ``CartanCandidate`` field, not a fragment's.
@@ -238,6 +275,22 @@ class TestSourceHasNoHashUnique:
             if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
         }
         assert found == {}, "import a name from the module that defines it, where it is used"
+
+    def test_unreferenced_definition_detector(self):
+        sources = {
+            "a.py": "def used():\n    pass\n\ndef orphan():\n    used()\n\nclass Kept:\n    pass\n",
+            "b.py": "import a\n\n@_check('x')\ndef _x():\n    return a.used\n\ndef _helper():\n    pass\n",
+        }
+        assert _unreferenced_definitions(sources, {"Kept"}) == [("a.py", "orphan"), ("b.py", "_helper")]
+
+    def test_src_holds_no_test_only_code(self):
+        # ``__init__`` re-exports every public name, so it reads none
+        package = Path(kernel.__file__).parent
+        sources = {
+            path.name: path.read_text() for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+        }
+        found = _unreferenced_definitions(sources, _traced_names())
+        assert found == [], "move code that only tests call to tests/oracles.py"
 
 
 # F(k+1) - F(k)*tau: values near 0 with alternating sign, about 1e-6 apart
@@ -683,7 +736,7 @@ class TestCycloRows:
 
     def test_fragment_rows(self):
         f = generate(GroupId.H2, 4)
-        expect = [list(x.sort_key()) for x in f.cyclo_points()]
+        expect = [list(x.sort_key()) for x in cyclo_points(f)]
         assert kernel.cyclo_rows(f.coeffs).tolist() == expect
 
     def test_row_outside_the_root_lattice_raises(self):

@@ -18,13 +18,13 @@ from quasih.lineanalysis import (
     levels,
     line_bruteforce,
     line_closed_form,
-    line_contains,
     min_distance_compare,
     mn_nn,
     rootsum_witnesses,
     scaling_check,
     sigma_1d,
 )
+from oracles import cyclo_points, line_contains, window_contains
 
 
 def gset(values):
@@ -258,7 +258,7 @@ class TestSigma1DScan:
             GoldenInt(a, b)
             for a in range(-12, 13)
             for b in range(-12, 13)
-            if region.contains(GoldenInt(a, b)) and window.contains_conj(GoldenInt(a, b))
+            if window_contains(region, GoldenInt(a, b)) and window_contains(window, GoldenInt(a, b).conj())
         ]
         got = sigma_1d(window, region)
         assert got.value_set() == set(expect) and got.size == len(expect)
@@ -335,7 +335,7 @@ class TestDecompose:
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive_over_fragment(self, n):
         witnesses = rootsum_witnesses(n)
-        assert set(witnesses) == set(generate(GroupId.H2, n).cyclo_points())
+        assert set(witnesses) == set(cyclo_points(generate(GroupId.H2, n)))
         for point, beta in witnesses.items():
             d = decompose(point, n, beta)
             rebuilt = (CycloInt.from_golden(d.y) + xi_pow(1) * d.z) * xi_pow(d.sector)
@@ -489,5 +489,5 @@ class TestFragmentConsistency:
     @pytest.mark.parametrize("n", range(5))
     def test_real_axis_section_matches_closed_form(self, n):
         fragment = generate(GroupId.H2, n)
-        section = {x.p for x in fragment.cyclo_points() if x.is_real()}
+        section = {x.p for x in cyclo_points(fragment) if x.is_real()}
         assert section == line_closed_form(n).value_set()

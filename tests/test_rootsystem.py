@@ -1,8 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from quasih import kernel
+from quasih.affine import operators
 
 from quasih.golden import GoldenInt, GoldenRational, ONE, TAU, TAU_CONJ, ZERO
 from quasih.rootsystem import (
@@ -20,12 +24,11 @@ from quasih.rootsystem import (
     highest_root,
     norm_sq,
     omega_from_alpha,
-    omega_from_cyclo,
-    roots,
     roots_omega,
     simple_reflection_matrix,
     mat_vec,
 )
+from oracles import omega_from_cyclo
 
 ALL_GROUPS = (GroupId.A2,) + H_GROUPS
 
@@ -98,6 +101,16 @@ class TestRoots:
     def test_counts(self, group, count):
         assert len(roots_omega(group)) == count
 
+    @pytest.mark.parametrize("group", ALL_GROUPS)
+    def test_orbit_of_alpha_1_is_the_closure_of_every_simple_root(self, group):
+        # an independent path: every simple-root row as a seed, closed under
+        # the compiled reflections on packed int64 keys
+        refl = [r.compiled() for r in operators(group).reflections]
+        seeds = np.array([OmegaVector(group, row).flat() for row in cartan(group).entries], dtype=np.int64)
+        cols = 2 * group.rank
+        keys = kernel.closure(kernel.unique_keys(kernel.pack_rows(seeds)), refl, cols, cap=1000)
+        assert [v.flat() for v in roots_omega(group)] == [tuple(r) for r in kernel.unpack_keys(keys, cols).tolist()]
+
     def test_h2_roots_match_reference_list(self):
         expected = set()
         for c1, c2 in [(1, 0), (0, 1)]:
@@ -105,7 +118,7 @@ class TestRoots:
         for pair in [(ONE, TAU), (TAU, ONE), (TAU, TAU)]:
             expected.add(AlphaVector.make(GroupId.H2, pair))
         expected |= {-v for v in expected}
-        assert set(roots(GroupId.H2)) == expected
+        assert {alpha_vector_from_omega(v) for v in roots_omega(GroupId.H2)} == expected
 
     @pytest.mark.parametrize("group", ALL_GROUPS)
     def test_closed_under_negation_and_reflection(self, group):
