@@ -20,7 +20,10 @@ recorded before fragments were held as packed keys and orbits, shells and
 the writers ran on slabs of rows.  ``generate --group a2 --n 12`` in csv
 and json (469 points, four coordinates whose c * 1e12 lies within one ulp
 of a half-integer) was recorded before the writers printed decimal text
-from int64 digit tables.  Any
+from int64 digit tables.  ``generate --group h2 --n 10 --format json``
+(1,571 orbits, 738 shells) and ``generate --group h3 --n 5 --format json``
+(320 orbits, 182 shells) were recorded before orbits and shells became
+counted records, with each shell's size counted from the row labels.  Any
 change to a rendered byte (point order, a float digit, JSON layout) fails
 here.
 """
@@ -82,6 +85,8 @@ DIGESTS = (
     ("generate --group h2 --n 10 --format svg", "7a41bbcb38a1b0f93ff3b68fb263a50aee615437834abeb7e6b376e271a3083b"),
     ("generate --group a2 --n 12 --format csv", "44e5d9c5ac5b4c0b522b66d35b5340ae461b07a6ad272d718420e0744acee024"),
     ("generate --group a2 --n 12 --format json", "28689009408906e18482cc5e1d73b9fc37791b40cd6436478f7abe8dcae054f4"),
+    ("generate --group h2 --n 10 --format json", "196cce3d57b2d802581b9094486907ac8165f971641ac515ee15f88c02aa2ff6"),
+    ("generate --group h3 --n 5 --format json", "c8a74153e899af7267f76d87a4dc3c729d461e1b9913494ba449cb46e363175c"),
 )
 
 # sha256 of the ``verify`` report with every ``elapsed`` key dropped, dumped
