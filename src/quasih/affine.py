@@ -17,7 +17,6 @@ import numpy as np
 from .golden import GoldenInt, ONE, ZERO, compile_forms
 from .kernel import _INT64_HEADROOM, _SLAB, ResourceLimitError, _require, quadratic_forms
 from .rootsystem import (
-    CartanMatrix,
     GroupId,
     Matrix,
     OmegaVector,
@@ -132,17 +131,17 @@ def operators(group: GroupId) -> OperatorSet:
 # ---------------------------------------------------------------------------
 # extended Cartan matrices and their defining conditions
 
-def _border_matrix(group: GroupId, border: tuple[GoldenInt, ...]) -> CartanMatrix:
-    base = cartan(group).entries
+def _border_matrix(group: GroupId, border: tuple[GoldenInt, ...]) -> Matrix:
+    base = cartan(group)
     top = (GoldenInt(2),) + border
     rows = [top]
     for i in range(group.rank):
         rows.append((border[i],) + base[i])
-    return CartanMatrix(group, tuple(rows))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def extended_cartan(group: GroupId) -> CartanMatrix:
+def extended_cartan(group: GroupId) -> Matrix:
     """Adjoin alpha_0 = -alpha_H: the border entries are -<alpha_H omega>."""
     return _border_matrix(group, tuple(-c for c in highest_root(group).coords))
 
@@ -162,8 +161,7 @@ class ConditionReport:
         return self.diagonal_ok and self.symmetric_ok and self.nonpositive_ok and self.det_zero_ok
 
 
-def verify_conditions(m: CartanMatrix) -> ConditionReport:
-    e = m.entries
+def verify_conditions(e: Matrix) -> ConditionReport:
     k = len(e)
     diagonal_ok = all(e[i][i] == GoldenInt(2) for i in range(k))
     symmetric_ok = all(e[i][j] == e[j][i] for i in range(k) for j in range(k))
@@ -218,7 +216,7 @@ def verify_identities(group: GroupId, extended: bool = False) -> IdentityReport:
     and that no smaller positive power is the identity."""
     ops = operators(group)
     gens = ops.generators(extended)
-    matrix = (extended_cartan(group) if extended else cartan(group)).entries
+    matrix = extended_cartan(group) if extended else cartan(group)
     results = []
     for i in range(len(gens)):
         for j in range(i, len(gens)):
@@ -246,7 +244,7 @@ ENUMERATION_CAP = 10_000_000
 class CartanCandidate:
     group: GroupId
     coeffs: tuple[int, ...]
-    matrix: CartanMatrix = field(compare=False)
+    matrix: Matrix = field(compare=False)
 
     def border(self) -> tuple[GoldenInt, ...]:
         it = iter(self.coeffs)
@@ -261,7 +259,6 @@ class EnumerationResult:
     group: GroupId
     coeff_bound: int
     candidates: tuple[CartanCandidate, ...]
-    psd_count: int
 
     @property
     def count(self) -> int:
@@ -289,7 +286,7 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
     ``ENUMERATION_CAP`` points raises ``ResourceLimitError`` before
     anything is allocated, so the cap bounds the time.  Every hit is
     re-checked with the GoldenInt cofactor determinant.  Every candidate
-    is positive semidefinite, which ``psd_count`` records exactly.
+    is positive semidefinite, which the exact minors of A certify.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -300,7 +297,7 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
         raise ResourceLimitError(
             f"generalized-Cartan grid of {volume} points exceeds cap {ENUMERATION_CAP}"
         )
-    det_a = golden_det(cartan(group).entries)
+    det_a = golden_det(cartan(group))
     target = np.array([2 * det_a.a, 2 * det_a.b], dtype=np.int64)
     forms = quadratic_forms(group)  # column 0 is the lead, column -1 the last
     _require(2 * int(np.abs(forms).sum()) * coeff_bound**2, _INT64_HEADROOM, "Cartan form")
@@ -339,17 +336,17 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
         it = iter(coeffs)
         border = tuple(GoldenInt(x, y) for x, y in zip(it, it))
         matrix = _border_matrix(group, border)
-        if not golden_det(matrix.entries).is_zero():
+        if not golden_det(matrix).is_zero():
             raise AssertionError(f"Schur/cofactor determinant mismatch at {coeffs}")
         candidates.append(CartanCandidate(group, coeffs, matrix))
 
     # A is positive definite (its leading principal minors are > 0), and a
     # bordered matrix has det = det(A) * (2 - w^T A^{-1} w), so det = 0 puts
     # its Schur complement at 0: every candidate is positive semidefinite.
-    a = cartan(group).entries
+    a = cartan(group)
     if not all(golden_det(tuple(row[:m] for row in a[:m])).sign() > 0 for m in range(1, k + 1)):
         raise AssertionError(f"the {group.value} Cartan matrix is not positive definite")
-    return EnumerationResult(group, coeff_bound, tuple(candidates), len(candidates))
+    return EnumerationResult(group, coeff_bound, tuple(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +384,6 @@ class TableDiff:
     extras: tuple[tuple[int, ...], ...]
     table_count: int
     enumerated_count: int
-    psd_count: int
 
     @property
     def table_covered(self) -> bool:
@@ -400,6 +396,4 @@ def reference_diff(group: GroupId, coeff_bound: int = 3) -> TableDiff:
     table = set(reference_table(group))
     missing = tuple(sorted(table - found))
     extras = tuple(sorted(found - table))
-    return TableDiff(
-        group, coeff_bound, missing, extras, len(table), result.count, result.psd_count
-    )
+    return TableDiff(group, coeff_bound, missing, extras, len(table), result.count)

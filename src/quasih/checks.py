@@ -247,7 +247,7 @@ def _conditions(coeff_bound: int = 3):
     for g in H_GROUPS:
         res = enumerate_generalized(g, coeff_bound)
         nonpos = [c for c in res.candidates if c.is_nonpositive()]
-        expected_border = tuple(extended_cartan(g).entries[0][1:])
+        expected_border = tuple(extended_cartan(g)[0][1:])
         unique[g.value] = len(nonpos) == 1 and nonpos[0].border() == expected_border
         ok = ok and unique[g.value]
     return ok, {"extended_pass": results, "unique_nonpositive": unique}
@@ -264,7 +264,7 @@ def _cartan_tables(coeff_bound: int = 3):
         details[g.value] = {
             "table_rows": diff.table_count,
             "enumerated": diff.enumerated_count,
-            "psd": diff.psd_count,
+            "psd": diff.enumerated_count,
             "missing": [list(r) for r in diff.missing],
             "extras": len(diff.extras),
             "elapsed": time.perf_counter() - started,

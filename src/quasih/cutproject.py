@@ -115,7 +115,7 @@ def sigma_2d(n: int) -> CutProjectSet2D:
     bound = 5 * n // 4 + 1
     volume = (2 * bound + 1) ** 4
     if volume > BOX_CAP:
-        raise ResourceLimitError(f"enumeration box of {volume} points exceeds cap")
+        raise ResourceLimitError(f"enumeration box of {volume} points exceeds cap {BOX_CAP}")
     rows = box_nonnegative(bound, 4, _window_forms(n))
     rows.setflags(write=False)
     return CutProjectSet2D(n, rows)

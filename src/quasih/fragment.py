@@ -21,8 +21,8 @@ reproducible bit for bit.
 read of a fragment; ``coeffs``, every row at once, and ``points``, the
 ``OmegaVector`` tuple, are built on first access only, for the tests and
 small n.  Closure, orbits, shells and the ten-fold check run on keys and
-slabs of rows through ``quasih.kernel``; orbits and shells hold row
-indices and build ``OmegaVector`` members only when read.  A coefficient
+slabs of rows through ``quasih.kernel``; an orbit is recorded by its
+dominant point and size, a shell by its exact norm and size.  A coefficient
 outside the key range raises ``ResourceLimitError`` instead of wrapping;
 points of cut-off n have coefficients of at most 2n in absolute value,
 far inside the range at any size the cap admits.
@@ -30,7 +30,7 @@ far inside the range at any size the cap admits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -90,13 +90,9 @@ class Fragment:
         rows.setflags(write=False)
         return rows
 
-    def points_at(self, index) -> tuple[OmegaVector, ...]:
-        rows = kernel.unpack_keys(self.keys[index], 2 * self.group.rank)
-        return tuple(OmegaVector.from_flat(self.group, row) for row in rows.tolist())
-
     @cached_property
     def points(self) -> tuple[OmegaVector, ...]:
-        return self.points_at(slice(None))
+        return tuple(OmegaVector.from_flat(self.group, row) for row in self.rows().tolist())
 
     def point_set(self) -> frozenset[OmegaVector]:
         return frozenset(self.points)
@@ -160,29 +156,13 @@ def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment
     return Fragment(group, n, np.sort(np.concatenate([k for k, _, _ in levels])), "root_sum")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OrbitRecord:
     """One orbit of a fragment under the finite reflection group W: its
-    dominant point, its size, and as ``index`` the row indices of its
-    members, the fragment's rows in the orbit of ``dominant`` (grown from it
-    by ``kernel.closure``), in row order.  ``index`` and ``members`` are
-    computed on first read only."""
+    dominant point and its number of points."""
 
     dominant: OmegaVector
     size: int
-    fragment: Fragment = field(repr=False)
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        group = self.fragment.group
-        refl = [r.compiled() for r in operators(group).reflections]
-        seed = kernel.pack_rows(np.array([self.dominant.flat()], dtype=np.int64))
-        orbit = kernel.closure(seed, refl, 2 * group.rank, DEFAULT_CAP)
-        return np.flatnonzero(kernel.isin_sorted(self.fragment.keys, orbit))
-
-    @cached_property
-    def members(self) -> tuple[OmegaVector, ...]:
-        return self.fragment.points_at(self.index)
 
 
 @lru_cache(maxsize=None)
@@ -213,59 +193,43 @@ def _orbit_sizes(group: GroupId) -> np.ndarray:
 
 
 def orbits(fragment: Fragment) -> tuple[OrbitRecord, ...]:
-    """Partition into reflection-group orbits keyed by dominant point, in
-    the order of the dominant points' keys.
+    """Partition of a W-invariant fragment into reflection-group orbits
+    keyed by dominant point, in the order of the dominant points' keys.
 
-    A W-invariant fragment holds exactly one dominant row, with every
-    coordinate >= 0, per orbit, and that orbit has ``_orbit_sizes`` points:
-    once the keys are sorted and distinct and ``kernel.closed_under`` the
+    Such a fragment holds exactly one dominant row, with every coordinate
+    >= 0, per orbit, and that orbit has ``_orbit_sizes`` points: once the
+    keys are sorted and distinct and ``kernel.closed_under`` the
     reflections, one ``golden_sign`` pass over slabs of rows finds them.
-    Any other row set falls back to the ``kernel.dominant_rows`` sweep and
-    counts its rows per dominant point.
+    Any other row set raises ``ValueError``.
     """
     group = fragment.group
     k = group.rank
     refl = [r.compiled() for r in operators(group).reflections]
     keys = fragment.keys
-    if (keys[1:] > keys[:-1]).all() and kernel.closed_under(keys, refl, 2 * k):
-        dominant = np.empty(fragment.size, dtype=bool)
-        for start in range(0, fragment.size, kernel._SLAB):
-            rows = fragment.rows(start, start + kernel._SLAB)
-            sign = kernel.golden_sign(rows[:, 0::2], rows[:, 1::2])
-            dominant[start:start + len(rows)] = (sign >= 0).all(axis=1)
-        dom = kernel.unpack_keys(keys[dominant], 2 * k)
-        zero = (dom[:, 0::2] == 0) & (dom[:, 1::2] == 0)
-        sizes = _orbit_sizes(group)[(zero << np.arange(k)).sum(axis=1)]
-        if sizes.sum() != fragment.size:
-            raise AssertionError("the orbit sizes of an invariant fragment do not sum to its size")
-    else:
-        distinct, sizes = np.unique(
-            kernel.pack_rows(kernel.dominant_rows(fragment.rows(), refl)), return_counts=True
-        )
-        dom = kernel.unpack_keys(distinct, 2 * k)
+    if not ((keys[1:] > keys[:-1]).all() and kernel.closed_under(keys, refl, 2 * k)):
+        raise ValueError("orbits needs sorted distinct keys closed under the reflections")
+    dominant = np.empty(fragment.size, dtype=bool)
+    for start in range(0, fragment.size, kernel._SLAB):
+        rows = fragment.rows(start, start + kernel._SLAB)
+        sign = kernel.golden_sign(rows[:, 0::2], rows[:, 1::2])
+        dominant[start:start + len(rows)] = (sign >= 0).all(axis=1)
+    dom = kernel.unpack_keys(keys[dominant], 2 * k)
+    zero = (dom[:, 0::2] == 0) & (dom[:, 1::2] == 0)
+    sizes = _orbit_sizes(group)[(zero << np.arange(k)).sum(axis=1)]
+    if sizes.sum() != fragment.size:
+        raise AssertionError("the orbit sizes of an invariant fragment do not sum to its size")
     return tuple(
-        OrbitRecord(OmegaVector.from_flat(group, d), size, fragment)
+        OrbitRecord(OmegaVector.from_flat(group, d), size)
         for d, size in zip(dom.tolist(), sizes.tolist())
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Shell:
-    """The points of one exact squared norm: ``index`` holds their row
-    indices in ``fragment``, in row order, and ``members`` builds their
-    ``OmegaVector``s on first read only."""
+    """One exact squared norm of a fragment and its number of points."""
 
     norm: GoldenRational
-    index: np.ndarray
-    fragment: Fragment = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.index)
-
-    @cached_property
-    def members(self) -> tuple[OmegaVector, ...]:
-        return self.fragment.points_at(self.index)
+    size: int
 
 
 def shell_labels(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
@@ -286,17 +250,16 @@ def shell_labels(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
     order = kernel.exact_argsort(q[:, 0], q[:, 1])
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    det = golden_det(cartan(group).entries) * (2 if group.is_h else 1)
+    det = golden_det(cartan(group)) * (2 if group.is_h else 1)
     norms = [GoldenRational(GoldenInt(a, b)) / det for a, b in q[order].tolist()]
     return norms, rank[np.searchsorted(distinct, qkeys)]
 
 
 def shells(fragment: Fragment) -> tuple[Shell, ...]:
-    """Concentric shells: points grouped by exact squared distance."""
+    """Concentric shells: points counted by exact squared distance."""
     norms, labels = shell_labels(fragment)
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(labels, minlength=len(norms)))[:-1])
-    return tuple(Shell(norm, idx, fragment) for norm, idx in zip(norms, groups))
+    counts = np.bincount(labels, minlength=len(norms))
+    return tuple(Shell(norm, size) for norm, size in zip(norms, counts.tolist()))
 
 
 def _xi_times(x):

@@ -171,24 +171,6 @@ def root_sums(roots: np.ndarray, n: int, cap: int) -> list[tuple[np.ndarray, np.
     return levels
 
 
-def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
-    """Reflect each row at its first negative coordinate until every row is
-    dominant, the rule of ``rootsystem.to_dominant`` applied to all rows at once."""
-    x = x.copy()
-    active = np.arange(len(x))
-    while active.size:
-        sub = x[active]
-        neg = golden_sign(sub[:, 0::2], sub[:, 1::2]) < 0
-        has = neg.any(axis=1)
-        active = active[has]
-        first = neg[has].argmax(axis=1)
-        for i, op in enumerate(reflections):
-            rows = active[first == i]
-            if rows.size:
-                x[rows] = apply(op, x[rows])
-    return x
-
-
 def nonnegative_rows(forms, rows: np.ndarray) -> np.ndarray:
     """The rows, in order, at which every Z[tau] value of the compiled
     ``forms`` is >= 0; form by form on the rows still inside, so no
@@ -283,7 +265,7 @@ def quadratic_forms(group: GroupId) -> np.ndarray:
     """Integer matrices (G0, G1), stacked and read-only, with
     w^T adj(A) w = u G0 u + tau * (u G1 u) for w_i = x_i + tau y_i and
     u = (x_1, y_1, ..., x_k, y_k); ``bilinear_forms`` of w^T adj(A) w'."""
-    adj = golden_adjugate(cartan(group).entries)
+    adj = golden_adjugate(cartan(group))
 
     def form(x, y):
         w, w2 = (tuple(map(GoldenInt, r[0::2], r[1::2])) for r in (x, y))

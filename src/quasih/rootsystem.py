@@ -61,12 +61,6 @@ _CHAIN: dict[GroupId, tuple[GoldenInt, ...]] = {
 
 
 @dataclass(frozen=True)
-class CartanMatrix:
-    group: GroupId
-    entries: Matrix
-
-
-@dataclass(frozen=True)
 class OmegaVector:
     """A point of R^rank with exact omega-basis coordinates."""
 
@@ -190,7 +184,7 @@ def golden_adjugate(m: Matrix) -> Matrix:
 # Cartan data
 
 @lru_cache(maxsize=None)
-def cartan(group: GroupId) -> CartanMatrix:
+def cartan(group: GroupId) -> Matrix:
     k = group.rank
     chain = _CHAIN[group]
     two = GoldenInt(2)
@@ -200,12 +194,12 @@ def cartan(group: GroupId) -> CartanMatrix:
     for i, bond in enumerate(chain):
         entries[i][i + 1] = bond
         entries[i + 1][i] = bond
-    return CartanMatrix(group, tuple(tuple(row) for row in entries))
+    return tuple(tuple(row) for row in entries)
 
 
 @lru_cache(maxsize=None)
 def cartan_inverse(group: GroupId) -> RationalMatrix:
-    m = cartan(group).entries
+    m = cartan(group)
     det = golden_det(m)
     adj = golden_adjugate(m)
     inv_det = GoldenRational(1) / GoldenRational(det)
@@ -214,7 +208,7 @@ def cartan_inverse(group: GroupId) -> RationalMatrix:
 
 def omega_from_alpha(v: AlphaVector) -> OmegaVector:
     """Exact basis change: omega coords of sum_j c_j alpha_j are (A c)."""
-    a = cartan(v.group).entries
+    a = cartan(v.group)
     k = v.group.rank
     coords = tuple(
         sum((v.coords[j] * a[j][i] for j in range(k)), ZERO) for i in range(k)
@@ -227,7 +221,7 @@ def _alpha_numerators(group: GroupId):
     """The compiled linear map (M, 0) taking flat omega coefficients to
     those of adj(A) v conj(det A), read off ``mat_vec``, and the integer
     N(det A)."""
-    m = cartan(group).entries
+    m = cartan(group)
     det = golden_det(m)
     scaled = tuple(tuple(e * det.conj() for e in row) for row in golden_adjugate(m))
 
@@ -254,7 +248,7 @@ def alpha_vector_from_omega(v: OmegaVector) -> AlphaVector:
 
 def simple_reflection_matrix(group: GroupId, j: int) -> Matrix:
     """Matrix of r_j on omega coordinates: (r_j v)_k = v_k - v_j a_jk."""
-    a = cartan(group).entries
+    a = cartan(group)
     k = group.rank
     m = [[ONE if r == c else ZERO for c in range(k)] for r in range(k)]
     for r in range(k):
@@ -296,7 +290,7 @@ def roots_omega(group: GroupId) -> tuple[OmegaVector, ...]:
     """The full root system in omega coordinates, in row order: all roots
     of these groups have one length, so they form one W-orbit, that of
     alpha_1, whose omega row is the first row of the Cartan matrix."""
-    alpha_1 = OmegaVector(group, cartan(group).entries[0])
+    alpha_1 = OmegaVector(group, cartan(group)[0])
     return tuple(sorted(orbit_of(alpha_1), key=OmegaVector.flat))
 
 
@@ -305,7 +299,7 @@ def highest_root(group: GroupId) -> OmegaVector:
     """The one dominant root, the dominant element of the orbit of alpha_1:
     reflecting a root v in a simple root alpha_j with v_j < 0 raises its
     height (H4: 22 steps)."""
-    return to_dominant(OmegaVector(group, cartan(group).entries[0]))[0]
+    return to_dominant(OmegaVector(group, cartan(group)[0]))[0]
 
 
 def norm_sq(v: OmegaVector) -> GoldenRational:

@@ -4,14 +4,18 @@ The float and exact decagon membership tests, the closed-form line
 membership, window membership of a ring element, the inverse of
 ``cyclo_from_omega`` and the cyclotomic image of an H2 fragment.  The
 package decides all of these on int64 rows; these are the one-value-at-a-time
-readings of the same definitions.
+readings of the same definitions.  ``dominant_rows``, the rule of
+``to_dominant`` swept over int64 rows, is the orbit oracle.
 """
 
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from quasih.cutproject import _edge_forms
 from quasih.golden import TAU, CycloInt, GoldenInt, xi_pow
+from quasih.kernel import apply, golden_sign
 from quasih.lineanalysis import Window1D, _level
 from quasih.rootsystem import AlphaVector, GroupId, OmegaVector, cyclo_from_omega, omega_from_alpha
 
@@ -72,3 +76,21 @@ def omega_from_cyclo(x: CycloInt) -> OmegaVector:
 def cyclo_points(fragment) -> tuple[CycloInt, ...]:
     """The points of an H2 fragment as cyclotomic integers, in row order."""
     return tuple(cyclo_from_omega(v) for v in fragment.points)
+
+
+def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
+    """Reflect each row at its first negative coordinate until every row is
+    dominant, the rule of ``rootsystem.to_dominant`` applied to all rows at once."""
+    x = x.copy()
+    active = np.arange(len(x))
+    while active.size:
+        sub = x[active]
+        neg = golden_sign(sub[:, 0::2], sub[:, 1::2]) < 0
+        has = neg.any(axis=1)
+        active = active[has]
+        first = neg[has].argmax(axis=1)
+        for i, op in enumerate(reflections):
+            rows = active[first == i]
+            if rows.size:
+                x[rows] = apply(op, x[rows])
+    return x

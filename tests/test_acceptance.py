@@ -141,7 +141,7 @@ def test_criterion_05_extended_cartan_uniqueness():
         result = enumerate_generalized(group, 3)
         nonpositive = [c for c in result.candidates if c.is_nonpositive()]
         assert len(nonpositive) == 1
-        assert nonpositive[0].border() == tuple(extended_cartan(group).entries[0][1:])
+        assert nonpositive[0].border() == tuple(extended_cartan(group)[0][1:])
 
 
 def test_criterion_06_cartan_tables():
@@ -171,7 +171,7 @@ def test_criterion_06_cartan_tables():
     assert set(diff_h3.missing) == bad_h3
     for row in bad_h3:
         border = OmegaVector.from_flat(GroupId.H3, row).coords
-        assert golden_det(_border_matrix(GroupId.H3, border).entries) == GoldenInt(-8)
+        assert golden_det(_border_matrix(GroupId.H3, border)) == GoldenInt(-8)
 
 
 def test_criterion_07_line_analysis():

@@ -424,7 +424,7 @@ class TestCompareCommand:
         monkeypatch.setattr("quasih.cutproject.box_nonnegative", no_scan)
         code, out, err = run_cli(capsys, "compare", "--n", "40")
         assert code == 2 and out == ""
-        assert err == "error: enumeration box of 112550881 points exceeds cap\n"
+        assert err == "error: enumeration box of 112550881 points exceeds cap 10000000\n"
 
 
 class TestVerifyCommand:

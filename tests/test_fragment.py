@@ -1,5 +1,4 @@
 from functools import cmp_to_key, lru_cache
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +28,10 @@ from quasih.fragment import (
     generate,
     generate_rootsum,
     orbits,
+    shell_labels,
     shells,
 )
-from oracles import cyclo_points
+from oracles import cyclo_points, dominant_rows
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +213,9 @@ class TestOrbits:
         assert sum(sizes) == 61
 
     def test_each_orbit_has_one_dominant_member(self, q2):
-        for rec in orbits(q2[3]):
-            dominants = [p for p in rec.members if p.is_dominant()]
+        f = q2[3]
+        for rec, (_, _, index) in zip(orbits(f), _sweep_orbits(f)):
+            dominants = [f.points[i] for i in index.tolist() if f.points[i].is_dominant()]
             assert dominants == [rec.dominant]
 
     def test_h2_orbit_size_rule(self, q2):
@@ -246,9 +247,9 @@ def _cached(group, n):
 
 def _sweep_orbits(f):
     """(dominant row, row count, member row indices) per dominant point, in
-    key order, by the ``kernel.dominant_rows`` sweep over every row."""
+    key order, by the ``dominant_rows`` sweep over every row."""
     refl = [r.compiled() for r in operators(f.group).reflections]
-    keys = kernel.pack_rows(kernel.dominant_rows(f.coeffs, refl))
+    keys = kernel.pack_rows(dominant_rows(f.coeffs, refl))
     distinct = np.unique(keys, return_index=True)[0]
     return [
         (tuple(kernel.unpack_keys(distinct[i:i + 1], f.coeffs.shape[1])[0].tolist()),
@@ -264,9 +265,9 @@ class TestOrbitFilter:
     )
     @settings(max_examples=40, deadline=None)
     def test_equals_the_dominant_sweep(self, case, drop):
-        # the whole fragment takes the filter; one row dropped breaks the
-        # invariance and must take the sweep, unless the row is the origin,
-        # the one point every reflection fixes
+        # the whole fragment is W-invariant; one row dropped breaks the
+        # invariance and must raise, unless the row is the origin, the one
+        # point every reflection fixes
         f = _cached(*case)
         invariant = True
         if drop is not None:
@@ -274,14 +275,12 @@ class TestOrbitFilter:
             keep[drop % f.size] = False
             invariant = not f.rows(drop % f.size, drop % f.size + 1).any()
             f = Fragment(f.group, f.n, f.keys[keep], "test")
-        expect = _sweep_orbits(f)
-        with mock.patch.object(kernel, "dominant_rows", wraps=kernel.dominant_rows) as sweep:
-            recs = orbits(f)
-        assert sweep.call_count == (0 if invariant else 1)
-        assert [(r.dominant.flat(), r.size) for r in recs] == [(d, c) for d, c, _ in expect]
-        if f.size <= 2000:
-            for rec, (_, _, index) in zip(recs, expect):
-                assert np.array_equal(rec.index, index)
+        if not invariant:
+            with pytest.raises(ValueError, match="closed under the reflections"):
+                orbits(f)
+            return
+        recs = orbits(f)
+        assert [(r.dominant.flat(), r.size) for r in recs] == [(d, c) for d, c, _ in _sweep_orbits(f)]
 
     @pytest.mark.parametrize("group", list(GroupId))
     def test_size_table_is_the_orbit_of_each_face_point(self, group):
@@ -294,17 +293,13 @@ class TestOrbitFilter:
 
     def test_origin_dropped_keeps_the_filter(self, q2):
         f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].coeffs.any(axis=1))], "test")
-        with mock.patch.object(kernel, "dominant_rows", wraps=kernel.dominant_rows) as sweep:
-            recs = orbits(f)
-        assert sweep.call_count == 0
+        recs = orbits(f)
         assert sorted(r.size for r in recs) == [5, 5, 5, 5, 10, 10, 10, 10]
 
-    def test_unsorted_rows_take_the_sweep(self, q2):
+    def test_reversed_keys_raise(self, q2):
         f = Fragment(GroupId.H2, 2, q2[2].keys[::-1].copy(), "test")
-        with mock.patch.object(kernel, "dominant_rows", wraps=kernel.dominant_rows) as sweep:
-            recs = orbits(f)
-        assert sweep.call_count == 1
-        assert [(r.dominant, r.size) for r in recs] == [(r.dominant, r.size) for r in orbits(q2[2])]
+        with pytest.raises(ValueError, match="sorted distinct keys"):
+            orbits(f)
 
 
 class TestShellOrder:
@@ -316,10 +311,12 @@ class TestShellOrder:
         norms = [norm_sq(p) for p in f.points]
         distinct = sorted(set(norms), key=cmp_to_key(lambda s, t: (s - t).sign()))
         sh = shells(f)
+        _, labels = shell_labels(f)
         assert [s.norm for s in sh] == distinct
-        for s in sh:
-            assert s.index.tolist() == [i for i, v in enumerate(norms) if v == s.norm]
-            assert all(norm_sq(p) == s.norm for p in s.members)
+        for label, s in enumerate(sh):
+            index = np.flatnonzero(labels == label)
+            assert index.tolist() == [i for i, v in enumerate(norms) if v == s.norm]
+            assert s.size == len(index)
 
 
 class TestShells:
@@ -334,10 +331,13 @@ class TestShells:
 
     def test_outermost_shell_is_decagon_at_n(self, q2):
         for n in (1, 2, 3, 4):
-            outer = shells(q2[n])[-1]
+            sh = shells(q2[n])
+            outer = sh[-1]
             assert outer.norm == GoldenRational(n * n)
             assert outer.size == 10
-            dom = [p for p in outer.members if p.is_dominant()]
+            _, labels = shell_labels(q2[n])
+            members = [q2[n].points[i] for i in np.flatnonzero(labels == len(sh) - 1).tolist()]
+            dom = [p for p in members if p.is_dominant()]
             scaled = omega_from_alpha(
                 AlphaVector.make(GroupId.H2, (TAU * n, TAU * n))
             )
