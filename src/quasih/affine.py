@@ -86,7 +86,6 @@ def identity_operator(group: GroupId) -> AffineOperator:
 class OperatorSet:
     """Simple reflections, the two alpha_H mirrors and the translation."""
 
-    group: GroupId
     reflections: tuple[AffineOperator, ...]
     root_reflection: AffineOperator
     affine_reflection: AffineOperator
@@ -125,7 +124,7 @@ def operators(group: GroupId) -> OperatorSet:
     r0 = AffineOperator(group, _root_reflection_matrix(group, ah), zero)
     raff = AffineOperator(group, r0.matrix, ah.coords)
     trans = AffineOperator(group, golden_identity(k), ah.coords)
-    return OperatorSet(group, refl, r0, raff, trans)
+    return OperatorSet(refl, r0, raff, trans)
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +196,7 @@ class PairIdentity:
     minimal: bool
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    group: GroupId
-    extended: bool
-    pairs: tuple[PairIdentity, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(p.holds and p.minimal for p in self.pairs)
-
-    def failures(self) -> tuple[PairIdentity, ...]:
-        return tuple(p for p in self.pairs if not (p.holds and p.minimal))
-
-
-def verify_identities(group: GroupId, extended: bool = False) -> IdentityReport:
+def verify_identities(group: GroupId, extended: bool = False) -> tuple[PairIdentity, ...]:
     """Check (r_i r_j)^M = 1 with M read off the (extended) Cartan matrix,
     and that no smaller positive power is the identity."""
     ops = operators(group)
@@ -230,7 +215,7 @@ def verify_identities(group: GroupId, extended: bool = False) -> IdentityReport:
                     minimal = False
             holds = power.compose(prod).is_identity()
             results.append(PairIdentity(i, j, order, holds, minimal))
-    return IdentityReport(group, extended, tuple(results))
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +227,6 @@ ENUMERATION_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class CartanCandidate:
-    group: GroupId
     coeffs: tuple[int, ...]
     matrix: Matrix = field(compare=False)
 
@@ -254,19 +238,8 @@ class CartanCandidate:
         return all(e.sign() <= 0 for e in self.border())
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    group: GroupId
-    coeff_bound: int
-    candidates: tuple[CartanCandidate, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.candidates)
-
-
 @lru_cache(maxsize=8)
-def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationResult:
+def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> tuple[CartanCandidate, ...]:
     """All bordered Cartan templates with exact determinant 0.
 
     det of the bordered matrix is 2 det(A) - w^T adj(A) w by the Schur
@@ -338,7 +311,7 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
         matrix = _border_matrix(group, border)
         if not golden_det(matrix).is_zero():
             raise AssertionError(f"Schur/cofactor determinant mismatch at {coeffs}")
-        candidates.append(CartanCandidate(group, coeffs, matrix))
+        candidates.append(CartanCandidate(coeffs, matrix))
 
     # A is positive definite (its leading principal minors are > 0), and a
     # bordered matrix has det = det(A) * (2 - w^T A^{-1} w), so det = 0 puts
@@ -346,7 +319,7 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> EnumerationRe
     a = cartan(group)
     if not all(golden_det(tuple(row[:m] for row in a[:m])).sign() > 0 for m in range(1, k + 1)):
         raise AssertionError(f"the {group.value} Cartan matrix is not positive definite")
-    return EnumerationResult(group, coeff_bound, tuple(candidates))
+    return tuple(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +351,6 @@ def reference_table(group: GroupId) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class TableDiff:
-    group: GroupId
-    coeff_bound: int
     missing: tuple[tuple[int, ...], ...]
     extras: tuple[tuple[int, ...], ...]
     table_count: int
@@ -391,9 +362,9 @@ class TableDiff:
 
 
 def reference_diff(group: GroupId, coeff_bound: int = 3) -> TableDiff:
-    result = enumerate_generalized(group, coeff_bound)
-    found = {c.coeffs for c in result.candidates}
+    candidates = enumerate_generalized(group, coeff_bound)
+    found = {c.coeffs for c in candidates}
     table = set(reference_table(group))
     missing = tuple(sorted(table - found))
     extras = tuple(sorted(found - table))
-    return TableDiff(group, coeff_bound, missing, extras, len(table), result.count)
+    return TableDiff(missing, extras, len(table), len(candidates))

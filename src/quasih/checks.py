@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,6 @@ from .affine import (
 )
 from .fragment import cached_fragment, check_tenfold, generate_rootsum, orbits
 from .lineanalysis import (
-    Window1D,
     decompose,
     deficiencies_1d,
     levels,
@@ -127,20 +126,18 @@ WORD_TABLE: tuple[tuple[str, tuple[GoldenInt, GoldenInt]], ...] = (
 )
 
 
-def evaluate_word(group: GroupId, word: str, flip: bool = False) -> OmegaVector:
-    """Apply a reflection/translation word to the origin, rightmost first.
+def evaluate_word(word: str, flip: bool = False) -> OmegaVector:
+    """Apply an H2 reflection/translation word to the origin, rightmost first.
 
     ``flip`` relabels r1 <-> r2 (the H2 diagram automorphism)."""
-    ops = operators(group)
-    v = OmegaVector.zero(group)
+    ops = operators(GroupId.H2)
+    v = OmegaVector.zero(GroupId.H2)
     for token in reversed(word.split()):
         if token == "T":
             v = ops.translation.apply(v)
         elif token.startswith("r"):
             index = int(token[1:]) - 1
             if flip:
-                if group is not GroupId.H2:
-                    raise ValueError("flip is an H2 relabeling")
                 index = 1 - index
             v = ops.reflections[index].apply(v)
         else:
@@ -153,15 +150,15 @@ def _word_table(coeff_bound: int = 3):
     mismatches = []
     produced = {OmegaVector.zero(GroupId.H2)}
     for word, alpha in WORD_TABLE:
-        flipped_eval = evaluate_word(GroupId.H2, word, flip=True)
-        raw_eval = evaluate_word(GroupId.H2, word)
+        flipped_eval = evaluate_word(word, flip=True)
+        raw_eval = evaluate_word(word)
         tabulated = omega_from_alpha(AlphaVector(GroupId.H2, alpha))
         swapped = omega_from_alpha(AlphaVector(GroupId.H2, alpha[::-1]))
         if flipped_eval != tabulated or raw_eval != swapped:
             mismatches.append(word)
         produced.add(raw_eval)
-    last = evaluate_word(GroupId.H2, WORD_TABLE[-1][0])
-    same_last_two = last == evaluate_word(GroupId.H2, WORD_TABLE[-2][0])
+    last = evaluate_word(WORD_TABLE[-1][0])
+    same_last_two = last == evaluate_word(WORD_TABLE[-2][0])
     q1 = _h2(1).point_set()
     roots_set = set(roots_omega(GroupId.H2))
     ok = (
@@ -215,19 +212,10 @@ def _identities(coeff_bound: int = 3):
     ok = True
     for g in (GroupId.A2,) + H_GROUPS:
         for extended in (False, True):
-            rep = verify_identities(g, extended)
+            found = verify_identities(g, extended)
             key = f"{g.value}{'-extended' if extended else ''}"
-            pairs[key] = [
-                {
-                    "i": p.i,
-                    "j": p.j,
-                    "order": p.order,
-                    "holds": p.holds,
-                    "minimal": p.minimal,
-                }
-                for p in rep.pairs
-            ]
-            ok = ok and rep.all_ok
+            pairs[key] = [asdict(p) for p in found]
+            ok = ok and all(p.holds and p.minimal for p in found)
     elapsed = time.perf_counter() - t0
     return ok and elapsed < 1.0, {"pairs": pairs, "elapsed": elapsed}
 
@@ -245,8 +233,7 @@ def _conditions(coeff_bound: int = 3):
     ok = ok and not plain.det_zero_ok and plain.diagonal_ok and plain.symmetric_ok
     unique = {}
     for g in H_GROUPS:
-        res = enumerate_generalized(g, coeff_bound)
-        nonpos = [c for c in res.candidates if c.is_nonpositive()]
+        nonpos = [c for c in enumerate_generalized(g, coeff_bound) if c.is_nonpositive()]
         expected_border = tuple(extended_cartan(g)[0][1:])
         unique[g.value] = len(nonpos) == 1 and nonpos[0].border() == expected_border
         ok = ok and unique[g.value]
@@ -295,11 +282,7 @@ def _line(coeff_bound: int = 3):
 
 @_check("cutproject-1d")
 def _cut1d(coeff_bound: int = 3):
-    coincide = all(
-        sigma_1d(Window1D.symmetric(n), Window1D.symmetric(n)).value_set()
-        == line_closed_form(n).value_set()
-        for n in (1, 2)
-    )
+    coincide = all(sigma_1d(n).value_set() == line_closed_form(n).value_set() for n in (1, 2))
     d3 = deficiencies_1d(3).value_set()
     example = GoldenInt(-1, 2)
     has_example = example in d3 and -example in d3

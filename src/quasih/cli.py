@@ -20,7 +20,6 @@ from .rootsystem import GroupId
 from .fragment import DEFAULT_CAP, ResourceLimitError, cached_fragment, generate
 from .lineanalysis import (
     LINE_CAP,
-    Window1D,
     _level,
     deficiencies_1d,
     line_closed_form,
@@ -164,8 +163,7 @@ def cmd_line(args) -> int:
         sys.stderr.write(f"error: line --n {args.n} exceeds cap {LINE_CAP}\n")
         return CHECK_ERROR
     n = args.n
-    window = Window1D.symmetric(n)
-    sigma = sigma_1d(window, window)
+    sigma = sigma_1d(n)
     m_n, n_n = mn_nn(n)
     rows = line_closed_form(n).rows
     values = [

@@ -58,7 +58,6 @@ class CutProjectSet2D:
     """The members as read-only (N, 4) int64 rows (p.a, p.b, q.a, q.b) in
     ``CycloInt.sort_key`` order; ``points`` is built on first access only."""
 
-    n: int
     rows: np.ndarray
 
     @cached_property
@@ -118,7 +117,7 @@ def sigma_2d(n: int) -> CutProjectSet2D:
         raise ResourceLimitError(f"enumeration box of {volume} points exceeds cap {BOX_CAP}")
     rows = box_nonnegative(bound, 4, _window_forms(n))
     rows.setflags(write=False)
-    return CutProjectSet2D(n, rows)
+    return CutProjectSet2D(rows)
 
 
 def deficiency_rows_2d(n: int) -> np.ndarray:
@@ -137,6 +136,8 @@ def deficiencies_2d(n: int) -> tuple[CycloInt, ...]:
 def fragment_in_window(fragment: Fragment) -> bool:
     """Window containment: every fragment point and its star image lie in
     the decagon window of the fragment's cut-off (trivial at n = 0)."""
+    if fragment.group is not GroupId.H2:
+        raise ValueError("the decagonal window is an H2 property")
     if fragment.n < 1:
         return True
     rows = cyclo_rows(fragment.rows())

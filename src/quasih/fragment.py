@@ -51,7 +51,7 @@ DEFAULT_CAP = 10_000_000
 
 @dataclass(frozen=True, eq=False)
 class Fragment:
-    """A point set with its cut-off and construction method.
+    """A point set with its cut-off.
 
     ``keys`` is the read-only uint64 array of packed point keys
     (``kernel.pack_rows``), one per row; ``from_rows`` packs an (N, 2k)
@@ -61,7 +61,6 @@ class Fragment:
     group: GroupId
     n: int
     keys: np.ndarray
-    method: str
 
     def __post_init__(self) -> None:
         keys = np.asarray(self.keys).view()
@@ -71,9 +70,9 @@ class Fragment:
         object.__setattr__(self, "keys", keys)
 
     @classmethod
-    def from_rows(cls, group: GroupId, n: int, coeffs, method: str) -> Fragment:
+    def from_rows(cls, group: GroupId, n: int, coeffs) -> Fragment:
         rows = np.asarray(coeffs, dtype=np.int64).reshape(-1, 2 * group.rank)
-        return cls(group, n, kernel.pack_rows(rows), method)
+        return cls(group, n, kernel.pack_rows(rows))
 
     @property
     def size(self) -> int:
@@ -144,7 +143,7 @@ def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
         if total.size > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
         prev = level
-    return Fragment(group, n, total, "word_bfs")
+    return Fragment(group, n, total)
 
 
 def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
@@ -153,7 +152,7 @@ def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment
         raise ValueError("cut-off must be non-negative")
     roots = np.array([v.flat() for v in roots_omega(group)], dtype=np.int64)
     levels = kernel.root_sums(roots, n, cap)
-    return Fragment(group, n, np.sort(np.concatenate([k for k, _, _ in levels])), "root_sum")
+    return Fragment(group, n, np.sort(np.concatenate([k for k, _, _ in levels])))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ The real-axis section of the cut-off-n fragment has the closed form
     L(n) = {(a+c) + (b-c)*tau : a, b, c integers, |a| + 2|b| + 2|c| <= n},
 
 which this module enumerates, re-derives by brute force from cyclotomic
-root sums, and compares against the 1D cut-and-project sets
-Sigma(window) = {x in Z[tau] : conj(x) in window}, all held as ascending
+root sums, and compares against the 1D cut-and-project set of window
+[-n, n], {x in Z[tau] : |x| <= n and |conj(x)| <= n}, all held as ascending
 (N, 2) int64 rows (a, b) of a + b*tau.  Membership and window tests are
 exact; floats only propose the sort order and appear in diagnostics.
 """
@@ -117,47 +117,25 @@ def levels(n: int) -> tuple[tuple[int, tuple[GoldenInt, ...]], ...]:
 # ---------------------------------------------------------------------------
 # 1D cut and project
 
-@dataclass(frozen=True)
-class Window1D:
-    """Closed interval with exact ring-element endpoints."""
-
-    lo: GoldenInt
-    hi: GoldenInt
-
-    @classmethod
-    def make(cls, lo: GoldenInt | int, hi: GoldenInt | int) -> Window1D:
-        lo = GoldenInt.coerce(lo)
-        hi = GoldenInt.coerce(hi)
-        if (hi - lo).sign() < 0:
-            raise ValueError("empty window")
-        return cls(lo, hi)
-
-    @classmethod
-    def symmetric(cls, n: GoldenInt | int) -> Window1D:
-        n = GoldenInt.coerce(n)
-        return cls.make(-n, n)
-
-
 @lru_cache(maxsize=None)
-def sigma_1d(window: Window1D, region: Window1D) -> LineSet:
-    """{x in Z[tau] : x in region and conj(x) in window}, exactly.
+def sigma_1d(n: int) -> LineSet:
+    """{x in Z[tau] : |x| <= n and |conj(x)| <= n}, exactly: the
+    cut-and-project set of window [-n, n] inside [-n, n].
 
-    x = x1 + x2*tau is scanned over the integer box |x1|, |x2| <= B with B
-    the largest |a| + 2|b| of the four endpoints a + b*tau, and the four
-    forms x - lo, hi - x (region) and conj(x) - lo, hi - conj(x) (window)
-    decide membership.  The box holds every member: an endpoint has
-    |a + b*tau| <= B, so |x| and |conj(x)| are at most B, and
-    x2 = (x - conj(x))/sqrt5 and
-    x1 = (tau*conj(x) - tau'*x)/sqrt5 obey |x2| <= 2B/sqrt5 and
-    |x1| <= (tau + |tau'|)*B/sqrt5 = B.
+    x = x1 + x2*tau is scanned over the integer box |x1|, |x2| <= n, and
+    the four forms n - x, n + x, n - conj(x), n + conj(x) decide
+    membership.  The box holds every member: x2 = (x - conj(x))/sqrt5 and
+    x1 = (tau*conj(x) - tau'*x)/sqrt5 obey |x2| <= 2n/sqrt5 and
+    |x1| <= (tau + |tau'|)*n/sqrt5 = n.
     """
-    bound = max(abs(e.a) + 2 * abs(e.b) for e in (region.lo, region.hi, window.lo, window.hi))
+    if n < 0:
+        raise ValueError("window radius must be non-negative")
 
     def forms(coords):
         x = GoldenInt(*coords)
-        return (x - region.lo, region.hi - x, x.conj() - window.lo, window.hi - x.conj())
+        return (n - x, n + x, n - x.conj(), n + x.conj())
 
-    rows = box_nonnegative(bound, 2, compile_forms(forms, 2))
+    rows = box_nonnegative(n, 2, compile_forms(forms, 2))
     return LineSet(_sorted_values(rows[:, 0], rows[:, 1]))
 
 
@@ -165,8 +143,7 @@ def deficiencies_1d(n: int) -> LineSet:
     """Cut-and-project points at window [-n, n] missing from the fragment
     section, in sigma order: a set difference of packed row keys.  Empty
     for n <= 2 and provably nonempty from n = 3 on."""
-    w = Window1D.symmetric(n)
-    rows, section = sigma_1d(w, w).rows, np.sort(pack_rows(line_closed_form(n).rows))
+    rows, section = sigma_1d(n).rows, np.sort(pack_rows(line_closed_form(n).rows))
     return LineSet(rows[~isin_sorted(pack_rows(rows), section)])
 
 
@@ -282,7 +259,6 @@ def min_distance_compare(n: int) -> tuple[float, float, bool]:
     the fragment gap may never be the smaller one."""
     if n < 1:
         raise ValueError("n must be positive")
-    w = Window1D.symmetric(n)
     d_line = _min_gap(line_closed_form(n).rows)
-    d_sigma = _min_gap(sigma_1d(w, w).rows)
+    d_sigma = _min_gap(sigma_1d(n).rows)
     return d_line.embed(), d_sigma.embed(), (d_line - d_sigma).sign() >= 0

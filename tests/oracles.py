@@ -1,8 +1,8 @@
 """Scalar reference code that only the tests call.
 
 The float and exact decagon membership tests, the closed-form line
-membership, window membership of a ring element, the inverse of
-``cyclo_from_omega`` and the cyclotomic image of an H2 fragment.  The
+membership, the inverse of ``cyclo_from_omega`` and the cyclotomic image
+of an H2 fragment.  The
 package decides all of these on int64 rows; these are the one-value-at-a-time
 readings of the same definitions.  ``dominant_rows``, the rule of
 ``to_dominant`` swept over int64 rows, is the orbit oracle.
@@ -16,7 +16,7 @@ import numpy as np
 from quasih.cutproject import _edge_forms
 from quasih.golden import TAU, CycloInt, GoldenInt, xi_pow
 from quasih.kernel import apply, golden_sign
-from quasih.lineanalysis import Window1D, _level
+from quasih.lineanalysis import _level
 from quasih.rootsystem import AlphaVector, GroupId, OmegaVector, cyclo_from_omega, omega_from_alpha
 
 
@@ -60,11 +60,6 @@ def decagon_contains_exact(x: CycloInt, n: int) -> bool:
 def line_contains(x: GoldenInt, n: int) -> bool:
     """O(1) membership test for the closed form L(n)."""
     return bool(_level(x.a, x.b) <= n)
-
-
-def window_contains(window: Window1D, x: GoldenInt) -> bool:
-    """Exact membership of x in the closed interval ``window``."""
-    return (x - window.lo).sign() >= 0 and (window.hi - x).sign() >= 0
 
 
 def omega_from_cyclo(x: CycloInt) -> OmegaVector:

@@ -201,24 +201,21 @@ class TestIdentities:
     @pytest.mark.parametrize("group", ALL_GROUPS)
     @pytest.mark.parametrize("extended", [False, True])
     def test_all_pairs(self, group, extended):
-        rep = verify_identities(group, extended)
-        assert rep.all_ok, rep.failures()
+        pairs = verify_identities(group, extended)
+        assert all(p.holds and p.minimal for p in pairs), pairs
 
     def test_h2_pentagonal_orders(self):
-        rep = verify_identities(GroupId.H2, extended=False)
-        orders = {(p.i, p.j): p.order for p in rep.pairs}
+        orders = {(p.i, p.j): p.order for p in verify_identities(GroupId.H2, extended=False)}
         assert orders[(0, 1)] == 5
         assert orders[(0, 0)] == 1
 
     def test_extended_h2_r0_r1_has_order_five(self):
-        rep = verify_identities(GroupId.H2, extended=True)
-        orders = {(p.i, p.j): p.order for p in rep.pairs}
+        orders = {(p.i, p.j): p.order for p in verify_identities(GroupId.H2, extended=True)}
         # generator 0 is r0; a_01 = tau' forces order 5
         assert orders[(0, 1)] == 5
 
     def test_h4_sample_orders(self):
-        rep = verify_identities(GroupId.H4, extended=False)
-        orders = {(p.i, p.j): p.order for p in rep.pairs}
+        orders = {(p.i, p.j): p.order for p in verify_identities(GroupId.H4, extended=False)}
         assert orders[(2, 3)] == 5  # a_34 = -tau
         assert orders[(0, 2)] == 2  # a_13 = 0
         assert orders[(0, 1)] == 3  # a_12 = -1
@@ -242,19 +239,19 @@ class TestIdentities:
 class TestEnumeration:
     def test_h2_exact_table(self):
         result = enumerate_generalized(GroupId.H2, 3)
-        assert [c.coeffs for c in result.candidates] == list(reference_table(GroupId.H2))
+        assert [c.coeffs for c in result] == list(reference_table(GroupId.H2))
 
     def test_first_table_row_present(self):
         result = enumerate_generalized(GroupId.H2, 3)
-        assert (-2, 0, 0, 1) in {c.coeffs for c in result.candidates}
+        assert (-2, 0, 0, 1) in {c.coeffs for c in result}
 
     def test_candidates_satisfy_conditions_except_sign(self):
-        for c in enumerate_generalized(GroupId.H2, 2).candidates:
+        for c in enumerate_generalized(GroupId.H2, 2):
             rep = verify_conditions(c.matrix)
             assert rep.diagonal_ok and rep.symmetric_ok and rep.det_zero_ok
 
     def test_sorted_lexicographically(self):
-        coeffs = [c.coeffs for c in enumerate_generalized(GroupId.H3, 2).candidates]
+        coeffs = [c.coeffs for c in enumerate_generalized(GroupId.H3, 2)]
         assert coeffs == sorted(coeffs)
 
     @pytest.mark.parametrize("group,count", [(GroupId.H2, 10), (GroupId.H3, 30), (GroupId.H4, 120)])
@@ -264,9 +261,9 @@ class TestEnumeration:
         by_float = sum(
             np.linalg.eigvalsh(np.array([[e.embed() for e in row] for row in c.matrix])).min()
             >= -1e-9
-            for c in res.candidates
+            for c in res
         )
-        assert by_float == res.count == count
+        assert by_float == len(res) == count
 
     def test_cartan_block_not_positive_definite_is_refused(self, monkeypatch):
         # a symmetric block with a negative determinant: the exact minors
@@ -279,7 +276,7 @@ class TestEnumeration:
     def test_extended_matrix_is_unique_nonpositive_candidate(self):
         for group in H_GROUPS:
             res = enumerate_generalized(group, 3)
-            nonpos = [c for c in res.candidates if c.is_nonpositive()]
+            nonpos = [c for c in res if c.is_nonpositive()]
             assert len(nonpos) == 1
             assert nonpos[0].border() == tuple(extended_cartan(group)[0][1:])
 
@@ -316,12 +313,12 @@ class TestEnumeration:
         for coeffs in itertools.product(range(-bound, bound + 1), repeat=2 * group.rank):
             if _det_of_border(group, coeffs).is_zero():
                 expect.append(coeffs)
-        assert [c.coeffs for c in enumerate_generalized(group, bound).candidates] == expect
+        assert [c.coeffs for c in enumerate_generalized(group, bound)] == expect
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_h4_candidate_exactly_when_determinant_zero(self, data):
-        found = [c.coeffs for c in enumerate_generalized(GroupId.H4, 3).candidates]
+        found = [c.coeffs for c in enumerate_generalized(GroupId.H4, 3)]
         coeff = st.integers(-3, 3)
         coeffs = data.draw(st.one_of(st.sampled_from(found), st.tuples(*[coeff] * 8)))
         if data.draw(st.booleans()):  # a neighbour of a drawn border
@@ -340,7 +337,7 @@ class TestEnumerationCap:
     # the uncached function, so a cached result cannot hide the check
     def test_cap_admits_up_to_its_volume(self, monkeypatch):
         monkeypatch.setattr(affine, "ENUMERATION_CAP", 7**3)
-        assert enumerate_generalized.__wrapped__(GroupId.H2, 3).count == 10
+        assert len(enumerate_generalized.__wrapped__(GroupId.H2, 3)) == 10
         with pytest.raises(ResourceLimitError, match="grid of 729 points exceeds cap 343"):
             enumerate_generalized.__wrapped__(GroupId.H2, 4)
 
@@ -366,7 +363,7 @@ class TestEnumerationSlabs:
         monkeypatch.setattr(affine, "_SLAB", slab)
         for case, want in zip(self.CASES, expect):
             got = enumerate_generalized.__wrapped__(*case)
-            assert [c.coeffs for c in got.candidates] == [c.coeffs for c in want.candidates]
+            assert [c.coeffs for c in got] == [c.coeffs for c in want]
 
     def test_peak_traced_allocation(self):
         # one slab of the 7^6 middle grid at a time; the whole grid with

@@ -209,12 +209,17 @@ class TestFragmentInWindow:
             for x in cyclo_points(whole)
         ])
         for keep in (slice(None), inside[:, 0], inside[:, 1]):
-            f = Fragment.from_rows(GroupId.H2, cutoff, whole.coeffs[keep], "test")
+            f = Fragment.from_rows(GroupId.H2, cutoff, whole.coeffs[keep])
             assert fragment_in_window(f) == inside[keep].all()
 
     def test_rejects_points_outside_the_window(self):
-        f = Fragment.from_rows(GroupId.H2, 2, generate(GroupId.H2, 3).coeffs, "test")
+        f = Fragment.from_rows(GroupId.H2, 2, generate(GroupId.H2, 3).coeffs)
         assert not fragment_in_window(f)
+
+    @pytest.mark.parametrize("group", [GroupId.A2, GroupId.H3])
+    def test_other_groups_are_refused(self, group):
+        with pytest.raises(ValueError, match="the decagonal window is an H2 property"):
+            fragment_in_window(generate(group, 1))
 
     def test_outermost_shell_touches_vertices(self):
         # the dominant outer point n*alpha_H maps to the window vertex n*xi^2

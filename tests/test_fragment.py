@@ -132,12 +132,12 @@ class TestStorage:
 
     def test_from_rows_keeps_row_order(self):
         rows = np.array([[3, 0, -1, 2], [0, 0, 0, 0], [3, 0, -1, 2]])
-        f = Fragment.from_rows(GroupId.H2, 0, rows, "test")
+        f = Fragment.from_rows(GroupId.H2, 0, rows)
         assert f.coeffs.tolist() == rows.tolist() and f.size == 3
 
     def test_rows_are_not_keys(self):
         with pytest.raises(TypeError, match="from_rows"):
-            Fragment(GroupId.H2, 0, np.zeros((1, 4), dtype=np.int64), "test")
+            Fragment(GroupId.H2, 0, np.zeros((1, 4), dtype=np.int64))
 
 
 class TestRootSumOracle:
@@ -160,10 +160,6 @@ class TestRootSumOracle:
 
     def test_h4_n1_count(self):
         assert generate_rootsum(GroupId.H4, 1).size == 121
-
-    def test_method_tag(self):
-        assert generate(GroupId.H2, 1).method == "word_bfs"
-        assert generate_rootsum(GroupId.H2, 1).method == "root_sum"
 
 
 class TestDominant:
@@ -274,7 +270,7 @@ class TestOrbitFilter:
             keep = np.ones(f.size, dtype=bool)
             keep[drop % f.size] = False
             invariant = not f.rows(drop % f.size, drop % f.size + 1).any()
-            f = Fragment(f.group, f.n, f.keys[keep], "test")
+            f = Fragment(f.group, f.n, f.keys[keep])
         if not invariant:
             with pytest.raises(ValueError, match="closed under the reflections"):
                 orbits(f)
@@ -292,12 +288,12 @@ class TestOrbitFilter:
             assert orbit.size == size
 
     def test_origin_dropped_keeps_the_filter(self, q2):
-        f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].coeffs.any(axis=1))], "test")
+        f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].coeffs.any(axis=1))])
         recs = orbits(f)
         assert sorted(r.size for r in recs) == [5, 5, 5, 5, 10, 10, 10, 10]
 
     def test_reversed_keys_raise(self, q2):
-        f = Fragment(GroupId.H2, 2, q2[2].keys[::-1].copy(), "test")
+        f = Fragment(GroupId.H2, 2, q2[2].keys[::-1].copy())
         with pytest.raises(ValueError, match="sorted distinct keys"):
             orbits(f)
 
@@ -362,8 +358,7 @@ class TestTenfold:
         root = next(iter(roots_omega(GroupId.H2)))
         frag = generate(GroupId.H2, 0)
         broken = type(frag).from_rows(
-            GroupId.H2, 0, np.array([p.flat() for p in (OmegaVector.zero(GroupId.H2), root)]),
-            "word_bfs",
+            GroupId.H2, 0, np.array([p.flat() for p in (OmegaVector.zero(GroupId.H2), root)])
         )
         assert not check_tenfold(broken)
 
@@ -375,7 +370,7 @@ class TestTenfold:
         # cyclotomic row (1775, 15764, -32547, -24217); its rotation by xi
         # has q.b = -41000, outside the 16-bit packed range
         row = np.array([[-20667, -25236, -24094, 15008]], dtype=np.int64)
-        assert not check_tenfold(Fragment.from_rows(GroupId.H2, 0, row, "test"))
+        assert not check_tenfold(Fragment.from_rows(GroupId.H2, 0, row))
 
     @given(st.integers(0, 4), st.one_of(st.none(), st.lists(st.booleans(), min_size=1)))
     @settings(max_examples=60)
@@ -384,7 +379,7 @@ class TestTenfold:
         coeffs = q2[n].coeffs
         if keep is not None:
             coeffs = coeffs[np.resize(np.array(keep), len(coeffs))]
-        f = Fragment.from_rows(GroupId.H2, n, coeffs, "test")
+        f = Fragment.from_rows(GroupId.H2, n, coeffs)
         pts = set(cyclo_points(f))
         assert check_tenfold(f) == all(xi_pow(1) * p in pts for p in pts)
 

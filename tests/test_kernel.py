@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasih
 from quasih import golden, kernel
 from quasih.affine import operators
 from quasih.fragment import (
@@ -293,6 +295,25 @@ class TestSourceHasNoHashUnique:
         assert found == [], "move code that only tests call to tests/oracles.py"
 
 
+class TestPackageNamespace:
+    def test_all_names_every_public_binding(self):
+        # a name removed from the package but left in ``__all__`` (or the
+        # reverse) shows as a difference
+        bound = {
+            name
+            for name, value in vars(quasih).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert set(quasih.__all__) == bound
+        assert len(quasih.__all__) == len(bound)
+
+    def test_star_import_binds_all(self):
+        namespace: dict = {}
+        exec("from quasih import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == set(quasih.__all__)
+
+
 # F(k+1) - F(k)*tau: values near 0 with alternating sign, about 1e-6 apart
 _NEAR_TIES = [(hi, -lo) for lo, hi in zip(_fibonacci(30), _fibonacci(31)[1:])]
 
@@ -536,7 +557,7 @@ class TestShellKeys:
         group, rows = case
         points = [OmegaVector.from_flat(group, r) for r in rows.tolist()]
         coeffs = np.array([p.flat() for p in points])
-        norms, labels = shell_labels(Fragment.from_rows(group, 0, coeffs, "test"))
+        norms, labels = shell_labels(Fragment.from_rows(group, 0, coeffs))
         assert [norms[i] for i in labels.tolist()] == [norm_sq(p) for p in points]
         assert all((b - a).sign() > 0 for a, b in zip(norms, norms[1:]))
 

@@ -12,7 +12,6 @@ from quasih.fragment import ResourceLimitError, generate
 from quasih.lineanalysis import (
     DecompositionError,
     LineSet,
-    Window1D,
     decompose,
     deficiencies_1d,
     levels,
@@ -24,7 +23,7 @@ from quasih.lineanalysis import (
     scaling_check,
     sigma_1d,
 )
-from oracles import cyclo_points, line_contains, window_contains
+from oracles import cyclo_points, line_contains
 
 
 def gset(values):
@@ -49,8 +48,7 @@ def scaling_oracle(n, line):
 
 
 def deficiencies_oracle(n):
-    w = Window1D.symmetric(n)
-    return exact_sorted(set(sigma_1d(w, w).values) - line_closed_form(n).value_set())
+    return exact_sorted(set(sigma_1d(n).values) - line_closed_form(n).value_set())
 
 
 def min_gap_oracle(values):
@@ -198,25 +196,23 @@ class TestLevels:
 
 class TestSigma1D:
     def test_repeat_call_is_memoized(self):
-        # equal windows, not the same objects: the cache keys on value
-        assert sigma_1d(Window1D.symmetric(4), Window1D.make(-4, 4)) is sigma_1d(
-            Window1D.symmetric(4), Window1D.symmetric(4))
+        assert sigma_1d(4) is sigma_1d(4)
 
     def test_unit_window(self):
-        w = Window1D.symmetric(1)
-        assert sigma_1d(w, w).value_set() == gset({(-1, 0), (0, 0), (1, 0)})
+        assert sigma_1d(1).value_set() == gset({(-1, 0), (0, 0), (1, 0)})
 
     def test_example_point_inside(self):
-        w = Window1D.symmetric(3)
-        assert GoldenInt(-1, 2) in sigma_1d(w, w).value_set()
+        assert GoldenInt(-1, 2) in sigma_1d(3).value_set()
 
     def test_degenerate_window(self):
-        w = Window1D.symmetric(0)
-        assert sigma_1d(w, w).value_set() == {GoldenInt(0)}
+        assert sigma_1d(0).value_set() == {GoldenInt(0)}
+
+    def test_negative_radius_is_refused(self):
+        with pytest.raises(ValueError):
+            sigma_1d(-1)
 
     def test_independent_bruteforce_oracle(self):
         # rectangle scan over raw integer pairs with float interval tests
-        w = Window1D.symmetric(2)
         phi = (1 + math.sqrt(5)) / 2
         expected = set()
         for a in range(-20, 21):
@@ -225,42 +221,22 @@ class TestSigma1D:
                 conj = a + b * (1 - phi)
                 if -2 - 1e-9 <= value <= 2 + 1e-9 and -2 - 1e-9 <= conj <= 2 + 1e-9:
                     expected.add(GoldenInt(a, b))
-        assert sigma_1d(w, w).value_set() == expected
-
-    def test_asymmetric_windows(self):
-        region = Window1D.make(0, 3)
-        window = Window1D.make(-1, 1)
-        out = sigma_1d(window, region)
-        for x in out.values:
-            assert 0 - 1e-12 <= x.embed() <= 3 + 1e-12
-            assert -1 - 1e-12 <= x.conj().embed() <= 1 + 1e-12
-        # 1 + tau: value 2.618 in [0, 3], conjugate 2 - tau = 0.382 in [-1, 1]
-        assert GoldenInt(1, 1) in out.value_set()
-
-
-@st.composite
-def _windows(draw):
-    """A closed Z[tau] window with endpoint coefficients in [-4, 4]."""
-    ends = sorted(
-        (GoldenInt(draw(st.integers(-4, 4)), draw(st.integers(-4, 4))) for _ in range(2)),
-        key=GoldenInt.embed,
-    )
-    return Window1D.make(*ends)
+        assert sigma_1d(2).value_set() == expected
 
 
 class TestSigma1DScan:
-    # |endpoint| <= 4 + 4 tau < 10.5, so every member has |x1| <= 10.5 and
-    # |x2| <= 21 / sqrt5 < 10: the box |x_i| <= 12 holds them all
-    @given(_windows(), _windows())
+    # the scalar scan runs over a box two wider than the one sigma_1d scans,
+    # so a member outside |x1|, |x2| <= n would show as a difference
+    @given(st.integers(0, 12))
     @settings(max_examples=60)
-    def test_matches_scalar_box_scan(self, window, region):
+    def test_matches_scalar_box_scan(self, n):
+        box = range(-n - 2, n + 3)
         expect = [
-            GoldenInt(a, b)
-            for a in range(-12, 13)
-            for b in range(-12, 13)
-            if window_contains(region, GoldenInt(a, b)) and window_contains(window, GoldenInt(a, b).conj())
+            x
+            for x in (GoldenInt(a, b) for a in box for b in box)
+            if all(f.sign() >= 0 for f in (n - x, n + x, n - x.conj(), n + x.conj()))
         ]
-        got = sigma_1d(window, region)
+        got = sigma_1d(n)
         assert got.value_set() == set(expect) and got.size == len(expect)
         assert all((y - x).sign() > 0 for x, y in zip(got.values, got.values[1:]))
 
@@ -285,8 +261,7 @@ class TestDeficiencies1D:
 
     def test_subset_relation(self):
         for n in range(0, 13):
-            w = Window1D.symmetric(n)
-            assert line_closed_form(n).value_set() <= sigma_1d(w, w).value_set()
+            assert line_closed_form(n).value_set() <= sigma_1d(n).value_set()
 
 
 class TestMnNn:
@@ -470,8 +445,7 @@ class TestMinDistance:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_line_and_sigma_gaps_match_the_loop_oracle(self, n):
-        w = Window1D.symmetric(n)
-        for line in (line_closed_form(n), sigma_1d(w, w)):
+        for line in (line_closed_form(n), sigma_1d(n)):
             assert lineanalysis._min_gap(line.rows) == min_gap_oracle(line.values)
 
     def test_exact_gap_comparison(self):
@@ -479,9 +453,8 @@ class TestMinDistance:
         from quasih.lineanalysis import _min_gap
 
         for n in range(1, 8):
-            w = Window1D.symmetric(n)
             d_line = _min_gap(line_closed_form(n).rows)
-            d_sigma = _min_gap(sigma_1d(w, w).rows)
+            d_sigma = _min_gap(sigma_1d(n).rows)
             assert (d_line - d_sigma).sign() >= 0
 
 
