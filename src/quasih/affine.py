@@ -50,23 +50,6 @@ class AffineOperator:
         t = tuple(a + b for a, b in zip(t, self.offset))
         return AffineOperator(self.group, m, t)
 
-    def power(self, n: int) -> AffineOperator:
-        out = identity_operator(self.group)
-        for _ in range(n):
-            out = out.compose(self)
-        return out
-
-    def is_identity(self) -> bool:
-        k = len(self.matrix)
-        if any(not t.is_zero() for t in self.offset):
-            return False
-        for i in range(k):
-            for j in range(k):
-                expect = ONE if i == j else ZERO
-                if self.matrix[i][j] != expect:
-                    return False
-        return True
-
     @lru_cache(maxsize=None)
     def compiled(self) -> tuple[np.ndarray, np.ndarray]:
         """Integer-affine form (M, off) on (a1, b1, ..., ak, bk) rows, so
@@ -90,12 +73,6 @@ class OperatorSet:
     root_reflection: AffineOperator
     affine_reflection: AffineOperator
     translation: AffineOperator
-
-    def generators(self, extended: bool) -> tuple[AffineOperator, ...]:
-        """Reflection generators; the extended system adds r_0."""
-        if extended:
-            return (self.root_reflection,) + self.reflections
-        return self.reflections
 
 
 def _root_reflection_matrix(group: GroupId, root_omega: OmegaVector) -> Matrix:
@@ -198,22 +175,24 @@ class PairIdentity:
 
 def verify_identities(group: GroupId, extended: bool = False) -> tuple[PairIdentity, ...]:
     """Check (r_i r_j)^M = 1 with M read off the (extended) Cartan matrix,
-    and that no smaller positive power is the identity."""
+    and that no smaller positive power is the identity.  The extended
+    system adds r_0 before the simple reflections."""
     ops = operators(group)
-    gens = ops.generators(extended)
+    gens = ((ops.root_reflection,) if extended else ()) + ops.reflections
     matrix = extended_cartan(group) if extended else cartan(group)
+    identity = identity_operator(group)
     results = []
     for i in range(len(gens)):
         for j in range(i, len(gens)):
             order = coxeter_order(matrix[i][j])
             prod = gens[i].compose(gens[j])
-            power = identity_operator(group)
+            power = identity
             minimal = True
             for _ in range(order - 1):
                 power = power.compose(prod)
-                if power.is_identity():
+                if power == identity:
                     minimal = False
-            holds = power.compose(prod).is_identity()
+            holds = power.compose(prod) == identity
             results.append(PairIdentity(i, j, order, holds, minimal))
     return tuple(results)
 

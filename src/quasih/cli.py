@@ -165,7 +165,7 @@ def cmd_line(args) -> int:
     n = args.n
     sigma = sigma_1d(n)
     m_n, n_n = mn_nn(n)
-    rows = line_closed_form(n).rows
+    rows = line_closed_form(n)
     values = [
         {"value": golden_str(a, b), "level": level, "float": a + b * PHI}
         for (a, b), level in zip(rows.tolist(), _level(*rows.T).tolist())
@@ -175,11 +175,11 @@ def cmd_line(args) -> int:
         "m_n": m_n,
         "n_n": n_n,
         "count": len(values),
-        "sigma_count": sigma.size,
+        "sigma_count": len(sigma),
         "values": values,
         "deficiencies": [
             {"value": golden_str(a, b), "float": a + b * PHI}
-            for a, b in deficiencies_1d(n).rows.tolist()
+            for a, b in deficiencies_1d(n).tolist()
         ],
     }
     text = line_report_json(doc) if args.format == "json" else line_report_csv(doc)

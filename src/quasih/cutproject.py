@@ -9,14 +9,14 @@ the sign of Im(z) equals the sign of its xi-coefficient.  The same forms
 compiled to integer rows decide, with the int64 kernel, a provably
 sufficient integer box in ``sigma_2d`` and a fragment's points in
 ``fragment_in_window``, so no float decides a member or the scan range.
-Point sets are (N, 4) int64 rows (p.a, p.b, q.a, q.b), compared as packed
-keys; ``CycloInt`` values are built only where they are read.
+Points are (N, 4) int64 rows (p.a, p.b, q.a, q.b); ``sigma_2d`` returns
+their sorted packed keys (``kernel.pack_rows``), as a ``Fragment`` holds
+its points, and ``CycloInt`` values are built only where they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,25 +53,6 @@ def _edge_forms(x: CycloInt, n: int) -> tuple[GoldenInt, ...]:
     return tuple((xi_pow(-j) * edge_conj * (x - xi_pow(j) * n)).q for j in range(10))
 
 
-@dataclass(frozen=True, eq=False)
-class CutProjectSet2D:
-    """The members as read-only (N, 4) int64 rows (p.a, p.b, q.a, q.b) in
-    ``CycloInt.sort_key`` order; ``points`` is built on first access only."""
-
-    rows: np.ndarray
-
-    @cached_property
-    def points(self) -> tuple[CycloInt, ...]:
-        return tuple(_point(r) for r in self.rows.tolist())
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def point_set(self) -> frozenset[CycloInt]:
-        return frozenset(self.points)
-
-
 def _point(coords) -> CycloInt:
     a, b, c, d = coords
     return CycloInt(GoldenInt(a, b), GoldenInt(c, d))
@@ -91,8 +72,9 @@ def _window_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def sigma_2d(n: int) -> CutProjectSet2D:
-    """Sigma(D(n)) intersected with D(n): both x and star(x) in the window.
+def sigma_2d(n: int) -> np.ndarray:
+    """Sigma(D(n)) intersected with D(n): both x and star(x) in the window,
+    as the sorted, read-only uint64 packed keys of the member rows.
 
     Points x = p + q*xi are scanned over their coordinates
     (p.a, p.b, q.a, q.b) in the box |x_i| <= 5n//4 + 1, whose lexicographic
@@ -106,8 +88,9 @@ def sigma_2d(n: int) -> CutProjectSet2D:
         |q.a|, |q.b| <= (1/sin36 + 1/sin72) * n/sqrt5 < 1.232n.
 
     The same holds for p, read off x*xi^9 = p*xi^9 + q, whose imaginary
-    parts are -p*sin36 and, under star (xi^9 -> xi^3), p'*sin72.  Results
-    are memoized; a set is immutable.
+    parts are -p*sin36 and, under star (xi^9 -> xi^3), p'*sin72.  The box
+    yields rows in lexicographic order, so their keys come out sorted.
+    Results are memoized; a set is immutable.
     """
     if n < 1:
         raise ValueError("window radius must be positive")
@@ -115,17 +98,17 @@ def sigma_2d(n: int) -> CutProjectSet2D:
     volume = (2 * bound + 1) ** 4
     if volume > BOX_CAP:
         raise ResourceLimitError(f"enumeration box of {volume} points exceeds cap {BOX_CAP}")
-    rows = box_nonnegative(bound, 4, _window_forms(n))
-    rows.setflags(write=False)
-    return CutProjectSet2D(rows)
+    keys = pack_rows(box_nonnegative(bound, 4, _window_forms(n)))
+    keys.setflags(write=False)
+    return keys
 
 
 def deficiency_rows_2d(n: int) -> np.ndarray:
     """The rows of the cut-and-project points missing from the fragment of
     the same cut-off, in sigma order: a set difference of packed row keys."""
-    rows = sigma_2d(n).rows
+    keys = sigma_2d(n)
     fragment_keys = np.sort(pack_rows(cyclo_rows(cached_fragment(GroupId.H2, n).rows())))
-    return rows[~isin_sorted(pack_rows(rows), fragment_keys)]
+    return unpack_keys(keys[~isin_sorted(keys, fragment_keys)], 4)
 
 
 def deficiencies_2d(n: int) -> tuple[CycloInt, ...]:

@@ -16,22 +16,20 @@ keys (``kernel.pack_rows``) of the Z[tau] coefficient rows
 (a1, b1, ..., ak, bk), with 64 // 2k bits per coefficient (16 for rank 2,
 10 for H3, 8 for H4).  Key order is lexicographic row order, and both
 constructions give the keys sorted and distinct, so output is
-reproducible bit for bit.
-``rows(start, stop)`` unpacks a slab of int64 rows, the program's only
-read of a fragment; ``coeffs``, every row at once, and ``points``, the
-``OmegaVector`` tuple, are built on first access only, for the tests and
-small n.  Closure, orbits, shells and the ten-fold check run on keys and
-slabs of rows through ``quasih.kernel``; an orbit is recorded by its
-dominant point and size, a shell by its exact norm and size.  A coefficient
-outside the key range raises ``ResourceLimitError`` instead of wrapping;
-points of cut-off n have coefficients of at most 2n in absolute value,
-far inside the range at any size the cap admits.
+reproducible bit for bit.  ``rows(start, stop)`` unpacks a slab of int64
+rows, the only read of a fragment.  Closure, orbits, shells and the
+ten-fold check run on keys and slabs of rows through ``quasih.kernel``; an
+orbit is recorded by its dominant point and size, a shell by its exact
+norm and size.  A coefficient outside the key range raises
+``ResourceLimitError`` instead of wrapping; points of cut-off n have
+coefficients of at most 2n in absolute value, far inside the range at any
+size the cap admits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,20 +79,6 @@ class Fragment:
     def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The int64 coefficient rows start..stop-1, unpacked from the keys."""
         return kernel.unpack_keys(self.keys[start:stop], 2 * self.group.rank)
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        """Every row, read-only; kept once read."""
-        rows = self.rows()
-        rows.setflags(write=False)
-        return rows
-
-    @cached_property
-    def points(self) -> tuple[OmegaVector, ...]:
-        return tuple(OmegaVector.from_flat(self.group, row) for row in self.rows().tolist())
-
-    def point_set(self) -> frozenset[OmegaVector]:
-        return frozenset(self.points)
 
 
 def _word_levels(group: GroupId, n: int, cap: int):

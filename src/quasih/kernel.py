@@ -148,7 +148,10 @@ def root_sums(roots: np.ndarray, n: int, cap: int) -> list[tuple[np.ndarray, np.
     first reached with m roots, with each one's first-hit parent in level m-1
     and root added, by index.  A root adds key(r) - key(0) to a key while no
     column leaves its packed range, as n * max|root| < 2^(width-1) ensures.
-    Slabs of the frontier bound the candidates; the cap is checked per level."""
+    Slabs of the frontier bound the candidates; the cap, which counts the
+    origin, is checked per level."""
+    if cap < 1:
+        raise ResourceLimitError(f"fragment exceeded cap {cap}")
     cols = roots.shape[1]
     _require(n * _absmax(roots), 1 << (64 // cols - 1), "root sums")
     seen = pack_rows(np.zeros((1, cols), dtype=np.int64))

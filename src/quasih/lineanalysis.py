@@ -7,16 +7,17 @@ The real-axis section of the cut-off-n fragment has the closed form
 
 which this module enumerates, re-derives by brute force from cyclotomic
 root sums, and compares against the 1D cut-and-project set of window
-[-n, n], {x in Z[tau] : |x| <= n and |conj(x)| <= n}, all held as ascending
-(N, 2) int64 rows (a, b) of a + b*tau.  Membership and window tests are
-exact; floats only propose the sort order and appear in diagnostics.
+[-n, n], {x in Z[tau] : |x| <= n and |conj(x)| <= n}.  Every set is
+returned as read-only (N, 2) int64 rows (a, b) of the distinct values
+a + b*tau in ascending order.  Membership and window tests are exact;
+floats only propose the sort order and appear in diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,36 +44,17 @@ _XI_ROWS = np.array([xi_pow(j).sort_key() for j in range(10)], dtype=np.int64)
 
 
 def _sorted_values(a, b) -> np.ndarray:
-    """The (N, 2) rows (a, b) of the distinct values a + b*tau, for integer
-    sequences a and b, in ascending order (``kernel.exact_argsort``)."""
+    """The read-only (N, 2) rows (a, b) of the distinct values a + b*tau,
+    for integer sequences a and b, in ascending order
+    (``kernel.exact_argsort``)."""
     rows = np.stack([np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)], axis=1)
-    return rows[exact_argsort(rows[:, 0], rows[:, 1])]
-
-
-@dataclass(frozen=True, eq=False)
-class LineSet:
-    """Values of Z[tau] as read-only (N, 2) int64 rows (a, b), in ascending
-    order of a + b*tau; ``values`` is built on first access only."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        self.rows.setflags(write=False)
-
-    @cached_property
-    def values(self) -> tuple[GoldenInt, ...]:
-        return tuple(map(GoldenInt, *self.rows.T.tolist()))
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def value_set(self) -> frozenset[GoldenInt]:
-        return frozenset(self.values)
+    rows = rows[exact_argsort(rows[:, 0], rows[:, 1])]
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None)
-def line_closed_form(n: int) -> LineSet:
+def line_closed_form(n: int) -> np.ndarray:
     """L(n) read off the box |u| <= n, |v| <= n // 2, which holds it:
     |a + c| <= n and |b - c| <= n / 2 whenever |a| + 2|b| + 2|c| <= n."""
     if n < 0:
@@ -80,7 +62,7 @@ def line_closed_form(n: int) -> LineSet:
     half = n // 2
     u, v = np.indices((2 * n + 1, 2 * half + 1)).reshape(2, -1) - np.array([[n], [half]])
     keep = _level(u, v) <= n
-    return LineSet(_sorted_values(u[keep], v[keep]))
+    return _sorted_values(u[keep], v[keep])
 
 
 def _level(u, v):
@@ -93,7 +75,7 @@ def _level(u, v):
     return np.minimum.reduce([abs(u - c) + 2 * abs(v + c) + 2 * abs(c) for c in (u, -v, 0)])
 
 
-def line_bruteforce(n: int) -> LineSet:
+def line_bruteforce(n: int) -> np.ndarray:
     """Independent derivation: the sums of at most n decagonal roots
     xi^0..xi^9 (``kernel.root_sums``) that land exactly on the real axis,
     the rows p + q*xi with q = 0."""
@@ -101,16 +83,16 @@ def line_bruteforce(n: int) -> LineSet:
         raise ValueError("cut-off must be non-negative")
     rows = unpack_keys(np.concatenate([k for k, _, _ in root_sums(_XI_ROWS, n, DEFAULT_CAP)]), 4)
     real = rows[~rows[:, 2:].any(axis=1)]
-    return LineSet(_sorted_values(real[:, 0], real[:, 1]))
+    return _sorted_values(real[:, 0], real[:, 1])
 
 
 def levels(n: int) -> tuple[tuple[int, tuple[GoldenInt, ...]], ...]:
     """Growth levels: level m holds line(m) minus line(m-1), sorted.  The
     sorted L(n) is bucketed by the level of each value in one pass."""
-    line = line_closed_form(n)
+    rows = line_closed_form(n)
     buckets: list[list[GoldenInt]] = [[] for _ in range(n + 1)]
-    for x, m in zip(line.values, _level(*line.rows.T).tolist()):
-        buckets[m].append(x)
+    for (a, b), m in zip(rows.tolist(), _level(*rows.T).tolist()):
+        buckets[m].append(GoldenInt(a, b))
     return tuple((m, tuple(bucket)) for m, bucket in enumerate(buckets))
 
 
@@ -118,7 +100,7 @@ def levels(n: int) -> tuple[tuple[int, tuple[GoldenInt, ...]], ...]:
 # 1D cut and project
 
 @lru_cache(maxsize=None)
-def sigma_1d(n: int) -> LineSet:
+def sigma_1d(n: int) -> np.ndarray:
     """{x in Z[tau] : |x| <= n and |conj(x)| <= n}, exactly: the
     cut-and-project set of window [-n, n] inside [-n, n].
 
@@ -136,15 +118,17 @@ def sigma_1d(n: int) -> LineSet:
         return (n - x, n + x, n - x.conj(), n + x.conj())
 
     rows = box_nonnegative(n, 2, compile_forms(forms, 2))
-    return LineSet(_sorted_values(rows[:, 0], rows[:, 1]))
+    return _sorted_values(rows[:, 0], rows[:, 1])
 
 
-def deficiencies_1d(n: int) -> LineSet:
+def deficiencies_1d(n: int) -> np.ndarray:
     """Cut-and-project points at window [-n, n] missing from the fragment
     section, in sigma order: a set difference of packed row keys.  Empty
     for n <= 2 and provably nonempty from n = 3 on."""
-    rows, section = sigma_1d(n).rows, np.sort(pack_rows(line_closed_form(n).rows))
-    return LineSet(rows[~isin_sorted(pack_rows(rows), section)])
+    rows, section = sigma_1d(n), np.sort(pack_rows(line_closed_form(n)))
+    missing = rows[~isin_sorted(pack_rows(rows), section)]
+    missing.setflags(write=False)
+    return missing
 
 
 def mn_nn(n: int) -> tuple[int, int]:
@@ -233,8 +217,8 @@ def scaling_check(n: int) -> bool:
     stays inside L(2n) for every x in L(n).  Membership is ``isin_sorted``
     against the packed row keys of the enumerated L(2n), sorted once; L(n)
     is shifted by a slab of x at a time, so memory stays O(|L(n)|)."""
-    target = np.sort(pack_rows(line_closed_form(2 * n).rows))
-    pattern = line_closed_form(n).rows
+    target = np.sort(pack_rows(line_closed_form(2 * n)))
+    pattern = line_closed_form(n)
     tau = compile_forms(lambda x: (TAU * GoldenInt(*x),), 2)
     if not isin_sorted(pack_rows(apply(tau, pattern)), target).all():
         return False
@@ -259,6 +243,6 @@ def min_distance_compare(n: int) -> tuple[float, float, bool]:
     the fragment gap may never be the smaller one."""
     if n < 1:
         raise ValueError("n must be positive")
-    d_line = _min_gap(line_closed_form(n).rows)
-    d_sigma = _min_gap(sigma_1d(n).rows)
+    d_line = _min_gap(line_closed_form(n))
+    d_sigma = _min_gap(sigma_1d(n))
     return d_line.embed(), d_sigma.embed(), (d_line - d_sigma).sign() >= 0

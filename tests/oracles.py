@@ -2,10 +2,11 @@
 
 The float and exact decagon membership tests, the closed-form line
 membership, the inverse of ``cyclo_from_omega`` and the cyclotomic image
-of an H2 fragment.  The
-package decides all of these on int64 rows; these are the one-value-at-a-time
-readings of the same definitions.  ``dominant_rows``, the rule of
-``to_dominant`` swept over int64 rows, is the orbit oracle.
+of an H2 fragment.  The package decides all of these on int64 rows; these
+are the one-value-at-a-time readings of the same definitions.  ``values``,
+``cyclo_set`` and ``points`` read the package's point arrays as scalars.
+``dominant_rows``, the rule of ``to_dominant`` swept over int64 rows, is
+the orbit oracle.
 """
 
 import cmath
@@ -15,7 +16,7 @@ import numpy as np
 
 from quasih.cutproject import _edge_forms
 from quasih.golden import TAU, CycloInt, GoldenInt, xi_pow
-from quasih.kernel import apply, golden_sign
+from quasih.kernel import apply, golden_sign, unpack_keys
 from quasih.lineanalysis import _level
 from quasih.rootsystem import AlphaVector, GroupId, OmegaVector, cyclo_from_omega, omega_from_alpha
 
@@ -68,9 +69,25 @@ def omega_from_cyclo(x: CycloInt) -> OmegaVector:
     return omega_from_alpha(AlphaVector(GroupId.H2, (x.p + TAU * x.q, x.q)))
 
 
+def values(rows) -> tuple[GoldenInt, ...]:
+    """(N, 2) rows (a, b) as the values a + b*tau, in row order."""
+    return tuple(GoldenInt(a, b) for a, b in rows.tolist())
+
+
+def cyclo_set(keys) -> set[CycloInt]:
+    """Packed (p.a, p.b, q.a, q.b) keys, as ``sigma_2d`` returns, as a set."""
+    rows = unpack_keys(keys, 4).tolist()
+    return {CycloInt(GoldenInt(a, b), GoldenInt(c, d)) for a, b, c, d in rows}
+
+
+def points(fragment) -> tuple[OmegaVector, ...]:
+    """The points of a fragment as omega vectors, in key order."""
+    return tuple(OmegaVector.from_flat(fragment.group, r) for r in fragment.rows().tolist())
+
+
 def cyclo_points(fragment) -> tuple[CycloInt, ...]:
     """The points of an H2 fragment as cyclotomic integers, in row order."""
-    return tuple(cyclo_from_omega(v) for v in fragment.points)
+    return tuple(cyclo_from_omega(v) for v in points(fragment))
 
 
 def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:

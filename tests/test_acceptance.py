@@ -16,6 +16,7 @@ still exits 2 by design and names them.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from quasih.golden import CycloInt, GoldenInt, GoldenRational, TAU, TAU_CONJ, xi_pow
@@ -40,7 +41,7 @@ from quasih.affine import (
     verify_identities,
 )
 from quasih.fragment import check_tenfold, generate, generate_rootsum, orbits
-from oracles import cyclo_points
+from oracles import cyclo_points, cyclo_set, points, values
 from quasih.lineanalysis import (
     decompose,
     deficiencies_1d,
@@ -87,8 +88,8 @@ def test_criterion_02_word_table(q2):
         raw = evaluate_word(word)
         assert raw == swapped
         produced.add(raw)
-    assert produced == q2[1].point_set()
-    assert q2[1].point_set() == set(roots_omega(GroupId.H2)) | {
+    assert produced == set(points(q2[1]))
+    assert set(points(q2[1])) == set(roots_omega(GroupId.H2)) | {
         OmegaVector.zero(GroupId.H2)
     }
     last, second_last = WORD_TABLE[-1][0], WORD_TABLE[-2][0]
@@ -178,18 +179,18 @@ def test_criterion_07_line_analysis():
         GoldenInt(2), GoldenInt(-2), TAU, -TAU, TAU_CONJ, -TAU_CONJ,
     }
     for n in range(9):
-        assert line_closed_form(n).values == line_bruteforce(n).values
+        assert np.array_equal(line_closed_form(n), line_bruteforce(n))
     assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_08_cutproject_1d():
     for n in (1, 2):
-        assert sigma_1d(n).value_set() == line_closed_form(n).value_set()
-        assert deficiencies_1d(n).values == ()
-    d3 = deficiencies_1d(3).value_set()
+        assert np.array_equal(sigma_1d(n), line_closed_form(n))
+        assert values(deficiencies_1d(n)) == ()
+    d3 = set(values(deficiencies_1d(3)))
     assert GoldenInt(-1, 2) in d3 and GoldenInt(1, -2) in d3
     for n in range(3, 13):
-        assert deficiencies_1d(n).size
+        assert len(deficiencies_1d(n))
 
 
 def test_criterion_09_mn_nn_bounds():
@@ -204,14 +205,14 @@ def test_criterion_10_rootsum_oracle():
     start = time.perf_counter()
     for group, nmax in ((GroupId.H2, 4), (GroupId.H3, 3), (GroupId.H4, 2)):
         for n in range(nmax + 1):
-            assert generate(group, n).points == generate_rootsum(group, n).points
+            assert points(generate(group, n)) == points(generate_rootsum(group, n))
     assert time.perf_counter() - start < 120.0
 
 
 def test_criterion_11_window_containment(q2, sigma):
     for n in range(1, 6):
         fragment_points = set(cyclo_points(q2[n]))
-        assert fragment_points <= sigma[n].point_set()
+        assert fragment_points <= cyclo_set(sigma[n])
     assert deficiencies_2d(1) == () and deficiencies_2d(2) == ()
     for n in (3, 4, 5):
         assert deficiencies_2d(n)
@@ -258,14 +259,14 @@ def test_criterion_15_minimal_distances(q2, sigma):
         assert ok
     for n in range(1, 6):
         frag = [x.embed() for x in cyclo_points(q2[n])]
-        sig = [x.embed() for x in sigma[n].points]
+        sig = [x.embed() for x in cyclo_set(sigma[n])]
         assert _min_dist(frag) >= _min_dist(sig) - 1e-9
 
 
-def _min_dist(points):
+def _min_dist(zs):
     best = float("inf")
-    for i, p in enumerate(points):
-        for q in points[i + 1:]:
+    for i, p in enumerate(zs):
+        for q in zs[i + 1:]:
             d = abs(p - q)
             if d < best:
                 best = d
@@ -283,6 +284,6 @@ def test_criterion_17_a2_root_lattice():
 
     for n in range(6):
         fragment = generate(GroupId.A2, n)
-        for p in fragment.points:
+        for p in points(fragment):
             coords = alpha_from_omega(p)
             assert all(c.is_integral() and c.as_golden().b == 0 for c in coords)

@@ -22,7 +22,7 @@ from quasih.cli import main
 from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.fragment import generate
 from quasih.kernel import cyclo_rows
-from quasih.lineanalysis import LINE_CAP, LineSet, deficiencies_1d
+from quasih.lineanalysis import LINE_CAP, deficiencies_1d
 from quasih import serialize
 from quasih.rootsystem import GroupId, OmegaVector, cartesian
 from quasih.serialize import (
@@ -410,7 +410,7 @@ class TestCompareCommand:
             "group": "h2",
             "n": n,
             "fragment_count": generate(GroupId.H2, n).size,
-            "sigma_count": sigma_2d(n).size,
+            "sigma_count": len(sigma_2d(n)),
             "deficiency_count": len(defic),
             "deficiencies": [str(x) for x in defic],
         }
@@ -440,9 +440,9 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_empty_deficiency_set_fails_cutproject_1d(self, capsys, monkeypatch):
-        # a LineSet is truthy even when empty: the check must test its size
+        # an empty set is (0, 2) rows: the check must test their number
         real = deficiencies_1d
-        empty = LineSet(np.empty((0, 2), dtype=np.int64))
+        empty = np.empty((0, 2), np.int64)
         monkeypatch.setattr("quasih.checks.deficiencies_1d", lambda n: empty if n == 7 else real(n))
         code, out, err = run_cli(capsys, "verify", "--only", "cutproject-1d")
         assert code == 2 and err == "verification failed: cutproject-1d\n"

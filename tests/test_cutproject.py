@@ -13,7 +13,20 @@ from quasih.golden import CycloInt, GoldenInt, TAU, xi_pow
 from quasih.rootsystem import GroupId, cyclo_from_omega, roots_omega
 from quasih.fragment import Fragment, ResourceLimitError, generate
 from quasih.cutproject import deficiencies_2d, fragment_in_window, sigma_2d
-from oracles import DecagonWindow, cyclo_points, decagon_contains, decagon_contains_exact
+from quasih.lineanalysis import line_bruteforce, line_closed_form, sigma_1d
+from oracles import (
+    DecagonWindow,
+    cyclo_points,
+    cyclo_set,
+    decagon_contains,
+    decagon_contains_exact,
+    values,
+)
+
+
+def _sigma_points(n):
+    """The members of ``sigma_2d(n)`` in key order."""
+    return sorted(cyclo_set(sigma_2d(n)), key=CycloInt.sort_key)
 
 
 def _module_point(x1, x2, x3, x4):
@@ -28,7 +41,7 @@ def _window_samples(draw):
     coord = st.integers(-2 * n, 2 * n)
     box = draw(st.lists(st.tuples(coord, coord, coord, coord), max_size=20))
     points = [_module_point(*c) for c in box]
-    members = sigma_2d(n).points
+    members = _sigma_points(n)
     step = st.integers(-1, 1)
     for i, c in draw(st.lists(st.tuples(st.integers(0, len(members) - 1),
                                         st.tuples(step, step, step, step)), max_size=20)):
@@ -96,29 +109,31 @@ class TestStarOnRoots:
 class TestSigma2D:
     @pytest.mark.parametrize("n", (1, 2))
     def test_equals_fragment_at_small_n(self, n):
-        assert sigma_2d(n).point_set() == set(cyclo_points(generate(GroupId.H2, n)))
+        assert cyclo_set(sigma_2d(n)) == set(cyclo_points(generate(GroupId.H2, n)))
 
     def test_n1_count(self):
-        assert sigma_2d(1).size == 11
+        assert len(sigma_2d(1)) == 11
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_contains_fragment(self, n):
-        assert set(cyclo_points(generate(GroupId.H2, n))) <= sigma_2d(n).point_set()
+        assert set(cyclo_points(generate(GroupId.H2, n))) <= cyclo_set(sigma_2d(n))
 
     @pytest.mark.parametrize("n", (1, 3))
     def test_members_and_stars_in_window(self, n):
-        for x in sigma_2d(n).points:
+        for x in cyclo_set(sigma_2d(n)):
             assert decagon_contains_exact(x, n)
             assert decagon_contains_exact(x.star(), n)
 
     def test_rotation_and_negation_invariance(self):
-        pts = sigma_2d(3).point_set()
+        pts = cyclo_set(sigma_2d(3))
         assert {xi_pow(1) * x for x in pts} == pts
         assert {-x for x in pts} == pts
 
     def test_canonical_order(self):
-        keys = [x.sort_key() for x in sigma_2d(2).points]
-        assert keys == sorted(keys)
+        # key order is the lexicographic order of the sort_key rows
+        keys = sigma_2d(2)
+        rows = kernel.unpack_keys(keys, 4).tolist()
+        assert (keys[1:] > keys[:-1]).all() and rows == sorted(rows)
 
     def test_box_cap(self, monkeypatch):
         # uncached, so a memoized sigma_2d(5) cannot skip the cap
@@ -145,13 +160,13 @@ class TestSigma2D:
             x = _module_point(x1, x2, x3, x4)
             if decagon_contains_exact(x, n) and decagon_contains_exact(x.star(), n):
                 expect.add(x)
-        assert sigma_2d(n).point_set() == expect
+        assert cyclo_set(sigma_2d(n)) == expect
 
     @given(_window_samples())
     @settings(max_examples=60)
     def test_membership_matches_scalar(self, case):
         n, points = case
-        members = sigma_2d(n).point_set()
+        members = cyclo_set(sigma_2d(n))
         for x in points:
             inside = decagon_contains_exact(x, n) and decagon_contains_exact(x.star(), n)
             assert (x in members) == inside
@@ -182,7 +197,7 @@ class TestDeficiencies2D:
 
         for n in (3, 4):
             two_d = {x.p for x in deficiencies_2d(n) if x.is_real()}
-            assert two_d == deficiencies_1d(n).value_set()
+            assert two_d == set(values(deficiencies_1d(n)))
 
     def test_example_point_present(self):
         assert CycloInt.from_golden(GoldenInt(-1, 2)) in set(deficiencies_2d(3))
@@ -209,11 +224,11 @@ class TestFragmentInWindow:
             for x in cyclo_points(whole)
         ])
         for keep in (slice(None), inside[:, 0], inside[:, 1]):
-            f = Fragment.from_rows(GroupId.H2, cutoff, whole.coeffs[keep])
+            f = Fragment.from_rows(GroupId.H2, cutoff, whole.rows()[keep])
             assert fragment_in_window(f) == inside[keep].all()
 
     def test_rejects_points_outside_the_window(self):
-        f = Fragment.from_rows(GroupId.H2, 2, generate(GroupId.H2, 3).coeffs)
+        f = Fragment.from_rows(GroupId.H2, 2, generate(GroupId.H2, 3).rows())
         assert not fragment_in_window(f)
 
     @pytest.mark.parametrize("group", [GroupId.A2, GroupId.H3])
@@ -322,7 +337,7 @@ class TestMinDistance2D:
 
     def test_peak_traced_allocation(self):
         # O(N) arrays of the 1,991 rows; the pair blocks took 6.3 MB
-        rows = sigma_2d(5).rows
+        rows = kernel.unpack_keys(sigma_2d(5), 4)
         tracemalloc.start()
         try:
             cutproject.min_distance_2d(rows)
@@ -333,7 +348,7 @@ class TestMinDistance2D:
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_window_sets_match_the_float_loop(self, n):
-        for points in (sigma_2d(n).points, cyclo_points(generate(GroupId.H2, n))):
+        for points in (_sigma_points(n), cyclo_points(generate(GroupId.H2, n))):
             rows = np.array([x.sort_key() for x in points], dtype=np.int64)
             exact, dist = cutproject.min_distance_2d(rows)
             expect_exact, expect_dist = _scalar_min_distance(points)
@@ -370,12 +385,22 @@ class TestDeficiencyRows:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equal_the_scalar_list_in_order(self, n):
         fragment_points = frozenset(cyclo_points(generate(GroupId.H2, n)))
-        expect = [x for x in sigma_2d(n).points if x not in fragment_points]
+        expect = [x for x in _sigma_points(n) if x not in fragment_points]
         assert list(deficiencies_2d(n)) == expect
         assert cutproject.deficiency_rows_2d(n).tolist() == [list(x.sort_key()) for x in expect]
 
-    def test_sigma_points_are_built_lazily(self):
-        s = sigma_2d.__wrapped__(2)
-        assert "points" not in vars(s)
-        assert s.size == 61 and not s.rows.flags.writeable
-        assert [x.sort_key() for x in s.points] == [tuple(r) for r in s.rows.tolist()]
+    def test_sigma_keys_are_the_packed_fragment_at_two(self):
+        # sigma_2d(2) is the n = 2 fragment: the same 61 packed keys, sorted
+        keys = sigma_2d.__wrapped__(2)
+        fragment_rows = kernel.cyclo_rows(generate(GroupId.H2, 2).rows())
+        assert keys.dtype == np.uint64 and len(keys) == 61
+        assert np.array_equal(keys, np.sort(kernel.pack_rows(fragment_rows)))
+
+
+class TestReadOnlyResults:
+    @pytest.mark.parametrize("sets", (line_closed_form, line_bruteforce, sigma_1d, sigma_2d))
+    def test_point_arrays_are_read_only(self, sets):
+        points = sets(2)
+        assert not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            points[0] = 0

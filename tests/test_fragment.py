@@ -31,7 +31,7 @@ from quasih.fragment import (
     shell_labels,
     shells,
 )
-from oracles import cyclo_points, dominant_rows
+from oracles import cyclo_points, dominant_rows, points
 
 
 @pytest.fixture(scope="module")
@@ -47,32 +47,32 @@ class TestGenerate:
 
     def test_q1_is_origin_plus_roots(self, q2):
         expected = set(roots_omega(GroupId.H2)) | {OmegaVector.zero(GroupId.H2)}
-        assert q2[1].point_set() == expected
+        assert set(points(q2[1])) == expected
 
     def test_contains_origin(self, q2):
         for f in q2.values():
-            assert OmegaVector.zero(GroupId.H2) in f.point_set()
+            assert OmegaVector.zero(GroupId.H2) in set(points(f))
 
     def test_strict_nesting(self, q2):
         for n in range(1, 5):
-            assert q2[n - 1].point_set() < q2[n].point_set()
+            assert set(points(q2[n - 1])) < set(points(q2[n]))
 
     def test_canonical_order(self, q2):
-        flats = [p.flat() for p in q2[3].points]
+        flats = [p.flat() for p in points(q2[3])]
         assert flats == sorted(flats)
 
     def test_closed_under_reflections(self, q2):
         from quasih.affine import operators
 
         ops = operators(GroupId.H2)
-        pts = q2[2].point_set()
+        pts = set(points(q2[2]))
         for r in ops.reflections:
             assert {r.apply(p) for p in pts} == pts
 
     def test_points_within_distance_n(self, q2):
         for n, f in q2.items():
             bound = GoldenRational(n * n)
-            for p in f.points:
+            for p in points(f):
                 assert (norm_sq(p) - bound).sign() <= 0
 
     def test_cap_enforced(self):
@@ -121,8 +121,8 @@ class TestStorage:
     def test_rows_slabs_concatenate_to_coeffs(self, slab):
         f = generate(GroupId.H3, 3)
         slabs = [f.rows(start, start + slab) for start in range(0, f.size, slab)]
-        assert np.array_equal(np.concatenate(slabs), f.coeffs)
-        assert np.array_equal(kernel.pack_rows(f.coeffs), f.keys)
+        assert np.array_equal(np.concatenate(slabs), f.rows())
+        assert np.array_equal(kernel.pack_rows(f.rows()), f.keys)
 
     def test_keys_are_sorted_distinct_and_read_only(self):
         f = generate(GroupId.H4, 2)
@@ -133,7 +133,7 @@ class TestStorage:
     def test_from_rows_keeps_row_order(self):
         rows = np.array([[3, 0, -1, 2], [0, 0, 0, 0], [3, 0, -1, 2]])
         f = Fragment.from_rows(GroupId.H2, 0, rows)
-        assert f.coeffs.tolist() == rows.tolist() and f.size == 3
+        assert f.rows().tolist() == rows.tolist() and f.size == 3
 
     def test_rows_are_not_keys(self):
         with pytest.raises(TypeError, match="from_rows"):
@@ -146,14 +146,14 @@ class TestRootSumOracle:
     ])
     def test_equals_word_bfs(self, group, nmax):
         for n in range(nmax + 1):
-            assert generate(group, n).points == generate_rootsum(group, n).points
+            assert points(generate(group, n)) == points(generate_rootsum(group, n))
 
     @pytest.mark.parametrize("group,nmax", [
         (GroupId.H2, 10), (GroupId.H3, 5), (GroupId.H4, 4),
     ])
     def test_coeffs_equal_word_bfs_at_larger_sizes(self, group, nmax):
         for n in range(nmax + 1):
-            assert np.array_equal(generate(group, n).coeffs, generate_rootsum(group, n).coeffs)
+            assert np.array_equal(generate(group, n).rows(), generate_rootsum(group, n).rows())
 
     def test_h3_n1_count(self):
         assert generate_rootsum(GroupId.H3, 1).size == 31
@@ -210,8 +210,9 @@ class TestOrbits:
 
     def test_each_orbit_has_one_dominant_member(self, q2):
         f = q2[3]
+        pts = points(f)
         for rec, (_, _, index) in zip(orbits(f), _sweep_orbits(f)):
-            dominants = [f.points[i] for i in index.tolist() if f.points[i].is_dominant()]
+            dominants = [pts[i] for i in index.tolist() if pts[i].is_dominant()]
             assert dominants == [rec.dominant]
 
     def test_h2_orbit_size_rule(self, q2):
@@ -245,10 +246,11 @@ def _sweep_orbits(f):
     """(dominant row, row count, member row indices) per dominant point, in
     key order, by the ``dominant_rows`` sweep over every row."""
     refl = [r.compiled() for r in operators(f.group).reflections]
-    keys = kernel.pack_rows(dominant_rows(f.coeffs, refl))
+    rows = f.rows()
+    keys = kernel.pack_rows(dominant_rows(rows, refl))
     distinct = np.unique(keys, return_index=True)[0]
     return [
-        (tuple(kernel.unpack_keys(distinct[i:i + 1], f.coeffs.shape[1])[0].tolist()),
+        (tuple(kernel.unpack_keys(distinct[i:i + 1], rows.shape[1])[0].tolist()),
          int((keys == key).sum()), np.flatnonzero(keys == key))
         for i, key in enumerate(distinct)
     ]
@@ -288,7 +290,7 @@ class TestOrbitFilter:
             assert orbit.size == size
 
     def test_origin_dropped_keeps_the_filter(self, q2):
-        f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].coeffs.any(axis=1))])
+        f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].rows().any(axis=1))])
         recs = orbits(f)
         assert sorted(r.size for r in recs) == [5, 5, 5, 5, 10, 10, 10, 10]
 
@@ -304,7 +306,7 @@ class TestShellOrder:
     ])
     def test_equals_a_sort_by_scalar_norm_sq(self, group, n):
         f = generate(group, n)
-        norms = [norm_sq(p) for p in f.points]
+        norms = [norm_sq(p) for p in points(f)]
         distinct = sorted(set(norms), key=cmp_to_key(lambda s, t: (s - t).sign()))
         sh = shells(f)
         _, labels = shell_labels(f)
@@ -332,7 +334,7 @@ class TestShells:
             assert outer.norm == GoldenRational(n * n)
             assert outer.size == 10
             _, labels = shell_labels(q2[n])
-            members = [q2[n].points[i] for i in np.flatnonzero(labels == len(sh) - 1).tolist()]
+            members = [points(q2[n])[i] for i in np.flatnonzero(labels == len(sh) - 1).tolist()]
             dom = [p for p in members if p.is_dominant()]
             scaled = omega_from_alpha(
                 AlphaVector.make(GroupId.H2, (TAU * n, TAU * n))
@@ -376,7 +378,7 @@ class TestTenfold:
     @settings(max_examples=60)
     def test_rows_agree_with_scalar_rotation(self, q2, n, keep):
         # the whole fragment (invariant) or a random subset (mostly not)
-        coeffs = q2[n].coeffs
+        coeffs = q2[n].rows()
         if keep is not None:
             coeffs = coeffs[np.resize(np.array(keep), len(coeffs))]
         f = Fragment.from_rows(GroupId.H2, n, coeffs)
@@ -391,7 +393,7 @@ class TestCycloImage:
         from oracles import omega_from_cyclo
         from quasih.rootsystem import cyclo_from_omega
 
-        for p in q2[2].points:
+        for p in points(q2[2]):
             assert omega_from_cyclo(cyclo_from_omega(p)) == p
 
     def test_level_sets_match_cyclo_sums(self, q2):

@@ -11,7 +11,6 @@ from quasih import kernel, lineanalysis
 from quasih.fragment import ResourceLimitError, generate
 from quasih.lineanalysis import (
     DecompositionError,
-    LineSet,
     decompose,
     deficiencies_1d,
     levels,
@@ -23,37 +22,37 @@ from quasih.lineanalysis import (
     scaling_check,
     sigma_1d,
 )
-from oracles import cyclo_points, line_contains
+from oracles import cyclo_points, line_contains, values
 
 
-def gset(values):
-    return {GoldenInt(a, b) for a, b in values}
+def gset(pairs):
+    return {GoldenInt(a, b) for a, b in pairs}
 
 
-def exact_sorted(values):
-    return tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
+def exact_sorted(members):
+    return tuple(sorted(members, key=cmp_to_key(lambda x, y: (x - y).sign())))
 
 
 # Scalar oracles: the GoldenInt set code the row paths replaced.
 
 def scaling_oracle(n, line):
-    target = line(2 * n).value_set()
-    if any(TAU * x not in target for x in line(n).values):
+    target = set(values(line(2 * n)))
+    if any(TAU * x not in target for x in values(line(n))):
         return False
-    pattern = line(n).values
-    for x in line(n).values:
+    pattern = values(line(n))
+    for x in values(line(n)):
         if any(p + x not in target for p in pattern):
             return False
     return True
 
 
 def deficiencies_oracle(n):
-    return exact_sorted(set(sigma_1d(n).values) - line_closed_form(n).value_set())
+    return exact_sorted(set(values(sigma_1d(n))) - set(values(line_closed_form(n))))
 
 
-def min_gap_oracle(values):
+def min_gap_oracle(members):
     best = None
-    for prev, cur in zip(values, values[1:]):
+    for prev, cur in zip(members, members[1:]):
         gap = cur - prev
         if best is None or (gap - best).sign() < 0:
             best = gap
@@ -66,55 +65,54 @@ def bruteforce_oracle(n):
 
 class TestClosedForm:
     def test_n1(self):
-        assert line_closed_form(1).value_set() == gset({(-1, 0), (0, 0), (1, 0)})
+        assert set(values(line_closed_form(1))) == gset({(-1, 0), (0, 0), (1, 0)})
 
     def test_new_points_at_n2(self):
-        new = line_closed_form(2).value_set() - line_closed_form(1).value_set()
+        new = set(values(line_closed_form(2))) - set(values(line_closed_form(1)))
         assert new == gset({(2, 0), (-2, 0), (0, 1), (0, -1), (1, -1), (-1, 1)})
 
     def test_repeat_call_is_memoized(self):
         assert line_closed_form(7) is line_closed_form(7)
 
     def test_example_not_in_n3(self):
-        assert GoldenInt(-1, 2) not in line_closed_form(3).value_set()
+        assert GoldenInt(-1, 2) not in set(values(line_closed_form(3)))
 
     def test_negation_symmetric_and_nested(self):
         for n in range(7):
-            values = line_closed_form(n).value_set()
-            assert {-v for v in values} == values
+            members = set(values(line_closed_form(n)))
+            assert {-v for v in members} == members
             if n:
-                assert line_closed_form(n - 1).value_set() <= values
+                assert set(values(line_closed_form(n - 1))) <= members
 
     def test_values_sorted(self):
-        values = line_closed_form(5).values
-        embedded = [v.embed() for v in values]
+        embedded = [v.embed() for v in values(line_closed_form(5))]
         assert embedded == sorted(embedded)
 
     def test_equals_triple_enumeration_of_the_definition(self):
         # every (a, b, c) with |a| + 2|b| + 2|c| <= n, sorted exactly
         for n in range(41):
-            values = set()
+            members = set()
             for a in range(-n, n + 1):
                 for b in range(-((n - abs(a)) // 2), (n - abs(a)) // 2 + 1):
                     rest = (n - abs(a) - 2 * abs(b)) // 2
-                    values.update(GoldenInt(a + c, b - c) for c in range(-rest, rest + 1))
-            expect = sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign()))
-            assert line_closed_form(n).values == tuple(expect)
+                    members.update(GoldenInt(a + c, b - c) for c in range(-rest, rest + 1))
+            expect = sorted(members, key=cmp_to_key(lambda x, y: (x - y).sign()))
+            assert values(line_closed_form(n)) == tuple(expect)
 
     @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(0, 8))
     def test_membership_predicate_matches_enumeration(self, a, b, n):
         x = GoldenInt(a, b)
-        assert line_contains(x, n) == (x in line_closed_form(n).value_set())
+        assert line_contains(x, n) == (x in set(values(line_closed_form(n))))
 
 
 class TestSortedValues:
     @given(st.lists(st.tuples(st.integers(-500, 500), st.integers(-500, 500)), unique=True))
     @settings(max_examples=80)
     def test_equals_exact_comparison_sort(self, pairs):
-        values = [GoldenInt(a, b) for a, b in pairs]
-        expect = tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
+        members = [GoldenInt(a, b) for a, b in pairs]
+        expect = tuple(sorted(members, key=cmp_to_key(lambda x, y: (x - y).sign())))
         rows = lineanalysis._sorted_values([a for a, _ in pairs], [b for _, b in pairs])
-        assert LineSet(rows).values == expect
+        assert values(rows) == expect
 
     def test_fibonacci_near_ties(self):
         # F(k+1) - F(k)*tau tends to 0 with alternating sign: neighbours
@@ -122,10 +120,10 @@ class TestSortedValues:
         fib = [0, 1]
         while len(fib) < 30:
             fib.append(fib[-1] + fib[-2])
-        values = [GoldenInt(fib[k + 1], -fib[k]) for k in range(18, 28)] + [GoldenInt(0)]
-        expect = tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
-        a, b = zip(*[(v.a, v.b) for v in values])
-        assert LineSet(lineanalysis._sorted_values(a, b)).values == expect
+        members = [GoldenInt(fib[k + 1], -fib[k]) for k in range(18, 28)] + [GoldenInt(0)]
+        expect = tuple(sorted(members, key=cmp_to_key(lambda x, y: (x - y).sign())))
+        a, b = zip(*[(v.a, v.b) for v in members])
+        assert values(lineanalysis._sorted_values(a, b)) == expect
 
     def test_wrong_float_order_is_refused(self, monkeypatch):
         monkeypatch.setattr(kernel, "PHI", -kernel.PHI)
@@ -139,20 +137,20 @@ class TestSortedValues:
 
 class TestBruteforce:
     def test_n0(self):
-        assert line_bruteforce(0).value_set() == {GoldenInt(0)}
+        assert set(values(line_bruteforce(0))) == {GoldenInt(0)}
 
     def test_n2_reference_values(self):
-        assert line_bruteforce(2).value_set() == gset(
+        assert set(values(line_bruteforce(2))) == gset(
             {(0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
         )
 
     def test_equals_closed_form_up_to_8(self):
         for n in range(9):
-            assert line_bruteforce(n).values == line_closed_form(n).values
+            assert np.array_equal(line_bruteforce(n), line_closed_form(n))
 
     @pytest.mark.parametrize("n", range(9))
     def test_rows_match_the_witness_oracle(self, n):
-        assert line_bruteforce(n).values == bruteforce_oracle(n)
+        assert values(line_bruteforce(n)) == bruteforce_oracle(n)
 
     def test_tau_from_root_pair(self):
         # tau is the real part of xi + xi^9
@@ -178,16 +176,16 @@ class TestLevels:
         for _, members in parts:
             assert not (union & set(members))
             union |= set(members)
-        assert union == line_closed_form(5).value_set()
+        assert union == set(values(line_closed_form(5)))
 
     def test_equals_difference_of_closed_forms(self):
         # the definition: level m is L(m) minus L(m-1), sorted exactly
-        def exact_sorted(values):
-            return tuple(sorted(values, key=cmp_to_key(lambda x, y: (x - y).sign())))
+        def exact_sorted(members):
+            return tuple(sorted(members, key=cmp_to_key(lambda x, y: (x - y).sign())))
 
         expect, previous = [], frozenset()
         for m in range(21):
-            current = line_closed_form(m).value_set()
+            current = set(values(line_closed_form(m)))
             expect.append((m, exact_sorted(current - previous)))
             previous = current
         for n in range(21):
@@ -199,13 +197,13 @@ class TestSigma1D:
         assert sigma_1d(4) is sigma_1d(4)
 
     def test_unit_window(self):
-        assert sigma_1d(1).value_set() == gset({(-1, 0), (0, 0), (1, 0)})
+        assert set(values(sigma_1d(1))) == gset({(-1, 0), (0, 0), (1, 0)})
 
     def test_example_point_inside(self):
-        assert GoldenInt(-1, 2) in sigma_1d(3).value_set()
+        assert GoldenInt(-1, 2) in set(values(sigma_1d(3)))
 
     def test_degenerate_window(self):
-        assert sigma_1d(0).value_set() == {GoldenInt(0)}
+        assert set(values(sigma_1d(0))) == {GoldenInt(0)}
 
     def test_negative_radius_is_refused(self):
         with pytest.raises(ValueError):
@@ -221,7 +219,7 @@ class TestSigma1D:
                 conj = a + b * (1 - phi)
                 if -2 - 1e-9 <= value <= 2 + 1e-9 and -2 - 1e-9 <= conj <= 2 + 1e-9:
                     expected.add(GoldenInt(a, b))
-        assert sigma_1d(2).value_set() == expected
+        assert set(values(sigma_1d(2))) == expected
 
 
 class TestSigma1DScan:
@@ -236,32 +234,32 @@ class TestSigma1DScan:
             for x in (GoldenInt(a, b) for a in box for b in box)
             if all(f.sign() >= 0 for f in (n - x, n + x, n - x.conj(), n + x.conj()))
         ]
-        got = sigma_1d(n)
-        assert got.value_set() == set(expect) and got.size == len(expect)
-        assert all((y - x).sign() > 0 for x, y in zip(got.values, got.values[1:]))
+        got = values(sigma_1d(n))
+        assert set(got) == set(expect) and len(got) == len(expect)
+        assert all((y - x).sign() > 0 for x, y in zip(got, got[1:]))
 
 
 class TestDeficiencies1D:
     def test_empty_below_three(self):
-        assert deficiencies_1d(0).values == ()
-        assert deficiencies_1d(1).values == ()
-        assert deficiencies_1d(2).values == ()
+        assert values(deficiencies_1d(0)) == ()
+        assert values(deficiencies_1d(1)) == ()
+        assert values(deficiencies_1d(2)) == ()
 
     def test_example_at_three(self):
-        d = deficiencies_1d(3).value_set()
+        d = set(values(deficiencies_1d(3)))
         assert GoldenInt(-1, 2) in d and GoldenInt(1, -2) in d
 
     def test_nonempty_for_3_to_12(self):
         for n in range(3, 13):
-            assert deficiencies_1d(n).size
+            assert len(deficiencies_1d(n))
 
     @pytest.mark.parametrize("n", range(21))
     def test_rows_match_the_set_oracle(self, n):
-        assert deficiencies_1d(n).values == deficiencies_oracle(n)
+        assert values(deficiencies_1d(n)) == deficiencies_oracle(n)
 
     def test_subset_relation(self):
         for n in range(0, 13):
-            assert line_closed_form(n).value_set() <= sigma_1d(n).value_set()
+            assert set(values(line_closed_form(n))) <= set(values(sigma_1d(n)))
 
 
 class TestMnNn:
@@ -367,8 +365,8 @@ class TestScaling:
         assert scaling_check(1)
 
     def test_tau_l1_in_l2(self):
-        target = line_closed_form(2).value_set()
-        for v in line_closed_form(1).values:
+        target = set(values(line_closed_form(2)))
+        for v in values(line_closed_form(1)):
             assert TAU * v in target
 
     @pytest.mark.parametrize("n", range(11))
@@ -378,8 +376,8 @@ class TestScaling:
     def test_substitution_identity(self):
         # tau*(u + v*tau) with (a,b,c) |-> (b, a+b-c, -c) stays in the form
         for n in range(1, 7):
-            doubled = line_closed_form(2 * n).value_set()
-            for x in line_closed_form(n).values:
+            doubled = set(values(line_closed_form(2 * n)))
+            for x in values(line_closed_form(n)):
                 assert TAU * x in doubled
 
 
@@ -392,8 +390,8 @@ class TestScalingRows:
         m = 2 * n if from_double else n
 
         def holed(k):
-            rows = line(k).rows
-            return LineSet(np.delete(rows, index % len(rows), axis=0)) if k == m else line(k)
+            rows = line(k)
+            return np.delete(rows, index % len(rows), axis=0) if k == m else rows
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lineanalysis, "line_closed_form", holed)
@@ -401,11 +399,11 @@ class TestScalingRows:
 
     def test_each_failure_is_seen(self, monkeypatch):
         line = lineanalysis.line_closed_form
-        two = line(2).rows
+        two = line(2)
 
         def without(value):
             keep = ~((two[:, 0] == value.a) & (two[:, 1] == value.b))
-            return lambda k: LineSet(two[keep]) if k == 2 else line(k)
+            return lambda k: two[keep] if k == 2 else line(k)
 
         # tau = tau * 1 misses from L(2); 2 = 1 + 1 is no tau multiple of L(1)
         for value in (TAU, GoldenInt(2)):
@@ -432,29 +430,29 @@ class TestMinDistance:
     @settings(max_examples=80)
     def test_gap_matches_the_loop_oracle(self, pairs):
         rows = lineanalysis._sorted_values(*zip(*pairs))
-        assert lineanalysis._min_gap(rows) == min_gap_oracle(LineSet(rows).values)
+        assert lineanalysis._min_gap(rows) == min_gap_oracle(values(rows))
 
     def test_gap_of_fibonacci_near_ties(self):
         # neighbours about 1e-6 apart: the float argmin alone may pick wrong
         fib = [0, 1]
         while len(fib) < 30:
             fib.append(fib[-1] + fib[-2])
-        values = [GoldenInt(fib[k + 1], -fib[k]) for k in range(18, 28)] + [GoldenInt(0)]
-        rows = lineanalysis._sorted_values([v.a for v in values], [v.b for v in values])
-        assert lineanalysis._min_gap(rows) == min_gap_oracle(exact_sorted(values))
+        members = [GoldenInt(fib[k + 1], -fib[k]) for k in range(18, 28)] + [GoldenInt(0)]
+        rows = lineanalysis._sorted_values([v.a for v in members], [v.b for v in members])
+        assert lineanalysis._min_gap(rows) == min_gap_oracle(exact_sorted(members))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_line_and_sigma_gaps_match_the_loop_oracle(self, n):
-        for line in (line_closed_form(n), sigma_1d(n)):
-            assert lineanalysis._min_gap(line.rows) == min_gap_oracle(line.values)
+        for rows in (line_closed_form(n), sigma_1d(n)):
+            assert lineanalysis._min_gap(rows) == min_gap_oracle(values(rows))
 
     def test_exact_gap_comparison(self):
         # the float report mirrors an exactly-decidable inequality
         from quasih.lineanalysis import _min_gap
 
         for n in range(1, 8):
-            d_line = _min_gap(line_closed_form(n).rows)
-            d_sigma = _min_gap(sigma_1d(n).rows)
+            d_line = _min_gap(line_closed_form(n))
+            d_sigma = _min_gap(sigma_1d(n))
             assert (d_line - d_sigma).sign() >= 0
 
 
@@ -463,4 +461,4 @@ class TestFragmentConsistency:
     def test_real_axis_section_matches_closed_form(self, n):
         fragment = generate(GroupId.H2, n)
         section = {x.p for x in cyclo_points(fragment) if x.is_real()}
-        assert section == line_closed_form(n).value_set()
+        assert section == set(values(line_closed_form(n)))
