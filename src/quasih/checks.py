@@ -48,7 +48,7 @@ from .lineanalysis import (
     scaling_check,
     sigma_1d,
 )
-from .cutproject import deficiencies_2d, fragment_in_window, min_distance_2d, sigma_2d
+from .cutproject import deficiency_rows_2d, fragment_in_window, min_distance_2d, sigma_2d
 from .kernel import apply, cyclo_rows, pack_rows, unpack_keys
 
 
@@ -321,7 +321,7 @@ def _oracle(coeff_bound: int = 3):
 @_check("cutproject-2d")
 def _cut2d(coeff_bound: int = 3):
     inclusion = all(fragment_in_window(_h2(n)) for n in range(1, 6))
-    defic = {n: len(deficiencies_2d(n)) for n in range(1, 6)}
+    defic = {n: len(deficiency_rows_2d(n)) for n in range(1, 6)}
     empties = defic[1] == 0 and defic[2] == 0
     nonempty = all(defic[n] > 0 for n in (3, 4, 5))
     equal12 = all(

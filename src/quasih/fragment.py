@@ -8,8 +8,11 @@ levels
     S_0 = {O},   S_{m+1} = closure(T(S_m)),   fragment = S_0 u ... u S_n,
 
 and since the levels nest two apart that union is S_{n-1} u S_n (see
-``generate``).  The independent oracle builds the same set as all sums of
-at most n roots.
+``generate``).  Each level is W-invariant, so ``generate`` carries only
+its dominant rows from level to level, counts every level and union from
+the orbit sizes |W|/|W_J| before it expands anything, and expands the
+fragment with one reflection closure.  The independent oracle builds the
+same set as all sums of at most n roots.
 
 A ``Fragment`` stores its points as one read-only array of packed uint64
 keys (``kernel.pack_rows``) of the Z[tau] coefficient rows
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
 
@@ -81,27 +85,23 @@ class Fragment:
         return kernel.unpack_keys(self.keys[start:stop], 2 * self.group.rank)
 
 
-def _word_levels(group: GroupId, n: int, cap: int):
-    """The sorted keys of the levels S_0, ..., S_n, one at a time."""
+@lru_cache(maxsize=None)
+def _translates(group: GroupId) -> tuple[list, np.ndarray]:
+    """The compiled simple reflections, and W.t, the orbit of t = T(0) under
+    them, as read-only int64 rows: ``kernel.closure`` of the one row, grown
+    once per group.  It is not read off ``roots_omega``, so the root-sum
+    oracle shares nothing with ``generate``."""
     ops = operators(group)
     refl = [r.compiled() for r in ops.reflections]
-    trans = ops.translation.compiled()
-    cols = 2 * group.rank
-    slab = kernel._SLAB
-    level = kernel.pack_rows(np.zeros((1, cols), dtype=np.int64))
-    yield level
-    for _ in range(n):
-        # a translation keeps rows distinct and in lexicographic order
-        shifted = np.concatenate([
-            kernel.pack_rows(kernel.apply(trans, kernel.unpack_keys(level[lo:lo + slab], cols)))
-            for lo in range(0, len(level), slab)
-        ])
-        level = kernel.closure(shifted, refl, cols, cap)
-        yield level
+    t = kernel.pack_rows(ops.translation.compiled()[1][None])
+    steps = kernel.unpack_keys(kernel.closure(t, refl, 2 * group.rank), 2 * group.rank)
+    steps.setflags(write=False)
+    return refl, steps
 
 
 def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
-    """Breadth-first fragment of the affine group action (word definition).
+    """Breadth-first fragment of the affine group action (word definition),
+    built from the dominant rows of its levels and expanded once.
 
     The fragment S_0 u ... u S_n equals S_{n-1} u S_n, because the levels
     nest two apart: S_{m-1} is inside S_{m+1}.  T translates by the highest
@@ -109,25 +109,44 @@ def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
     linear and sends alpha_H to -alpha_H, so r0 T r0 = T^-1.  For x in
     S_{m-1}, r0 T x lies in S_m, and x = r0 T (r0 T x) then lies in
     S_{m+1}.  Hence S_m is inside S_n for every m <= n of the parity of n,
-    and inside S_{n-1} for the others.  The cap bounds each level and each
-    union S_{m-1} u S_m, the fragment of cut-off m.
+    and inside S_{n-1} for the others.
+
+    Each level is W-invariant, so S_m = W.D_m with D_m its dominant rows.
+    For w in W, W.T(w x) = W.(w^-1 T w x) = W.(x + w^-1 t), since T is the
+    translation by t = T(0) and w is linear; so S_{m+1} = W.(D_m + W.t) and
+    D_{m+1} = dom(D_m + W.t), with D_0 = {0}.  Every orbit holds exactly
+    one dominant row, and orbits are disjoint, so |S_m| and
+    |S_{m-1} u S_m| are sums of ``_orbit_sizes`` over D_m and over
+    D_{m-1} u D_m.  The cap bounds each level and each union S_{m-1} u S_m,
+    the fragment of cut-off m, tested in that order for m = 1..n from
+    these counts before any point is expanded; then one ``kernel.closure``
+    of D_{n-1} u D_n under the reflections gives the fragment.  The sums
+    D_m + W.t are formed and swept to the dominant chamber a slab of rows
+    at a time.
     """
     if n < 0:
         raise ValueError("cut-off must be non-negative")
     if cap < 1:
         raise ResourceLimitError(f"fragment exceeded cap {cap}")
-    prev = None
-    for level in _word_levels(group, n, cap):
-        if prev is None:
-            total = level
-        else:
-            # two sorted disjoint runs: the stable sort merges them in linear time
-            total = np.concatenate([level, prev[~kernel.isin_sorted(prev, level)]])
-            total.sort(kind="stable")
-        if total.size > cap:
+    refl, steps = _translates(group)
+    cols = 2 * group.rank
+    slab = max(1, kernel._SLAB // len(steps))
+    level = seeds = kernel.pack_rows(np.zeros((1, cols), dtype=np.int64))
+    for _ in range(n):
+        prev, level = level, kernel.unique_keys(np.concatenate([
+            kernel.unique_keys(kernel.pack_rows(kernel.dominant_rows(
+                (kernel.unpack_keys(level[lo:lo + slab], cols)[:, None] + steps).reshape(-1, cols), refl)))
+            for lo in range(0, len(level), slab)
+        ]))
+        if _orbit_sizes(group, kernel.unpack_keys(level, cols)).sum() > cap:
+            raise ResourceLimitError(f"reflection closure exceeded cap {cap}")
+        seeds = kernel.unique_keys(np.concatenate([prev, level]))
+        if _orbit_sizes(group, kernel.unpack_keys(seeds, cols)).sum() > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
-        prev = level
-    return Fragment(group, n, total)
+    keys = kernel.closure(seeds, refl, cols)
+    if keys.size != _orbit_sizes(group, kernel.unpack_keys(seeds, cols)).sum():
+        raise AssertionError("the expanded fragment differs in size from its orbit count")
+    return Fragment(group, n, keys)
 
 
 def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
@@ -148,31 +167,24 @@ class OrbitRecord:
     size: int
 
 
-@lru_cache(maxsize=None)
-def _orbit_sizes(group: GroupId) -> np.ndarray:
-    """|W| / |W_J| for every set J of simple reflections, indexed by the
-    bitmask of J, read-only.  The stabilizer of a dominant point d is the
-    parabolic subgroup W_J with J = {i : d_i = 0} (Humphreys, *Reflection
-    Groups and Coxeter Groups*, 1.12), so the orbit of d has |W| / |W_J|
-    points.  The point with every coordinate 1 has a trivial stabilizer,
-    so its orbit under the reflections of J, grown by ``kernel.closure``,
-    has |W_J| points; |W| is |W_J| for J = {1, ..., k-1} times the size of
-    the orbit of the first fundamental weight."""
+def _orbit_sizes(group: GroupId, dominant: np.ndarray) -> np.ndarray:
+    """|W| / |W_J| for each dominant row, J = {i : d_i = 0}: the stabilizer
+    of a dominant point d is the parabolic subgroup W_J (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.12).  |W_J| is the product of
+    the orders of the runs of J on the path diagram: (L+1)! for a run of
+    length L of type A, and 2, 10, 120 or 14400 for a run of length 1-4
+    that ends at the tau bond of an H-group, the last bond (I2(5), H3, H4;
+    ibid. 2.11)."""
     k = group.rank
-    refl = [r.compiled() for r in operators(group).reflections]
 
-    def orbit(gens, first, rest):
-        row = np.zeros((1, 2 * k), dtype=np.int64)
-        row[0, 0::2] = [first] + [rest] * (k - 1)
-        return kernel.closure(kernel.pack_rows(row), gens, 2 * k, DEFAULT_CAP).size
+    def order(mask):  # |W_J| for J the set bits of mask
+        *runs, last = "".join("1" if mask >> i & 1 else "0" for i in range(k)).split("0")
+        tail = (1, 2, 10, 120, 14400)[len(last)] if group.is_h else factorial(len(last) + 1)
+        return prod(factorial(len(run) + 1) for run in runs) * tail
 
-    full = (1 << k) - 1
-    order = [1] + [orbit([g for i, g in enumerate(refl) if mask >> i & 1], 1, 1)
-                   for mask in range(1, full)]
-    order.append(order[full - 1] * orbit(refl, 1, 0))
-    sizes = order[full] // np.array(order, dtype=np.int64)
-    sizes.setflags(write=False)
-    return sizes
+    orders = np.array([order(mask) for mask in range(1 << k)], dtype=np.int64)
+    zero = (dominant[:, 0::2] == 0) & (dominant[:, 1::2] == 0)
+    return (orders[-1] // orders)[(zero << np.arange(k)).sum(axis=1)]
 
 
 def orbits(fragment: Fragment) -> tuple[OrbitRecord, ...]:
@@ -197,8 +209,7 @@ def orbits(fragment: Fragment) -> tuple[OrbitRecord, ...]:
         sign = kernel.golden_sign(rows[:, 0::2], rows[:, 1::2])
         dominant[start:start + len(rows)] = (sign >= 0).all(axis=1)
     dom = kernel.unpack_keys(keys[dominant], 2 * k)
-    zero = (dom[:, 0::2] == 0) & (dom[:, 1::2] == 0)
-    sizes = _orbit_sizes(group)[(zero << np.arange(k)).sum(axis=1)]
+    sizes = _orbit_sizes(group, dom)
     if sizes.sum() != fragment.size:
         raise AssertionError("the orbit sizes of an invariant fragment do not sum to its size")
     return tuple(

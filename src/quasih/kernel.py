@@ -102,15 +102,16 @@ def isin_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 # Rows per slab in ``closure``, ``closed_under``, ``root_sums``,
-# ``fragment._word_levels``, ``fragment.orbits``, ``fragment.shell_labels``
-# and ``affine.enumerate_generalized`` (its middle grid).
+# ``fragment.generate`` (its dominant sums), ``fragment.orbits``,
+# ``fragment.shell_labels`` and ``affine.enumerate_generalized`` (its middle
+# grid).
 _SLAB = 4096
 
 
-def closure(seeds: np.ndarray, gens, cols: int, cap: int) -> np.ndarray:
+def closure(seeds: np.ndarray, gens, cols: int) -> np.ndarray:
     """Sorted keys of the closure of sorted unique ``seeds`` under ``gens``,
-    grown one frontier at a time from slabs of ``_SLAB`` rows; the cap is
-    checked after every round."""
+    grown one frontier at a time from slabs of ``_SLAB`` rows.  It has no
+    cap: its callers close finite sets whose size they know or bound."""
     seen = frontier = seeds
     while frontier.size:
         fresh = []
@@ -122,9 +123,27 @@ def closure(seeds: np.ndarray, gens, cols: int, cap: int) -> np.ndarray:
         # two sorted disjoint runs: the stable sort merges them in linear time
         seen = np.concatenate([seen, frontier])
         seen.sort(kind="stable")
-        if seen.size > cap:
-            raise ResourceLimitError(f"reflection closure exceeded cap {cap}")
     return seen
+
+
+def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
+    """Reflect each row at its first negative coordinate until every row is
+    dominant, the rule of ``rootsystem.to_dominant`` applied to all rows at
+    once.  Each pass's ``golden_sign`` bounds the rows it reflects below
+    2^29 in absolute value, and the compiled simple reflections are linear
+    with absolute row sums of at most 3 (asserted once per call), so an
+    image stays below 2^31 and the rows are multiplied by the matrices
+    directly, one matrix per row."""
+    assert all(not off.any() and np.abs(m).sum(axis=1).max() <= 3 for m, off in reflections)
+    mats = np.stack([m.T for m, _ in reflections])
+    x = x.copy()
+    active = np.arange(len(x))
+    while active.size:
+        neg = golden_sign(x[active, 0::2], x[active, 1::2]) < 0
+        has = neg.any(axis=1)
+        active = active[has]
+        x[active] = np.einsum("ni,nij->nj", x[active], mats[neg[has].argmax(axis=1)])
+    return x
 
 
 def closed_under(keys: np.ndarray, ops, cols: int) -> bool:

@@ -5,8 +5,9 @@ membership, the inverse of ``cyclo_from_omega`` and the cyclotomic image
 of an H2 fragment.  The package decides all of these on int64 rows; these
 are the one-value-at-a-time readings of the same definitions.  ``values``,
 ``cyclo_set`` and ``points`` read the package's point arrays as scalars.
-``dominant_rows``, the rule of ``to_dominant`` swept over int64 rows, is
-the orbit oracle.
+``word_levels`` and ``word_fragment`` build a fragment level by level from
+its word definition, one reflection closure per level, and are the oracle
+of ``fragment.generate``.
 """
 
 import cmath
@@ -16,7 +17,8 @@ import numpy as np
 
 from quasih.cutproject import _edge_forms
 from quasih.golden import TAU, CycloInt, GoldenInt, xi_pow
-from quasih.kernel import apply, golden_sign, unpack_keys
+from quasih.affine import operators
+from quasih.kernel import ResourceLimitError, apply, closure, pack_rows, unpack_keys
 from quasih.lineanalysis import _level
 from quasih.rootsystem import AlphaVector, GroupId, OmegaVector, cyclo_from_omega, omega_from_alpha
 
@@ -90,19 +92,33 @@ def cyclo_points(fragment) -> tuple[CycloInt, ...]:
     return tuple(cyclo_from_omega(v) for v in points(fragment))
 
 
-def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
-    """Reflect each row at its first negative coordinate until every row is
-    dominant, the rule of ``rootsystem.to_dominant`` applied to all rows at once."""
-    x = x.copy()
-    active = np.arange(len(x))
-    while active.size:
-        sub = x[active]
-        neg = golden_sign(sub[:, 0::2], sub[:, 1::2]) < 0
-        has = neg.any(axis=1)
-        active = active[has]
-        first = neg[has].argmax(axis=1)
-        for i, op in enumerate(reflections):
-            rows = active[first == i]
-            if rows.size:
-                x[rows] = apply(op, x[rows])
-    return x
+def word_levels(group, n: int, cap: int):
+    """The sorted keys of the word levels S_0, ..., S_n, one at a time: S_0
+    holds the origin, and S_{m+1} is the reflection closure of T(S_m).  A
+    level of more than ``cap`` points raises, as ``generate`` does."""
+    ops = operators(group)
+    refl = [r.compiled() for r in ops.reflections]
+    cols = 2 * group.rank
+    level = pack_rows(np.zeros((1, cols), dtype=np.int64))
+    yield level
+    for _ in range(n):
+        # a translation keeps rows distinct and in lexicographic order
+        level = closure(pack_rows(apply(ops.translation.compiled(), unpack_keys(level, cols))), refl, cols)
+        if level.size > cap:
+            raise ResourceLimitError(f"reflection closure exceeded cap {cap}")
+        yield level
+
+
+def word_fragment(group, n: int, cap: int):
+    """The sorted keys of S_{n-1} u S_n from ``word_levels``; the cap bounds
+    every union S_{m-1} u S_m too, tested after level m, and counts the
+    origin."""
+    if cap < 1:
+        raise ResourceLimitError(f"fragment exceeded cap {cap}")
+    prev = None
+    for level in word_levels(group, n, cap):
+        total = level if prev is None else np.union1d(prev, level)
+        if total.size > cap:
+            raise ResourceLimitError(f"fragment exceeded cap {cap}")
+        prev = level
+    return total

@@ -1,4 +1,6 @@
+from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from quasih.fragment import (
     Fragment,
     ResourceLimitError,
     _orbit_sizes,
-    _word_levels,
     check_tenfold,
     generate,
     generate_rootsum,
@@ -31,7 +32,7 @@ from quasih.fragment import (
     shell_labels,
     shells,
 )
-from oracles import cyclo_points, dominant_rows, points
+from oracles import cyclo_points, points, word_fragment, word_levels
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +98,66 @@ class TestGenerate:
             generate(GroupId.H2, -1)
 
 
+class TestWordOracle:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_word_levels_or_raises_alike(self, data):
+        # every cap from the origin alone to one past the fragment's size
+        group = data.draw(st.sampled_from(list(GroupId)))
+        n = data.draw(st.integers(0, 2 if group is GroupId.H4 else 4))
+        cap = data.draw(st.integers(1, _cached(group, n).size + 1))
+        try:
+            expect = word_fragment(group, n, cap)
+        except ResourceLimitError as err:
+            with pytest.raises(ResourceLimitError, match=f"^{err}$"):
+                generate(group, n, cap=cap)
+        else:
+            assert np.array_equal(generate(group, n, cap=cap).keys, expect)
+
+    def test_refusal_expands_nothing(self):
+        # the default cap refuses H4 at level 7 from the dominant rows alone
+        generate(GroupId.H4, 1)  # W.t is grown once per group, before the patch
+        with mock.patch.object(kernel, "closure", side_effect=AssertionError("expanded")):
+            with pytest.raises(ResourceLimitError, match=f"^reflection closure exceeded cap {DEFAULT_CAP}$"):
+                generate(GroupId.H4, 7)
+
+
+def _growth(group, n):
+    """The growth polynomials |F_n| fitted in exact arithmetic; a test
+    oracle, not a proved law."""
+    n = Fraction(n)
+    inner = {
+        GroupId.A2: 3,
+        GroupId.H2: Fraction(5, 4) * (n**2 + n + 2),
+        GroupId.H3: (19 * n**4 + 38 * n**3 + 92 * n**2 + 73 * n + 78) / 20,
+        GroupId.H4: (42 * n**6 + 95 * n**5 + 192 * n**4 + 305 * n**3 + 318 * n**2 + 200 * n + 108) / 21,
+    }[group]
+    return 1 + n * (n + 1) * inner
+
+
+class TestGrowthLaw:
+    @pytest.mark.parametrize("group,nmax", [
+        (GroupId.A2, 20), (GroupId.H2, 12), (GroupId.H3, 6), (GroupId.H4, 4),
+    ])
+    def test_sizes(self, group, nmax):
+        assert [generate(group, n).size for n in range(nmax + 1)] == [
+            _growth(group, n) for n in range(nmax + 1)
+        ]
+
+    @pytest.mark.parametrize("group", list(GroupId))
+    def test_reciprocity_holds_except_for_h4(self, group):
+        # p has degree 2k <= 8, so equality at 9 points is an identity
+        symmetric = all(_growth(group, -1 - n) == _growth(group, n) for n in range(9))
+        assert symmetric == (group is not GroupId.H4)
+
+
 class TestLevelNesting:
     @pytest.mark.parametrize("group,nmax", [
         (GroupId.A2, 6), (GroupId.H2, 6), (GroupId.H3, 4), (GroupId.H4, 3),
     ])
     def test_levels_nest_two_apart(self, group, nmax):
         # S_{m-1} is inside S_{m+1}, so S_0 u ... u S_n = S_{n-1} u S_n
-        levels = list(_word_levels(group, nmax, DEFAULT_CAP))
+        levels = list(word_levels(group, nmax, DEFAULT_CAP))
         for below, above in zip(levels, levels[2:]):
             assert np.isin(below, above).all()
         for n in range(nmax + 1):
@@ -112,7 +166,7 @@ class TestLevelNesting:
 
     def test_consecutive_levels_do_not_nest(self):
         # the identity skips a level: S_0 = {O} is not inside S_1 for H2
-        levels = list(_word_levels(GroupId.H2, 1, DEFAULT_CAP))
+        levels = list(word_levels(GroupId.H2, 1, DEFAULT_CAP))
         assert not np.isin(levels[0], levels[1]).all()
 
 
@@ -247,7 +301,7 @@ def _sweep_orbits(f):
     key order, by the ``dominant_rows`` sweep over every row."""
     refl = [r.compiled() for r in operators(f.group).reflections]
     rows = f.rows()
-    keys = kernel.pack_rows(dominant_rows(rows, refl))
+    keys = kernel.pack_rows(kernel.dominant_rows(rows, refl))
     distinct = np.unique(keys, return_index=True)[0]
     return [
         (tuple(kernel.unpack_keys(distinct[i:i + 1], rows.shape[1])[0].tolist()),
@@ -284,10 +338,10 @@ class TestOrbitFilter:
     def test_size_table_is_the_orbit_of_each_face_point(self, group):
         k = group.rank
         refl = [r.compiled() for r in operators(group).reflections]
-        for mask, size in enumerate(_orbit_sizes(group).tolist()):
+        for mask in range(1 << k):
             row = np.array([[0 if mask >> i & 1 else 1, 0] for i in range(k)]).reshape(1, -1)
-            orbit = kernel.closure(kernel.pack_rows(row), refl, 2 * k, DEFAULT_CAP)
-            assert orbit.size == size
+            orbit = kernel.closure(kernel.pack_rows(row), refl, 2 * k)
+            assert _orbit_sizes(group, row).tolist() == [orbit.size]
 
     def test_origin_dropped_keeps_the_filter(self, q2):
         f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].rows().any(axis=1))])

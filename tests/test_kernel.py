@@ -37,7 +37,7 @@ from quasih.rootsystem import (
     omega_from_alpha,
     to_dominant,
 )
-from oracles import cyclo_points, dominant_rows
+from oracles import cyclo_points
 
 GROUPS = tuple(GroupId)
 SIGN_LIMIT = (1 << 29) - 1
@@ -148,9 +148,8 @@ def _hash_path_calls(source: str) -> list[int]:
     return sorted(lines)
 
 
-def _membership_reads(source: str) -> list[tuple[str, str | None, int]]:
-    """(attribute, enclosing function, line) of every ``np.isin`` and of
-    every read of a ``.coeffs`` attribute, in line order."""
+def _membership_reads(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every ``np.isin``, in line order."""
     found = []
 
     def visit(node, func):
@@ -158,15 +157,13 @@ def _membership_reads(source: str) -> list[tuple[str, str | None, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Attribute) and (
-                (child.attr == "isin" and getattr(child.value, "id", None) == "np")
-                or (child.attr == "coeffs" and isinstance(child.ctx, ast.Load))
-            ):
-                found.append((child.attr, func, child.lineno))
+            if (isinstance(child, ast.Attribute) and child.attr == "isin"
+                    and getattr(child.value, "id", None) == "np"):
+                found.append((func, child.lineno))
             visit(child, func)
 
     visit(ast.parse(source), None)
-    return sorted(found, key=lambda hit: hit[2])
+    return sorted(found, key=lambda hit: hit[1])
 
 
 def _unused_imports(source: str) -> list[tuple[int, str]]:
@@ -218,14 +215,9 @@ def _traced_names() -> set[str]:
     }
 
 
-# The one membership test and the one coefficient read that stay: the
-# root-sum oracle shares no membership code with the word BFS, and
-# ``coeffs`` in ``affine`` is a ``CartanCandidate`` field, not a fragment's.
-_ALLOWED_READS = {
-    ("kernel.py", "isin", "root_sums"),
-    ("affine.py", "coeffs", "border"),
-    ("affine.py", "coeffs", "reference_diff"),
-}
+# The one ``np.isin`` that stays: the root-sum oracle shares no membership
+# code with the word BFS.
+_ALLOWED_ISIN = {("kernel.py", "root_sums")}
 
 
 class TestSourceHasNoHashUnique:
@@ -242,24 +234,19 @@ class TestSourceHasNoHashUnique:
         }
         assert found == {}, "use kernel.unique_keys: sort-based, not hashed"
 
-    def test_membership_detector_flags_isin_and_coeffs_reads(self):
-        source = (
-            "def f(x, keys):\n    np.isin(x, keys)\n    x.coeffs = 1\n    return x.coeffs\n"
-            "kernel.isin_sorted(a, b)\nnp.isin(a, b)\nf(x).coeffs[0]\n"
-        )
-        assert _membership_reads(source) == [
-            ("isin", "f", 2), ("coeffs", "f", 4), ("isin", None, 6), ("coeffs", None, 7),
-        ]
+    def test_membership_detector_flags_isin_calls(self):
+        source = "def f(x, keys):\n    np.isin(x, keys)\n\nkernel.isin_sorted(a, b)\nnp.isin(a, b)\n"
+        assert _membership_reads(source) == [("f", 2), (None, 5)]
 
-    def test_src_has_one_membership_test_and_reads_rows(self):
+    def test_src_has_one_membership_test(self):
         package = Path(kernel.__file__).parent
         found = [
-            (path.name, attr, func, line)
+            (path.name, func, line)
             for path in sorted(package.glob("*.py"))
-            for attr, func, line in _membership_reads(path.read_text())
-            if (path.name, attr, func) not in _ALLOWED_READS
+            for func, line in _membership_reads(path.read_text())
+            if (path.name, func) not in _ALLOWED_ISIN
         ]
-        assert found == [], "use kernel.isin_sorted on a sorted table, and Fragment.rows"
+        assert found == [], "use kernel.isin_sorted on a sorted table"
 
     def test_unused_import_detector(self):
         source = (
@@ -389,7 +376,7 @@ class TestClosureSlabs:
         seeds, gens, cols = case
         expect = _closure_reference(seeds, gens, cols)
         with mock.patch.object(kernel, "_SLAB", slab):  # frontiers of many slabs
-            got = kernel.closure(seeds, gens, cols, cap=1 << 20)
+            got = kernel.closure(seeds, gens, cols)
         assert got.dtype == np.uint64
         assert got.tolist() == expect.tolist()
 
@@ -547,7 +534,7 @@ class TestDominantSweep:
     def test_matches_to_dominant(self, case):
         group, rows = case
         refl = [r.compiled() for r in operators(group).reflections]
-        swept = dominant_rows(rows, refl)
+        swept = kernel.dominant_rows(rows, refl)
         for row, dom in zip(rows.tolist(), swept.tolist()):
             assert to_dominant(OmegaVector.from_flat(group, row))[0].flat() == tuple(dom)
 

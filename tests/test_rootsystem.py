@@ -108,7 +108,7 @@ class TestRoots:
         refl = [r.compiled() for r in operators(group).reflections]
         seeds = np.array([OmegaVector(group, row).flat() for row in cartan(group)], dtype=np.int64)
         cols = 2 * group.rank
-        keys = kernel.closure(kernel.unique_keys(kernel.pack_rows(seeds)), refl, cols, cap=1000)
+        keys = kernel.closure(kernel.unique_keys(kernel.pack_rows(seeds)), refl, cols)
         assert [v.flat() for v in roots_omega(group)] == [tuple(r) for r in kernel.unpack_keys(keys, cols).tolist()]
 
     def test_h2_roots_match_reference_list(self):
