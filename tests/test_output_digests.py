@@ -23,13 +23,17 @@ of a half-integer) was recorded before the writers printed decimal text
 from int64 digit tables.  ``generate --group h2 --n 10 --format json``
 (1,571 orbits, 738 shells) and ``generate --group h3 --n 5 --format json``
 (320 orbits, 182 shells) were recorded before orbits and shells became
-counted records, with each shell's size counted from the row labels.  Any
-change to a rendered byte (point order, a float digit, JSON layout) fails
-here.
+counted records, with each shell's size counted from the row labels.
+``generate --group h4 --n 5 --format csv`` (1,600,441 points, 130 MB of
+text) was recorded while ``generate`` still expanded the fragment with a
+frontier closure; it is hashed as it is written and has no ``CHUNK_ROWS``
+= 7 copy.  Any change to a rendered byte (point order, a float digit, JSON
+layout) fails here.
 """
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -94,12 +98,40 @@ DIGESTS = (
 VERIFY_DIGEST = "1b3a4f42bf32bb2e114c0af0e2970391e76ac56c0090d0fb1d4cdc28f56236ef"
 
 
+LARGE_DIGEST = (
+    "generate --group h4 --n 5 --format csv",
+    "8011144e32d72ec0f59b731bea5dbd937634b8e21ecd4cee9646244d9a3fb9d1",
+)
+
+
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=[argv for argv, _ in DIGESTS])
 def test_stdout_digest(capsys, argv, digest):
     code = main(argv.split())
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _HashingStdout:
+    """A stdout that keeps only the sha256 of the text written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def writelines(self, chunks):
+        for text in chunks:
+            self.sha.update(text.encode())
+
+    def flush(self):
+        pass
+
+
+def test_large_stdout_digest(monkeypatch):
+    argv, digest = LARGE_DIGEST
+    sink = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv.split()) == 0
+    assert sink.sha.hexdigest() == digest
 
 
 def _drop_elapsed(x):
