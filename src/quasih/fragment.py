@@ -9,10 +9,11 @@ levels
 
 and since the levels nest two apart that union is S_{n-1} u S_n (see
 ``generate``).  Each level is W-invariant, so ``generate`` carries only
-its dominant rows from level to level, counts every level and union from
-the orbit sizes |W|/|W_J| before it expands anything, and expands the
-fragment with one reflection closure.  The independent oracle builds the
-same set as all sums of at most n roots.
+its dominant rows from level to level and counts every level and union
+from the orbit sizes |W|/|W_J| before it expands anything.  Reflecting a
+point at its first negative coordinate leads it to its orbit's dominant
+row, so each orbit is a tree below that row, walked down once.  The
+oracle builds the set as all sums of at most n roots.
 
 A ``Fragment`` stores its points as one read-only array of packed uint64
 keys (``kernel.pack_rows``) of the Z[tau] coefficient rows
@@ -20,7 +21,7 @@ keys (``kernel.pack_rows``) of the Z[tau] coefficient rows
 10 for H3, 8 for H4).  Key order is lexicographic row order, and both
 constructions give the keys sorted and distinct, so output is
 reproducible bit for bit.  ``rows(start, stop)`` unpacks a slab of int64
-rows, the only read of a fragment.  Closure, orbits, shells and the
+rows, the only read of a fragment.  The expansion, orbits, shells and the
 ten-fold check run on keys and slabs of rows through ``quasih.kernel``; an
 orbit is recorded by its dominant point and size, a shell by its exact
 norm and size.  A coefficient outside the key range raises
@@ -87,14 +88,13 @@ class Fragment:
 
 @lru_cache(maxsize=None)
 def _translates(group: GroupId) -> tuple[list, np.ndarray]:
-    """The compiled simple reflections, and W.t, the orbit of t = T(0) under
-    them, as read-only int64 rows: ``kernel.closure`` of the one row, grown
-    once per group.  It is not read off ``roots_omega``, so the root-sum
-    oracle shares nothing with ``generate``."""
+    """The compiled simple reflections, and W.t, the orbit of t = T(0), as
+    read-only int64 rows walked once per group; not read off
+    ``roots_omega``, so the root-sum oracle shares nothing with ``generate``."""
     ops = operators(group)
     refl = [r.compiled() for r in ops.reflections]
-    t = kernel.pack_rows(ops.translation.compiled()[1][None])
-    steps = kernel.unpack_keys(kernel.closure(t, refl, 2 * group.rank), 2 * group.rank)
+    top = kernel.dominant_rows(ops.translation.compiled()[1][None], refl)
+    steps = kernel.unpack_keys(kernel.orbit_keys(top, _orbit_sizes(group, top), refl), 2 * group.rank)
     steps.setflags(write=False)
     return refl, steps
 
@@ -119,10 +119,10 @@ def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
     |S_{m-1} u S_m| are sums of ``_orbit_sizes`` over D_m and over
     D_{m-1} u D_m.  The cap bounds each level and each union S_{m-1} u S_m,
     the fragment of cut-off m, tested in that order for m = 1..n from
-    these counts before any point is expanded; then one ``kernel.closure``
-    of D_{n-1} u D_n under the reflections gives the fragment.  The sums
-    D_m + W.t are formed and swept to the dominant chamber a slab of rows
-    at a time.
+    these counts before any point is expanded; D_m + W.t is swept to the
+    dominant chamber a slab of rows at a time.  Each sweep step shortens
+    the group element, so every orbit is a tree below its dominant row, and
+    ``kernel.orbit_keys`` walks D_{n-1} u D_n down it, checking the count.
     """
     if n < 0:
         raise ValueError("cut-off must be non-negative")
@@ -143,10 +143,8 @@ def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
         seeds = kernel.unique_keys(np.concatenate([prev, level]))
         if _orbit_sizes(group, kernel.unpack_keys(seeds, cols)).sum() > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
-    keys = kernel.closure(seeds, refl, cols)
-    if keys.size != _orbit_sizes(group, kernel.unpack_keys(seeds, cols)).sum():
-        raise AssertionError("the expanded fragment differs in size from its orbit count")
-    return Fragment(group, n, keys)
+    seeds = kernel.unpack_keys(seeds, cols)
+    return Fragment(group, n, kernel.orbit_keys(seeds, _orbit_sizes(group, seeds), refl))
 
 
 def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
@@ -192,26 +190,29 @@ def orbits(fragment: Fragment) -> tuple[OrbitRecord, ...]:
     keyed by dominant point, in the order of the dominant points' keys.
 
     Such a fragment holds exactly one dominant row, with every coordinate
-    >= 0, per orbit, and that orbit has ``_orbit_sizes`` points: once the
-    keys are sorted and distinct and ``kernel.closed_under`` the
-    reflections, one ``golden_sign`` pass over slabs of rows finds them.
-    Any other row set raises ``ValueError``.
+    >= 0, per orbit, of ``_orbit_sizes`` points; a ``golden_sign`` pass finds
+    them.  Sorted distinct keys are closed under the reflections exactly when
+    those sizes sum to the size (checked first, so the walk never outgrows
+    the fragment) and ``kernel.orbit_keys`` gives them back with no image
+    outside the packed range.  Any other row set raises ``ValueError``.
     """
     group = fragment.group
-    k = group.rank
     refl = [r.compiled() for r in operators(group).reflections]
     keys = fragment.keys
-    if not ((keys[1:] > keys[:-1]).all() and kernel.closed_under(keys, refl, 2 * k)):
-        raise ValueError("orbits needs sorted distinct keys closed under the reflections")
     dominant = np.empty(fragment.size, dtype=bool)
     for start in range(0, fragment.size, kernel._SLAB):
         rows = fragment.rows(start, start + kernel._SLAB)
         sign = kernel.golden_sign(rows[:, 0::2], rows[:, 1::2])
         dominant[start:start + len(rows)] = (sign >= 0).all(axis=1)
-    dom = kernel.unpack_keys(keys[dominant], 2 * k)
+    dom = kernel.unpack_keys(keys[dominant], 2 * group.rank)
     sizes = _orbit_sizes(group, dom)
-    if sizes.sum() != fragment.size:
-        raise AssertionError("the orbit sizes of an invariant fragment do not sum to its size")
+    try:
+        invariant = (sizes.sum() == fragment.size and (keys[1:] > keys[:-1]).all()
+                     and np.array_equal(kernel.orbit_keys(dom, sizes, refl), keys))
+    except ResourceLimitError:
+        invariant = False
+    if not invariant:
+        raise ValueError("orbits needs sorted distinct keys closed under the reflections")
     return tuple(
         OrbitRecord(OmegaVector.from_flat(group, d), size)
         for d, size in zip(dom.tolist(), sizes.tolist())
@@ -266,13 +267,16 @@ _XI_ROTATION = compile_forms(_xi_times, 4)
 
 
 def check_tenfold(fragment: Fragment) -> bool:
-    """Exact invariance of the cyclotomic image under rotation by xi: the
-    sorted packed keys of the cyclotomic rows are ``kernel.closed_under``
-    the rotation."""
+    """Exact invariance of the cyclotomic image under the injective rotation
+    by xi: the sorted rotated keys equal the distinct keys, none out of range."""
     if fragment.group is not GroupId.H2:
         raise ValueError("ten-fold symmetry is an H2 property")
-    keys = np.sort(kernel.pack_rows(kernel.cyclo_rows(fragment.rows())))
-    return kernel.closed_under(keys, [_XI_ROTATION], 4)
+    keys = kernel.unique_keys(kernel.pack_rows(kernel.cyclo_rows(fragment.rows())))
+    try:
+        turned = kernel.pack_rows(kernel.apply(_XI_ROTATION, kernel.unpack_keys(keys, 4)))
+    except ResourceLimitError:
+        return False
+    return np.array_equal(np.sort(turned), keys)
 
 
 @lru_cache(maxsize=None)

@@ -101,41 +101,23 @@ def isin_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[at] == keys
 
 
-# Rows per slab in ``closure``, ``closed_under``, ``root_sums``,
-# ``fragment.generate`` (its dominant sums), ``fragment.orbits``,
-# ``fragment.shell_labels`` and ``affine.enumerate_generalized`` (its middle
-# grid).
+# Rows per slab in ``root_sums``, ``orbit_keys`` (whose slabs also start in
+# one 2^20-point window), ``fragment.generate`` (its dominant sums),
+# ``fragment.orbits``, ``fragment.shell_labels`` and ``affine.enumerate_generalized``.
 _SLAB = 4096
 
 
-def closure(seeds: np.ndarray, gens, cols: int) -> np.ndarray:
-    """Sorted keys of the closure of sorted unique ``seeds`` under ``gens``,
-    grown one frontier at a time from slabs of ``_SLAB`` rows.  It has no
-    cap: its callers close finite sets whose size they know or bound."""
-    seen = frontier = seeds
-    while frontier.size:
-        fresh = []
-        for lo in range(0, len(frontier), _SLAB):
-            rows = unpack_keys(frontier[lo:lo + _SLAB], cols)
-            images = unique_keys(np.concatenate([pack_rows(apply(g, rows)) for g in gens]))
-            fresh.append(images[~isin_sorted(images, seen)])
-        frontier = unique_keys(np.concatenate(fresh))
-        # two sorted disjoint runs: the stable sort merges them in linear time
-        seen = np.concatenate([seen, frontier])
-        seen.sort(kind="stable")
-    return seen
+def _reflection_mats(reflections) -> np.ndarray:
+    """The compiled simple reflections as matrices acting on rows: linear,
+    with absolute row sums <= 3, so rows below 2^29 map below 2^31."""
+    assert all(not off.any() and np.abs(m).sum(axis=1).max() <= 3 for m, off in reflections)
+    return np.stack([m.T for m, _ in reflections])
 
 
 def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
     """Reflect each row at its first negative coordinate until every row is
-    dominant, the rule of ``rootsystem.to_dominant`` applied to all rows at
-    once.  Each pass's ``golden_sign`` bounds the rows it reflects below
-    2^29 in absolute value, and the compiled simple reflections are linear
-    with absolute row sums of at most 3 (asserted once per call), so an
-    image stays below 2^31 and the rows are multiplied by the matrices
-    directly, one matrix per row."""
-    assert all(not off.any() and np.abs(m).sum(axis=1).max() <= 3 for m, off in reflections)
-    mats = np.stack([m.T for m, _ in reflections])
+    dominant, the rule of ``rootsystem.to_dominant``, one matrix per row."""
+    mats = _reflection_mats(reflections)
     x = x.copy()
     active = np.arange(len(x))
     while active.size:
@@ -146,19 +128,32 @@ def dominant_rows(x: np.ndarray, reflections) -> np.ndarray:
     return x
 
 
-def closed_under(keys: np.ndarray, ops, cols: int) -> bool:
-    """Whether the sorted distinct ``keys`` hold every row's image under
-    every compiled op, one slab of ``_SLAB`` rows at a time; an image
-    outside the packed range is no key, so it means "not closed"."""
-    for lo in range(0, len(keys), _SLAB):
-        rows = unpack_keys(keys[lo:lo + _SLAB], cols)
-        for op in ops:
-            try:
-                if not isin_sorted(pack_rows(apply(op, rows)), keys).all():
-                    return False
-            except ResourceLimitError:
-                return False
-    return True
+def orbit_keys(dominant: np.ndarray, sizes: np.ndarray, reflections) -> np.ndarray:
+    """Sorted keys of the W-orbits of the distinct ``dominant`` rows, of
+    ``sizes`` points each, each point made once with no membership test.
+    ``dominant_rows`` takes y to s_j y, j its first negative coordinate, which
+    shortens w in y = w d (Humphreys, *Reflection Groups and Coxeter Groups*,
+    1.6-1.10), so each orbit is a tree below its dominant row: s_i x, x_i > 0,
+    is a child of x exactly when its coordinates before i are >= 0.  Slabs of
+    <= ``_SLAB`` rows whose orbits start in one ``_SLAB << 8``-point window
+    are walked a depth at a time into one buffer, sorted at the end; an image
+    past the packed range raises ``ResourceLimitError``."""
+    mats = _reflection_mats(reflections)
+    keys = np.empty(int(sizes.sum()), dtype=np.uint64)
+    slab = (np.cumsum(sizes) - sizes) // (_SLAB << 8) + np.arange(len(sizes)) // _SLAB
+    at = 0
+    for frontier in np.split(dominant, np.flatnonzero(np.diff(slab)) + 1):
+        while len(frontier):
+            keys[at:at + len(frontier)] = pack_rows(frontier)
+            at += len(frontier)
+            pos = golden_sign(frontier[:, 0::2], frontier[:, 1::2]) > 0
+            images = [frontier[pos[:, i]] @ m for i, m in enumerate(mats)]
+            frontier = np.concatenate([y[(golden_sign(y[:, 0:2 * i:2], y[:, 1:2 * i:2]) >= 0).all(axis=1)]
+                                       for i, y in enumerate(images)])
+    if at != keys.size:
+        raise AssertionError(f"the orbit walk made {at} points, not the {keys.size} of the orbit sizes")
+    keys.sort()
+    return keys
 
 
 def root_sums(roots: np.ndarray, n: int, cap: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

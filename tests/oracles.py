@@ -6,8 +6,8 @@ of an H2 fragment.  The package decides all of these on int64 rows; these
 are the one-value-at-a-time readings of the same definitions.  ``values``,
 ``cyclo_set`` and ``points`` read the package's point arrays as scalars.
 ``word_levels`` and ``word_fragment`` build a fragment level by level from
-its word definition, one reflection closure per level, and are the oracle
-of ``fragment.generate``.
+its word definition, one reflection ``closure`` per level, and are the
+oracle of ``fragment.generate``.
 """
 
 import cmath
@@ -18,7 +18,8 @@ import numpy as np
 from quasih.cutproject import _edge_forms
 from quasih.golden import TAU, CycloInt, GoldenInt, xi_pow
 from quasih.affine import operators
-from quasih.kernel import ResourceLimitError, apply, closure, pack_rows, unpack_keys
+from quasih import kernel
+from quasih.kernel import ResourceLimitError, apply, isin_sorted, pack_rows, unique_keys, unpack_keys
 from quasih.lineanalysis import _level
 from quasih.rootsystem import AlphaVector, GroupId, OmegaVector, cyclo_from_omega, omega_from_alpha
 
@@ -90,6 +91,24 @@ def points(fragment) -> tuple[OmegaVector, ...]:
 def cyclo_points(fragment) -> tuple[CycloInt, ...]:
     """The points of an H2 fragment as cyclotomic integers, in row order."""
     return tuple(cyclo_from_omega(v) for v in points(fragment))
+
+
+def closure(seeds, gens, cols: int):
+    """Sorted keys of the closure of sorted unique ``seeds`` under ``gens``,
+    grown one frontier at a time from slabs of ``kernel._SLAB`` rows, each
+    image kept only if it is not in ``seen``."""
+    seen = frontier = seeds
+    while frontier.size:
+        fresh = []
+        for lo in range(0, len(frontier), kernel._SLAB):
+            rows = unpack_keys(frontier[lo:lo + kernel._SLAB], cols)
+            images = unique_keys(np.concatenate([pack_rows(apply(g, rows)) for g in gens]))
+            fresh.append(images[~isin_sorted(images, seen)])
+        frontier = unique_keys(np.concatenate(fresh))
+        # two sorted disjoint runs: the stable sort merges them in linear time
+        seen = np.concatenate([seen, frontier])
+        seen.sort(kind="stable")
+    return seen
 
 
 def word_levels(group, n: int, cap: int):

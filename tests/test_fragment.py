@@ -32,7 +32,7 @@ from quasih.fragment import (
     shell_labels,
     shells,
 )
-from oracles import cyclo_points, points, word_fragment, word_levels
+from oracles import closure, cyclo_points, points, word_fragment, word_levels
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ class TestWordOracle:
     def test_refusal_expands_nothing(self):
         # the default cap refuses H4 at level 7 from the dominant rows alone
         generate(GroupId.H4, 1)  # W.t is grown once per group, before the patch
-        with mock.patch.object(kernel, "closure", side_effect=AssertionError("expanded")):
+        with mock.patch.object(kernel, "orbit_keys", side_effect=AssertionError("expanded")):
             with pytest.raises(ResourceLimitError, match=f"^reflection closure exceeded cap {DEFAULT_CAP}$"):
                 generate(GroupId.H4, 7)
 
@@ -340,13 +340,21 @@ class TestOrbitFilter:
         refl = [r.compiled() for r in operators(group).reflections]
         for mask in range(1 << k):
             row = np.array([[0 if mask >> i & 1 else 1, 0] for i in range(k)]).reshape(1, -1)
-            orbit = kernel.closure(kernel.pack_rows(row), refl, 2 * k)
+            orbit = closure(kernel.pack_rows(row), refl, 2 * k)
             assert _orbit_sizes(group, row).tolist() == [orbit.size]
 
     def test_origin_dropped_keeps_the_filter(self, q2):
         f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].rows().any(axis=1))])
         recs = orbits(f)
         assert sorted(r.size for r in recs) == [5, 5, 5, 5, 10, 10, 10, 10]
+
+    def test_repeated_origin_raises(self, q2):
+        # the orbit sizes and the walk of the two origin rows both match the
+        # keys; only distinctness tells them apart
+        origin = kernel.pack_rows(np.zeros((1, 4), dtype=np.int64))
+        f = Fragment(GroupId.H2, 2, np.sort(np.append(q2[2].keys, origin)))
+        with pytest.raises(ValueError, match="sorted distinct keys"):
+            orbits(f)
 
     def test_reversed_keys_raise(self, q2):
         f = Fragment(GroupId.H2, 2, q2[2].keys[::-1].copy())
@@ -417,6 +425,11 @@ class TestTenfold:
             GroupId.H2, 0, np.array([p.flat() for p in (OmegaVector.zero(GroupId.H2), root)])
         )
         assert not check_tenfold(broken)
+
+    def test_repeated_rows_keep_the_set(self, q2):
+        # a row given twice leaves the point set, and so the answer, alone
+        rows = q2[2].rows()
+        assert check_tenfold(Fragment.from_rows(GroupId.H2, 2, np.concatenate([rows, rows[5:6]])))
 
     def test_rejects_h3(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import types
+from functools import lru_cache
 from pathlib import Path
 from unittest import mock
 
@@ -12,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasih
-from quasih import golden, kernel
+from quasih import fragment, golden, kernel
 from quasih.affine import operators
 from quasih.fragment import (
     Fragment,
     ResourceLimitError,
+    _orbit_sizes,
+    check_tenfold,
     generate,
     generate_rootsum,
+    orbits,
     shell_labels,
 )
 from quasih.golden import GoldenInt, GoldenRational
@@ -35,8 +39,10 @@ from quasih.rootsystem import (
     golden_adjugate,
     norm_sq,
     omega_from_alpha,
+    orbit_of,
     to_dominant,
 )
+import oracles
 from oracles import cyclo_points
 
 GROUPS = tuple(GroupId)
@@ -376,7 +382,7 @@ class TestClosureSlabs:
         seeds, gens, cols = case
         expect = _closure_reference(seeds, gens, cols)
         with mock.patch.object(kernel, "_SLAB", slab):  # frontiers of many slabs
-            got = kernel.closure(seeds, gens, cols)
+            got = oracles.closure(seeds, gens, cols)
         assert got.dtype == np.uint64
         assert got.tolist() == expect.tolist()
 
@@ -400,68 +406,141 @@ def _closed_reference(rows, ops):
     return True
 
 
-@st.composite
-def closed_under_cases(draw):
-    """Keys of ``closure_cases`` seeds, often closed under its generators
-    (which keep the packed range) and then sometimes short of one key,
-    down to none; sometimes one more op, a negation x -> -x or a
-    translation, that pushes a row at an end of the range past it."""
-    seeds, ops, cols = draw(closure_cases())
-    closed = draw(st.sampled_from((False, True, True)))
-    keys = _closure_reference(seeds, ops, cols) if closed else seeds
-    if draw(st.booleans()):
-        keys = np.delete(keys, draw(st.integers(0, keys.size - 1)))
-    push = draw(st.sampled_from(("none", "none", "negate", "translate")))
-    if push != "none":
-        m, off = np.eye(cols, dtype=np.int64), np.zeros(cols, dtype=np.int64)
-        c = draw(st.integers(0, cols - 1))
-        if push == "negate":
-            m[c, c] = -1
-        else:
-            off[c] = 1
-        ops = ops + [(m, off)]
-    return kernel.unpack_keys(keys, cols).tolist(), keys, ops, cols
+def _orbits_accept(fragment):
+    try:
+        orbits(fragment)
+    except ValueError:
+        return False
+    return True
+
+
+_SMALL = {GroupId.A2: 3, GroupId.H2: 3, GroupId.H3: 2, GroupId.H4: 1}
 
 
 class TestClosedUnder:
-    @given(closed_under_cases(), st.integers(1, 5))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_set_reference(self, case, slab):
-        rows, keys, ops, cols = case
+    """Closure under the reflections, as the ``orbits`` guard decides it
+    (``kernel.orbit_keys`` of the dominant rows gives the keys back), and
+    under the rotation by xi, as ``check_tenfold`` decides it (the sorted
+    rotated keys equal the keys), against Python sets."""
+
+    @given(st.sampled_from(GROUPS), st.data(), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_set_reference(self, group, data, slab):
+        # a fragment, whole or short of some rows, and sometimes with one
+        # row moved out to the edge of the packed range (and off the H2
+        # root lattice that ``cyclo_rows`` reads)
+        rows = generate(group, data.draw(st.integers(0, _SMALL[group]))).rows()
+        keep = data.draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=1)))
+        if keep is not None:
+            rows = rows[np.resize(np.array(keep), len(rows))]
+        pushed = len(rows) > 0 and data.draw(st.booleans())
+        if pushed:
+            rows = rows.copy()
+            rows[data.draw(st.integers(0, len(rows) - 1)), 0] = (1 << (64 // rows.shape[1] - 1)) - 1
+            rows = kernel.unpack_keys(kernel.unique_keys(kernel.pack_rows(rows)), rows.shape[1])
+        f = Fragment.from_rows(group, 0, rows)
+        refl = [r.compiled() for r in operators(group).reflections]
         with mock.patch.object(kernel, "_SLAB", slab):  # keys of many slabs
-            assert kernel.closed_under(keys, ops, cols) == _closed_reference(rows, ops)
+            assert _orbits_accept(f) == _closed_reference(rows.tolist(), refl)
+            if group is GroupId.H2 and not pushed:
+                cyclo = kernel.cyclo_rows(rows).tolist()
+                assert check_tenfold(f) == _closed_reference(cyclo, [fragment._XI_ROTATION])
 
     @pytest.mark.parametrize("slab", range(1, 6))
     def test_fragment_short_of_one_row(self, slab):
         # every row of the H2 fragment of cut-off 3 but one: the rows whose
-        # images are the dropped one lie in slabs all over the keys
+        # images are the dropped one lie in slabs all over the keys; only
+        # the origin, which every reflection and the rotation fix, may go
         f = generate(GroupId.H2, 3)
-        refl = [r.compiled() for r in operators(GroupId.H2).reflections]
         with mock.patch.object(kernel, "_SLAB", slab):
-            assert kernel.closed_under(f.keys, refl, 4)
+            assert _orbits_accept(f) and check_tenfold(f)
             for drop in range(1, f.size, 7):
-                assert not kernel.closed_under(np.delete(f.keys, drop), refl, 4)
+                short = Fragment(GroupId.H2, 3, np.delete(f.keys, drop))
+                origin = not f.rows(drop, drop + 1).any()
+                assert _orbits_accept(short) == origin
+                assert check_tenfold(short) == origin
 
-    @pytest.mark.parametrize("cols", (2, 4))
-    def test_empty_keys_are_closed(self, cols):
-        op = (np.eye(cols, dtype=np.int64), np.ones(cols, dtype=np.int64))
-        assert kernel.closed_under(np.zeros(0, dtype=np.uint64), [op], cols)
+    @pytest.mark.parametrize("rank", (2, 4))
+    def test_empty_keys_are_closed(self, rank):
+        for group in (g for g in GROUPS if g.rank == rank):
+            empty = Fragment(group, 0, np.zeros(0, dtype=np.uint64))
+            assert orbits(empty) == ()
+            if group is GroupId.H2:
+                assert check_tenfold(empty) is True
 
-    @pytest.mark.parametrize("cols", (2, 4))
-    def test_image_past_the_packed_range_is_not_closed(self, cols):
-        # closed under x -> -x in the first column but for the least value,
-        # whose image is one past the greatest
-        half = 1 << (64 // cols - 1)
-        rows = np.zeros((3, cols), dtype=np.int64)
-        rows[:, 0] = [-half, -5, 5]
-        negate = np.eye(cols, dtype=np.int64)
-        negate[0, 0] = -1
-        keys = kernel.pack_rows(rows)
-        assert kernel.closed_under(keys[1:], [(negate, np.zeros(cols, dtype=np.int64))], cols)
-        assert not kernel.closed_under(keys, [(negate, np.zeros(cols, dtype=np.int64))], cols)
-        # an image past the int64 headroom of ``apply`` is outside it too
-        big = (np.eye(cols, dtype=np.int64) << 50, np.zeros(cols, dtype=np.int64))
-        assert not kernel.closed_under(keys, [big], cols)
+    @pytest.mark.parametrize("rank", (2, 4))
+    def test_image_past_the_packed_range_is_not_closed(self, rank):
+        # a dominant row at the greatest packed value: some point of its
+        # orbit lies past the range, so no key set holds the orbit
+        for group in (g for g in GROUPS if g.rank == rank):
+            cols = 2 * group.rank
+            row = np.zeros((1, cols), dtype=np.int64)
+            row[0, 0::2] = (1 << (64 // cols - 1)) - 1
+            refl = [r.compiled() for r in operators(group).reflections]
+            with pytest.raises(ResourceLimitError):
+                kernel.orbit_keys(row, _orbit_sizes(group, row), refl)
+            with pytest.raises(ValueError, match="closed under the reflections"):
+                orbits(Fragment.from_rows(group, 0, row))
+
+
+@lru_cache(maxsize=None)
+def _scalar_orbit(group, row):
+    """The flat rows of the scalar ``orbit_of`` of one dominant row."""
+    return frozenset(v.flat() for v in orbit_of(OmegaVector.from_flat(group, row)))
+
+
+_POSITIVE = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: GoldenInt(*ab).sign() > 0)
+
+
+@st.composite
+def dominant_seeds(draw, groups=(GroupId.A2, GroupId.H2, GroupId.H3)):
+    """A group and distinct small dominant rows, each with its own zero
+    pattern J: coordinate i is 0 for i in J and a small positive Z[tau]
+    value otherwise."""
+    group = draw(st.sampled_from(groups))
+    k = group.rank
+    seeds = set()
+    for _ in range(draw(st.integers(1, 6))):
+        mask = draw(st.integers(0, (1 << k) - 1))
+        seeds.add(sum(((0, 0) if mask >> i & 1 else draw(_POSITIVE) for i in range(k)), ()))
+    return group, sorted(seeds)
+
+
+def _h4_face_row(mask):
+    """One small dominant H4 row with zero pattern ``mask``."""
+    values = ((1, 0), (0, 1), (2, -1), (-1, 2))
+    return sum(((0, 0) if mask >> i & 1 else values[i] for i in range(4)), ())
+
+
+def _check_orbit_keys(group, seeds):
+    rows = np.array(seeds, dtype=np.int64).reshape(-1, 2 * group.rank)
+    refl = [r.compiled() for r in operators(group).reflections]
+    sizes = _orbit_sizes(group, rows)
+    keys = kernel.orbit_keys(rows, sizes, refl)
+    expect = set().union(*(_scalar_orbit(group, s) for s in seeds))
+    assert (keys[1:] > keys[:-1]).all()  # sorted, and no point made twice
+    assert keys.size == sizes.sum()
+    assert keys.tolist() == sorted(kernel.pack_rows(np.array(sorted(expect), dtype=np.int64)).tolist())
+
+
+class TestOrbitKeys:
+    @given(dominant_seeds())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scalar_orbits(self, case):
+        _check_orbit_keys(*case)
+
+    @pytest.mark.parametrize("mask", range(16))
+    def test_every_h4_zero_pattern(self, mask):
+        _check_orbit_keys(GroupId.H4, [_h4_face_row(mask)])
+
+    @given(st.one_of(dominant_seeds(), st.just((GroupId.H4, [_h4_face_row(m) for m in range(16)]))),
+           st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_scalar_orbits_in_small_slabs(self, case, slab):
+        # slabs of at most ``slab`` seeds whose orbits start in one window of
+        # 256 * slab points; at ``slab`` = 1 every seed is a slab of its own
+        with mock.patch.object(kernel, "_SLAB", slab):
+            _check_orbit_keys(*case)
 
 
 def _scalar_root_sums(roots, n):

@@ -28,7 +28,7 @@ from quasih.rootsystem import (
     simple_reflection_matrix,
     mat_vec,
 )
-from oracles import omega_from_cyclo
+from oracles import closure, omega_from_cyclo
 
 ALL_GROUPS = (GroupId.A2,) + H_GROUPS
 
@@ -108,7 +108,7 @@ class TestRoots:
         refl = [r.compiled() for r in operators(group).reflections]
         seeds = np.array([OmegaVector(group, row).flat() for row in cartan(group)], dtype=np.int64)
         cols = 2 * group.rank
-        keys = kernel.closure(kernel.unique_keys(kernel.pack_rows(seeds)), refl, cols)
+        keys = closure(kernel.unique_keys(kernel.pack_rows(seeds)), refl, cols)
         assert [v.flat() for v in roots_omega(group)] == [tuple(r) for r in kernel.unpack_keys(keys, cols).tolist()]
 
     def test_h2_roots_match_reference_list(self):
