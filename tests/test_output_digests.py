@@ -27,7 +27,11 @@ counted records, with each shell's size counted from the row labels.
 ``generate --group h4 --n 5 --format csv`` (1,600,441 points, 130 MB of
 text) was recorded while ``generate`` still expanded the fragment with a
 frontier closure; it is hashed as it is written and has no ``CHUNK_ROWS``
-= 7 copy.  Any change to a rendered byte (point order, a float digit, JSON
+= 7 copy.  ``generate --group h2 --n 20 --format svg`` (221,551 points
+and 9,008 shells, so the colours wrap) and ``generate --group h4 --n 4
+--format json`` were recorded before orbits and shells were read off the
+dominant rows that ``generate`` holds; they too are hashed as they are
+written, with no ``CHUNK_ROWS`` = 7 copy.  Any change to a rendered byte (point order, a float digit, JSON
 layout) fails here.
 """
 
@@ -103,6 +107,11 @@ LARGE_DIGEST = (
     "8011144e32d72ec0f59b731bea5dbd937634b8e21ecd4cee9646244d9a3fb9d1",
 )
 
+STREAMED_DIGESTS = (
+    ("generate --group h2 --n 20 --format svg", "9751c304360ab683e7701ac389be663e7b7ff13c7d0518fdf31dc0b1062817a9"),
+    ("generate --group h4 --n 4 --format json", "50cf9e65fcc080dfb501551e5008dac4a272747d6857850fbc0b787bf6a95858"),
+)
+
 
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=[argv for argv, _ in DIGESTS])
 def test_stdout_digest(capsys, argv, digest):
@@ -126,12 +135,21 @@ class _HashingStdout:
         pass
 
 
-def test_large_stdout_digest(monkeypatch):
-    argv, digest = LARGE_DIGEST
+def _hashed_digest(monkeypatch, argv):
     sink = _HashingStdout()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(argv.split()) == 0
-    assert sink.sha.hexdigest() == digest
+    return sink.sha.hexdigest()
+
+
+def test_large_stdout_digest(monkeypatch):
+    argv, digest = LARGE_DIGEST
+    assert _hashed_digest(monkeypatch, argv) == digest
+
+
+@pytest.mark.parametrize("argv,digest", STREAMED_DIGESTS, ids=[argv for argv, _ in STREAMED_DIGESTS])
+def test_streamed_stdout_digest(monkeypatch, argv, digest):
+    assert _hashed_digest(monkeypatch, argv) == digest
 
 
 def _drop_elapsed(x):
