@@ -21,10 +21,13 @@ keys (``kernel.pack_rows``) of the Z[tau] coefficient rows
 10 for H3, 8 for H4).  Key order is lexicographic row order, and both
 constructions give the keys sorted and distinct, so output is
 reproducible bit for bit.  ``rows(start, stop)`` unpacks a slab of int64
-rows, the only read of a fragment.  The expansion, orbits, shells and the
-ten-fold check run on keys and slabs of rows through ``quasih.kernel``; an
-orbit is recorded by its dominant point and size, a shell by its exact
-norm and size.  A coefficient outside the key range raises
+rows, the only read of a fragment's points.  ``generate`` also keeps the
+dominant rows it expanded, one per orbit, in ``dominant``; ``orbits`` and
+``shells`` read them, as plain arrays, and never the points: orbit sizes
+and squared norms are functions of the dominant rows alone.  A fragment
+built any other way carries no rows, and ``orbits`` first proves it
+W-invariant.  The expansion and the ten-fold check run on keys and slabs
+of rows through ``quasih.kernel``.  A coefficient outside the key range raises
 ``ResourceLimitError`` instead of wrapping; points of cut-off n have
 coefficients of at most 2n in absolute value, far inside the range at any
 size the cap admits.
@@ -32,7 +35,7 @@ size the cap admits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
 
@@ -41,13 +44,7 @@ import numpy as np
 from . import kernel
 from .golden import XI, CycloInt, GoldenInt, GoldenRational, compile_forms
 from .kernel import ResourceLimitError
-from .rootsystem import (
-    GroupId,
-    OmegaVector,
-    cartan,
-    golden_det,
-    roots_omega,
-)
+from .rootsystem import GroupId, cartan, golden_det, roots_omega
 from .affine import operators
 
 DEFAULT_CAP = 10_000_000
@@ -58,12 +55,15 @@ class Fragment:
 
     ``keys`` is the read-only uint64 array of packed point keys
     (``kernel.pack_rows``), one per row; ``from_rows`` packs an (N, 2k)
-    coefficient array.
+    coefficient array.  ``dominant`` holds the read-only int64 dominant
+    rows, one per W-orbit in key order, of a fragment that ``generate``
+    made, and is None on any other; no caller can pass it in.
     """
 
     group: GroupId
     n: int
     keys: np.ndarray
+    dominant: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = np.asarray(self.keys).view()
@@ -123,6 +123,7 @@ def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
     dominant chamber a slab of rows at a time.  Each sweep step shortens
     the group element, so every orbit is a tree below its dominant row, and
     ``kernel.orbit_keys`` walks D_{n-1} u D_n down it, checking the count.
+    The fragment keeps D_{n-1} u D_n, in key order, as its ``dominant``.
     """
     if n < 0:
         raise ValueError("cut-off must be non-negative")
@@ -144,7 +145,10 @@ def generate(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
         if _orbit_sizes(group, kernel.unpack_keys(seeds, cols)).sum() > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
     seeds = kernel.unpack_keys(seeds, cols)
-    return Fragment(group, n, kernel.orbit_keys(seeds, _orbit_sizes(group, seeds), refl))
+    fragment = Fragment(group, n, kernel.orbit_keys(seeds, _orbit_sizes(group, seeds), refl))
+    seeds.setflags(write=False)
+    object.__setattr__(fragment, "dominant", seeds)
+    return fragment
 
 
 def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment:
@@ -154,15 +158,6 @@ def generate_rootsum(group: GroupId, n: int, cap: int = DEFAULT_CAP) -> Fragment
     roots = np.array([v.flat() for v in roots_omega(group)], dtype=np.int64)
     levels = kernel.root_sums(roots, n, cap)
     return Fragment(group, n, np.sort(np.concatenate([k for k, _, _ in levels])))
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    """One orbit of a fragment under the finite reflection group W: its
-    dominant point and its number of points."""
-
-    dominant: OmegaVector
-    size: int
 
 
 def _orbit_sizes(group: GroupId, dominant: np.ndarray) -> np.ndarray:
@@ -185,76 +180,74 @@ def _orbit_sizes(group: GroupId, dominant: np.ndarray) -> np.ndarray:
     return (orders[-1] // orders)[(zero << np.arange(k)).sum(axis=1)]
 
 
-def orbits(fragment: Fragment) -> tuple[OrbitRecord, ...]:
-    """Partition of a W-invariant fragment into reflection-group orbits
-    keyed by dominant point, in the order of the dominant points' keys.
+def orbits(fragment: Fragment) -> tuple[np.ndarray, np.ndarray]:
+    """The W-orbits of a W-invariant fragment: its dominant rows, one per
+    orbit in key order, as a read-only (k, 2 * rank) int64 array, and their
+    read-only ``_orbit_sizes``.
 
-    Such a fragment holds exactly one dominant row, with every coordinate
-    >= 0, per orbit, of ``_orbit_sizes`` points; a ``golden_sign`` pass finds
-    them.  Sorted distinct keys are closed under the reflections exactly when
-    those sizes sum to the size (checked first, so the walk never outgrows
-    the fragment) and ``kernel.orbit_keys`` gives them back with no image
-    outside the packed range.  Any other row set raises ``ValueError``.
+    A generated fragment carries its dominant rows.  Any other holds
+    exactly one row with every coordinate >= 0 per orbit, found by a
+    ``golden_sign`` pass.  Sorted distinct keys are closed under the
+    reflections exactly when those orbit sizes sum to the size (checked
+    first, so the walk never outgrows the fragment) and
+    ``kernel.orbit_keys`` gives them back with no image outside the packed
+    range.  Any other row set raises ``ValueError``.
     """
     group = fragment.group
-    refl = [r.compiled() for r in operators(group).reflections]
-    keys = fragment.keys
-    dominant = np.empty(fragment.size, dtype=bool)
-    for start in range(0, fragment.size, kernel._SLAB):
-        rows = fragment.rows(start, start + kernel._SLAB)
-        sign = kernel.golden_sign(rows[:, 0::2], rows[:, 1::2])
-        dominant[start:start + len(rows)] = (sign >= 0).all(axis=1)
-    dom = kernel.unpack_keys(keys[dominant], 2 * group.rank)
-    sizes = _orbit_sizes(group, dom)
-    try:
-        invariant = (sizes.sum() == fragment.size and (keys[1:] > keys[:-1]).all()
-                     and np.array_equal(kernel.orbit_keys(dom, sizes, refl), keys))
-    except ResourceLimitError:
-        invariant = False
-    if not invariant:
-        raise ValueError("orbits needs sorted distinct keys closed under the reflections")
-    return tuple(
-        OrbitRecord(OmegaVector.from_flat(group, d), size)
-        for d, size in zip(dom.tolist(), sizes.tolist())
-    )
+    dominant = fragment.dominant
+    if dominant is not None:
+        sizes = _orbit_sizes(group, dominant)
+    else:
+        refl = [r.compiled() for r in operators(group).reflections]
+        keys = fragment.keys
+        mask = np.empty(fragment.size, dtype=bool)
+        for start in range(0, fragment.size, kernel._SLAB):
+            rows = fragment.rows(start, start + kernel._SLAB)
+            sign = kernel.golden_sign(rows[:, 0::2], rows[:, 1::2])
+            mask[start:start + len(rows)] = (sign >= 0).all(axis=1)
+        dominant = kernel.unpack_keys(keys[mask], 2 * group.rank)
+        sizes = _orbit_sizes(group, dominant)
+        try:
+            invariant = (sizes.sum() == fragment.size and (keys[1:] > keys[:-1]).all()
+                         and np.array_equal(kernel.orbit_keys(dominant, sizes, refl), keys))
+        except ResourceLimitError:
+            invariant = False
+        if not invariant:
+            raise ValueError("orbits needs sorted distinct keys closed under the reflections")
+        dominant.setflags(write=False)
+    sizes.setflags(write=False)
+    return dominant, sizes
 
 
-@dataclass(frozen=True)
-class Shell:
-    """One exact squared norm of a fragment and its number of points."""
-
-    norm: GoldenRational
-    size: int
+def norm_keys(group: GroupId, rows: np.ndarray) -> np.ndarray:
+    """The packed key of q = v^T adj(A) v for each row v: (v|v) = q / det
+    with det = det(A), doubled for the unit-root H-groups."""
+    return kernel.pack_rows(kernel.quadratic_form_rows(group, rows))
 
 
-def shell_labels(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
-    """The distinct exact squared norms in ascending order, and for every
-    row the index of its norm in that list.
+def shell_keys(group: GroupId, dominant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``norm_keys`` of the ``dominant`` rows of a W-invariant
+    fragment, ascending, and the index of each in ascending order of its
+    norm.  The norm is W-invariant, so these hold every row's key.  det > 0
+    for every group, so the norms are in the order of the Z[tau] values q,
+    which ``kernel.exact_argsort`` sorts."""
+    keys = kernel.unique_keys(norm_keys(group, dominant))
+    q = kernel.unpack_keys(keys, 2)
+    return keys, np.argsort(kernel.exact_argsort(q[:, 0], q[:, 1]))
 
-    (v|v) = q / det with q = v^T adj(A) v and det = det(A), doubled for the
-    unit-root H-groups; det > 0 for every group, so the norms are in the
-    order of the Z[tau] values q, which ``kernel.exact_argsort`` sorts.  q
-    is computed one slab of rows at a time and kept as packed keys."""
+
+def shells(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
+    """Concentric shells: the distinct exact squared norms of a W-invariant
+    fragment in ascending order, and the int64 number of points at each,
+    the sizes of the orbits of that norm."""
     group = fragment.group
-    qkeys = np.empty(fragment.size, dtype=np.uint64)
-    for start in range(0, fragment.size, kernel._SLAB):
-        q = kernel.quadratic_form_rows(group, fragment.rows(start, start + kernel._SLAB))
-        qkeys[start:start + len(q)] = kernel.pack_rows(q)
-    distinct = kernel.unique_keys(qkeys)
-    q = kernel.unpack_keys(distinct, 2)
-    order = kernel.exact_argsort(q[:, 0], q[:, 1])
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
+    dominant, sizes = orbits(fragment)
+    keys, rank = shell_keys(group, dominant)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, rank[np.searchsorted(keys, norm_keys(group, dominant))], sizes)
     det = golden_det(cartan(group)) * (2 if group.is_h else 1)
-    norms = [GoldenRational(GoldenInt(a, b)) / det for a, b in q[order].tolist()]
-    return norms, rank[np.searchsorted(distinct, qkeys)]
-
-
-def shells(fragment: Fragment) -> tuple[Shell, ...]:
-    """Concentric shells: points counted by exact squared distance."""
-    norms, labels = shell_labels(fragment)
-    counts = np.bincount(labels, minlength=len(norms))
-    return tuple(Shell(norm, size) for norm, size in zip(norms, counts.tolist()))
+    q = kernel.unpack_keys(keys[np.argsort(rank)], 2)
+    return [GoldenRational(GoldenInt(a, b)) / det for a, b in q.tolist()], counts
 
 
 def _xi_times(x):

@@ -102,8 +102,9 @@ def isin_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 # Rows per slab in ``root_sums``, ``orbit_keys`` (whose slabs also start in
-# one 2^20-point window), ``fragment.generate`` (its dominant sums),
-# ``fragment.orbits``, ``fragment.shell_labels`` and ``affine.enumerate_generalized``.
+# one 2^20-point window), ``fragment.generate`` (its dominant sums), the
+# sign pass of ``fragment.orbits`` on a fragment that carries no dominant
+# rows, and ``affine.enumerate_generalized``.
 _SLAB = 4096
 
 

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .fragment import Fragment, orbits, shell_labels, shells
+from .fragment import Fragment, norm_keys, orbits, shell_keys, shells
 from .golden import cyclo_str
 from .kernel import cartesian_rows
 from .rootsystem import GroupId, OmegaVector, cartesian
@@ -217,18 +217,16 @@ def fragment_json_chunks(fragment: Fragment, normalize: bool = True):
         text = _text(*pieces, "\n      ]\n    }")
         yield text[1:] if first else text
         first = False
+    dominant, sizes = orbits(fragment)
+    norms, counts = shells(fragment)
     tail = {
         "orbits": [
-            {"dominant": [[c.a, c.b] for c in o.dominant.coords], "size": o.size}
-            for o in orbits(fragment)
+            {"dominant": d, "size": size}
+            for d, size in zip(dominant.reshape(len(dominant), k, 2).tolist(), sizes.tolist())
         ],
         "shells": [
-            {
-                "norm_num": [s.norm.num.a, s.norm.num.b],
-                "norm_den": s.norm.den,
-                "count": s.size,
-            }
-            for s in shells(fragment)
+            {"norm_num": [norm.num.a, norm.num.b], "norm_den": norm.den, "count": count}
+            for norm, count in zip(norms, counts.tolist())
         ],
     }
     close = "\n  ]" if fragment.size else "]"
@@ -245,10 +243,12 @@ def fragment_svg_chunks(fragment: Fragment, normalize: bool = True):
     needs the largest radius first, so the Cartesian rows are kept per
     chunk; then each chunk of circles is one piece.  The radius is the
     largest ``math.hypot``, which ``np.hypot`` may miss by an ulp, so
-    numpy only picks the rows within 1e-12 of its maximum."""
-    if fragment.group is not GroupId.H2:
+    numpy only picks the rows within 1e-12 of its maximum.  A chunk's
+    shells are its ``norm_keys`` looked up among the ``shell_keys``."""
+    group = fragment.group
+    if group is not GroupId.H2:
         raise ValueError("SVG rendering is only defined for H2 fragments")
-    _, labels = shell_labels(fragment)
+    keys, rank = shell_keys(group, orbits(fragment)[0])
     carts, radius = [], 0.0
     for _, xy in _chunks(fragment, normalize):
         carts.append(xy)
@@ -262,12 +262,12 @@ def fragment_svg_chunks(fragment: Fragment, normalize: bool = True):
     )
     start = 0
     for xy in carts:
-        shell = labels[start:start + len(xy)] % len(_SHELL_COLORS)
+        shell = rank[np.searchsorted(keys, norm_keys(group, fragment.rows(start, start + len(xy))))]
         start += len(xy)
         xy = np.stack([500.0 + scale * xy[:, 0], 500.0 - scale * xy[:, 1]], axis=1)
         xy = _decimal_words(xy, 3, signed_zero=True)
         yield _text('\n<circle cx="', xy[:, 0], '" cy="', xy[:, 1], '" r="4" fill="',
-                    _COLOR_WORDS[shell], '"/>')
+                    _COLOR_WORDS[shell % len(_SHELL_COLORS)], '"/>')
     yield "\n</svg>\n"
 
 

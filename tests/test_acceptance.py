@@ -97,14 +97,17 @@ def test_criterion_02_word_table(q2):
 
 
 def test_criterion_03_orbit_decomposition(q2):
-    recs = orbits(q2[2])
+    dominant, sizes = orbits(q2[2])
 
     def dom(c1, c2):
         return omega_from_alpha(AlphaVector.make(GroupId.H2, (c1, c2)))
 
+    def of_size(size):
+        return {OmegaVector.from_flat(GroupId.H2, d) for d in dominant[sizes == size].tolist()}
+
     tau2 = TAU * TAU
-    ten = {o.dominant for o in recs if o.size == 10}
-    five = {o.dominant for o in recs if o.size == 5}
+    ten = of_size(10)
+    five = of_size(5)
     assert ten == {
         dom(2 * TAU, 2 * TAU),   # 2 alpha_H
         dom(tau2, tau2),         # tau alpha_H
@@ -117,8 +120,8 @@ def test_criterion_03_orbit_decomposition(q2):
         dom(tau2, 2 * TAU),
         dom(2 * TAU, tau2),
     }
-    assert {o.dominant for o in recs if o.size == 1} == {OmegaVector.zero(GroupId.H2)}
-    assert sum(o.size for o in recs) == 61
+    assert of_size(1) == {OmegaVector.zero(GroupId.H2)}
+    assert sizes.sum() == 61
 
 
 def test_criterion_04_group_identities():

@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import math
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from quasih.fragment import generate
 from quasih.kernel import cyclo_rows
 from quasih.lineanalysis import LINE_CAP, deficiencies_1d
 from quasih import serialize
-from quasih.rootsystem import GroupId, OmegaVector, cartesian
+from quasih.rootsystem import GroupId, OmegaVector, cartesian, norm_sq
 from quasih.serialize import (
     _decimal_words,
     _int_words,
@@ -314,17 +315,22 @@ class TestDecimalText:
         # np.hypot differs from math.hypot in the last bit on 1,244 of these
         # 221,551 points; the writer must scale by the largest math.hypot
         fragment = generate(GroupId.H2, 20)
-        rows = fragment.rows(0, fragment.size).tolist()
-        xy = [cartesian(OmegaVector.from_flat(GroupId.H2, r)) for r in rows]
+        points = [OmegaVector.from_flat(GroupId.H2, r) for r in fragment.rows().tolist()]
+        xy = [cartesian(p) for p in points]
         scale = 450.0 / max(math.hypot(x, y) for x, y in xy)
         pts = np.array(xy)
         assert (np.hypot(pts[:, 0], pts[:, 1]) != [math.hypot(x, y) for x, y in xy]).sum() == 1244
-        _, labels = serialize.shell_labels(fragment)
+        # each point's shell is the rank of its scalar norm_sq among the
+        # 9,008 distinct norms, so the ten colours wrap
+        norms = [norm_sq(p) for p in points]
+        distinct = sorted(set(norms), key=cmp_to_key(lambda s, t: (s - t).sign()))
+        rank = {v: i for i, v in enumerate(distinct)}
+        assert len(rank) == 9008
         colors = serialize._SHELL_COLORS
         circles = "".join(
             '\n<circle cx="%.3f" cy="%.3f" r="4" fill="%s"/>'
             % (500.0 + scale * x, 500.0 - scale * y, colors[s % len(colors)])
-            for (x, y), s in zip(xy, labels.tolist())
+            for (x, y), s in zip(xy, (rank[v] for v in norms))
         )
         svg = fragment_svg(fragment)
         assert svg[svg.index("\n<circle"):] == circles + "\n</svg>\n"

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from unittest import mock
@@ -29,9 +30,9 @@ from quasih.fragment import (
     generate,
     generate_rootsum,
     orbits,
-    shell_labels,
     shells,
 )
+from quasih.serialize import fragment_svg
 from oracles import closure, cyclo_points, points, word_fragment, word_levels
 
 
@@ -257,27 +258,26 @@ class TestDominant:
 
 class TestOrbits:
     def test_q2_2_decomposition(self, q2):
-        recs = orbits(q2[2])
-        sizes = sorted(o.size for o in recs)
+        sizes = sorted(orbits(q2[2])[1].tolist())
         assert sizes == [1, 5, 5, 5, 5, 10, 10, 10, 10]
         assert sum(sizes) == 61
 
     def test_each_orbit_has_one_dominant_member(self, q2):
         f = q2[3]
         pts = points(f)
-        for rec, (_, _, index) in zip(orbits(f), _sweep_orbits(f)):
+        for d, (_, _, index) in zip(orbits(f)[0].tolist(), _sweep_orbits(f)):
             dominants = [pts[i] for i in index.tolist() if pts[i].is_dominant()]
-            assert dominants == [rec.dominant]
+            assert dominants == [OmegaVector.from_flat(f.group, d)]
 
     def test_h2_orbit_size_rule(self, q2):
-        for rec in orbits(q2[3]):
-            a, b = rec.dominant.coords
+        for d, size in zip(*(x.tolist() for x in orbits(q2[3]))):
+            a, b = OmegaVector.from_flat(GroupId.H2, d).coords
             if a.sign() > 0 and b.sign() > 0:
-                assert rec.size == 10
+                assert size == 10
             elif a.is_zero() and b.is_zero():
-                assert rec.size == 1
+                assert size == 1
             else:
-                assert rec.size == 5
+                assert size == 5
 
     def test_root_orbit_sizes(self):
         from quasih.rootsystem import highest_root, orbit_of
@@ -287,8 +287,8 @@ class TestOrbits:
 
     def test_orbit_sizes_divide_group_order(self, q2):
         order = {GroupId.H2: 10, GroupId.H3: 120, GroupId.H4: 14400}
-        for rec in orbits(q2[2]):
-            assert order[GroupId.H2] % rec.size == 0
+        for size in orbits(q2[2])[1].tolist():
+            assert order[GroupId.H2] % size == 0
 
 
 @lru_cache(maxsize=None)
@@ -331,8 +331,8 @@ class TestOrbitFilter:
             with pytest.raises(ValueError, match="closed under the reflections"):
                 orbits(f)
             return
-        recs = orbits(f)
-        assert [(r.dominant.flat(), r.size) for r in recs] == [(d, c) for d, c, _ in _sweep_orbits(f)]
+        dominant, sizes = orbits(f)
+        assert list(zip(map(tuple, dominant.tolist()), sizes.tolist())) == [(d, c) for d, c, _ in _sweep_orbits(f)]
 
     @pytest.mark.parametrize("group", list(GroupId))
     def test_size_table_is_the_orbit_of_each_face_point(self, group):
@@ -345,8 +345,7 @@ class TestOrbitFilter:
 
     def test_origin_dropped_keeps_the_filter(self, q2):
         f = Fragment(GroupId.H2, 2, q2[2].keys[np.flatnonzero(q2[2].rows().any(axis=1))])
-        recs = orbits(f)
-        assert sorted(r.size for r in recs) == [5, 5, 5, 5, 10, 10, 10, 10]
+        assert sorted(orbits(f)[1].tolist()) == [5, 5, 5, 5, 10, 10, 10, 10]
 
     def test_repeated_origin_raises(self, q2):
         # the orbit sizes and the walk of the two origin rows both match the
@@ -362,41 +361,81 @@ class TestOrbitFilter:
             orbits(f)
 
 
+class TestCarriedRows:
+    """A generated fragment carries its dominant rows; the same keys in a
+    fragment built without them take the guard, with equal results."""
+
+    @pytest.mark.parametrize("group,n", [(g, n) for g in GroupId for n in range(3 if g is GroupId.H4 else 5)])
+    def test_equals_the_guarded_path(self, group, n):
+        f = _cached(group, n)
+        guarded = Fragment(group, n, f.keys)
+        assert f.dominant is not None and guarded.dominant is None
+        for got, want in zip(orbits(f), orbits(guarded)):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+        (norms, counts), (want_norms, want_counts) = shells(f), shells(guarded)
+        assert norms == want_norms
+        assert counts.dtype == want_counts.dtype == np.int64
+        assert np.array_equal(counts, want_counts)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_svg_equals_the_guarded_path(self, n):
+        f = _cached(GroupId.H2, n)
+        assert fragment_svg(f) == fragment_svg(Fragment(GroupId.H2, n, f.keys))
+
+    def test_only_generate_sets_the_rows(self):
+        f = _cached(GroupId.H2, 2)
+        with pytest.raises(TypeError):
+            Fragment(GroupId.H2, 2, f.keys, dominant=f.dominant)
+        assert Fragment.from_rows(GroupId.H2, 2, f.rows()).dominant is None
+        assert generate_rootsum(GroupId.H2, 2).dominant is None
+
+    def test_orbit_arrays_are_read_only(self):
+        f = _cached(GroupId.H3, 2)
+        for g in (f, Fragment(f.group, f.n, f.keys)):
+            for array in orbits(g):
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_non_invariant_input_raises_the_guard_error(self):
+        # one H2 root without its orbit: shells and the SVG colours need
+        # the orbits, so they refuse it as ``orbits`` does
+        root = next(iter(roots_omega(GroupId.H2)))
+        f = Fragment.from_rows(GroupId.H2, 1, [(0, 0, 0, 0), root.flat()])
+        for read in (orbits, shells, fragment_svg):
+            with pytest.raises(ValueError, match="closed under the reflections"):
+                read(f)
+
+
 class TestShellOrder:
     @pytest.mark.parametrize("group,n", [
         (GroupId.A2, 4), (GroupId.H2, 5), (GroupId.H3, 2), (GroupId.H4, 1),
     ])
     def test_equals_a_sort_by_scalar_norm_sq(self, group, n):
         f = generate(group, n)
-        norms = [norm_sq(p) for p in points(f)]
-        distinct = sorted(set(norms), key=cmp_to_key(lambda s, t: (s - t).sign()))
-        sh = shells(f)
-        _, labels = shell_labels(f)
-        assert [s.norm for s in sh] == distinct
-        for label, s in enumerate(sh):
-            index = np.flatnonzero(labels == label)
-            assert index.tolist() == [i for i, v in enumerate(norms) if v == s.norm]
-            assert s.size == len(index)
+        scalar = Counter(norm_sq(p) for p in points(f))
+        distinct = sorted(scalar, key=cmp_to_key(lambda s, t: (s - t).sign()))
+        norms, counts = shells(f)
+        assert norms == distinct
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [scalar[v] for v in distinct]
 
 
 class TestShells:
     def test_q2_1_shells(self, q2):
-        sh = shells(q2[1])
-        assert [s.size for s in sh] == [1, 10]
-        assert sh[0].norm == GoldenRational(0)
-        assert sh[1].norm == GoldenRational(1)
+        norms, counts = shells(q2[1])
+        assert counts.tolist() == [1, 10]
+        assert norms == [GoldenRational(0), GoldenRational(1)]
 
     def test_q2_0_single_shell(self, q2):
-        assert [s.size for s in shells(q2[0])] == [1]
+        assert shells(q2[0])[1].tolist() == [1]
 
     def test_outermost_shell_is_decagon_at_n(self, q2):
         for n in (1, 2, 3, 4):
-            sh = shells(q2[n])
-            outer = sh[-1]
-            assert outer.norm == GoldenRational(n * n)
-            assert outer.size == 10
-            _, labels = shell_labels(q2[n])
-            members = [points(q2[n])[i] for i in np.flatnonzero(labels == len(sh) - 1).tolist()]
+            norms, counts = shells(q2[n])
+            assert norms[-1] == GoldenRational(n * n)
+            assert counts[-1] == 10
+            members = [p for p in points(q2[n]) if norm_sq(p) == norms[-1]]
             dom = [p for p in members if p.is_dominant()]
             scaled = omega_from_alpha(
                 AlphaVector.make(GroupId.H2, (TAU * n, TAU * n))
@@ -404,11 +443,10 @@ class TestShells:
             assert dom == [scaled]
 
     def test_shells_partition(self, q2):
-        sh = shells(q2[3])
-        assert sum(s.size for s in sh) == q2[3].size
+        assert shells(q2[3])[1].sum() == q2[3].size
 
     def test_sorted_ascending(self, q2):
-        norms = [s.norm for s in shells(q2[4])]
+        norms = shells(q2[4])[0]
         for a, b in zip(norms, norms[1:]):
             assert (b - a).sign() > 0
 

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import types
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -23,7 +24,7 @@ from quasih.fragment import (
     generate,
     generate_rootsum,
     orbits,
-    shell_labels,
+    shells,
 )
 from quasih.golden import GoldenInt, GoldenRational
 from quasih.rootsystem import (
@@ -464,7 +465,8 @@ class TestClosedUnder:
     def test_empty_keys_are_closed(self, rank):
         for group in (g for g in GROUPS if g.rank == rank):
             empty = Fragment(group, 0, np.zeros(0, dtype=np.uint64))
-            assert orbits(empty) == ()
+            dominant, sizes = orbits(empty)
+            assert dominant.shape == (0, 2 * rank) and sizes.shape == (0,)
             if group is GroupId.H2:
                 assert check_tenfold(empty) is True
 
@@ -619,15 +621,20 @@ class TestDominantSweep:
 
 
 class TestShellKeys:
-    @given(group_rows())
-    @settings(max_examples=60)
+    @given(dominant_seeds())
+    @settings(max_examples=60, deadline=None)
     def test_norms_match_norm_sq(self, case):
-        group, rows = case
-        points = [OmegaVector.from_flat(group, r) for r in rows.tolist()]
-        coeffs = np.array([p.flat() for p in points])
-        norms, labels = shell_labels(Fragment.from_rows(group, 0, coeffs))
-        assert [norms[i] for i in labels.tolist()] == [norm_sq(p) for p in points]
+        # the W-closed union of the seeds' orbits, which carries no dominant
+        # rows: ``shells`` reads them off the guard
+        group, seeds = case
+        rows = np.array(seeds, dtype=np.int64).reshape(-1, 2 * group.rank)
+        refl = [r.compiled() for r in operators(group).reflections]
+        keys = kernel.orbit_keys(rows, _orbit_sizes(group, rows), refl)
+        scalar = Counter(norm_sq(OmegaVector.from_flat(group, r))
+                         for r in kernel.unpack_keys(keys, rows.shape[1]).tolist())
+        norms, counts = shells(Fragment(group, 0, keys))
         assert all((b - a).sign() > 0 for a, b in zip(norms, norms[1:]))
+        assert dict(zip(norms, counts.tolist())) == scalar
 
 
 class TestQuadraticForm:
