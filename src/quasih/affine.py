@@ -3,7 +3,8 @@ brute-force enumeration of generalized (determinant-zero) Cartan matrices.
 
 Reflections act linearly on omega coordinates; the affine reflection in the
 hyperplane through alpha_H/2 and the translation T = r_H_aff . r_0 carry a
-constant offset on top.  All operator algebra is exact over GoldenInt.
+constant offset on top.  Operators are exact over GoldenInt; the Coxeter
+relations multiply their compiled integer forms.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .rootsystem import (
     golden_det,
     golden_identity,
     highest_root,
-    mat_mul,
     mat_vec,
     simple_reflection_matrix,
 )
@@ -43,13 +43,6 @@ class AffineOperator:
         coords = mat_vec(self.matrix, v.coords)
         return OmegaVector(v.group, tuple(c + t for c, t in zip(coords, self.offset)))
 
-    def compose(self, other: AffineOperator) -> AffineOperator:
-        """self after other: (M1, t1) . (M2, t2) = (M1 M2, M1 t2 + t1)."""
-        m = mat_mul(self.matrix, other.matrix)
-        t = mat_vec(self.matrix, other.offset)
-        t = tuple(a + b for a, b in zip(t, self.offset))
-        return AffineOperator(self.group, m, t)
-
     @lru_cache(maxsize=None)
     def compiled(self) -> tuple[np.ndarray, np.ndarray]:
         """Integer-affine form (M, off) on (a1, b1, ..., ak, bk) rows, so
@@ -58,11 +51,6 @@ class AffineOperator:
         return compile_forms(
             lambda x: self.apply(OmegaVector.from_flat(self.group, x)).coords, 2 * self.group.rank
         )
-
-
-def identity_operator(group: GroupId) -> AffineOperator:
-    k = group.rank
-    return AffineOperator(group, golden_identity(k), (ZERO,) * k)
 
 
 @dataclass(frozen=True)
@@ -173,35 +161,41 @@ class PairIdentity:
     minimal: bool
 
 
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # a partial sum of an entry of p @ q is at most row sum of |p| times that of |q|
+    rows = [int(np.abs(x).sum(axis=1).max()) for x in (p, q)]
+    _require(rows[0] * rows[1], _INT64_HEADROOM, "Coxeter relation")
+    return p @ q
+
+
 def verify_identities(group: GroupId, extended: bool = False) -> tuple[PairIdentity, ...]:
     """Check (r_i r_j)^M = 1 with M read off the (extended) Cartan matrix,
     and that no smaller positive power is the identity.  The extended
-    system adds r_0 before the simple reflections."""
+    system adds r_0 before the simple reflections, all compiled to exact
+    integer matrices."""
     ops = operators(group)
-    gens = ((ops.root_reflection,) if extended else ()) + ops.reflections
+    identity = np.eye(2 * group.rank + 1, dtype=np.int64)
+    # [[M, off], [0, 1]] of each compiled (M, off): operators compose as these multiply
+    gens = [np.vstack([np.column_stack(op.compiled()), identity[-1]])
+            for op in ((ops.root_reflection,) if extended else ()) + ops.reflections]
     matrix = extended_cartan(group) if extended else cartan(group)
-    identity = identity_operator(group)
     results = []
     for i in range(len(gens)):
         for j in range(i, len(gens)):
             order = coxeter_order(matrix[i][j])
-            prod = gens[i].compose(gens[j])
-            power = identity
-            minimal = True
+            powers = [_product(gens[i], gens[j])]  # (r_i r_j)^1, ..., (r_i r_j)^order
             for _ in range(order - 1):
-                power = power.compose(prod)
-                if power == identity:
-                    minimal = False
-            holds = power.compose(prod) == identity
-            results.append(PairIdentity(i, j, order, holds, minimal))
+                powers.append(_product(powers[-1], powers[0]))
+            minimal = not any(np.array_equal(p, identity) for p in powers[:-1])
+            results.append(PairIdentity(i, j, order, np.array_equal(powers[-1], identity), minimal))
     return tuple(results)
 
 
 # ---------------------------------------------------------------------------
 # brute-force enumeration of generalized Cartan matrices
 
-# Largest solved grid (2b + 1)^(2k - 1) the enumeration scans; the same
-# value as the cut-and-project box cap.  H4 admits coeff_bound <= 4.
+# Largest solved grid (2b + 1)^(2k - 1) the enumeration accepts for bound b;
+# the same value as the cut-and-project box cap.  H4 admits coeff_bound <= 4.
 ENUMERATION_CAP = 10_000_000
 
 @dataclass(frozen=True)
@@ -225,80 +219,83 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> tuple[CartanC
     complement, a pair of integer quadratic forms q0, q1 in the 2k border
     coefficients u = (x1, y1, ..., xk, yk), each |u_i| <= coeff_bound; the
     determinant vanishes exactly when q0(u) = 2 det(A).a and
-    q1(u) = 2 det(A).b.  Each form is quadratic in the last coefficient t,
-    q = c + b*t + a*t^2, so the last coefficient is solved rather than
-    scanned: the grid of the 2k - 2 middle coefficients is built one slab
-    of ``_SLAB`` points at a time with its quadratic part and its linear
-    coefficients against the lead and the last coefficient, and for each
-    lead value all 2b + 1 values of t are tested at once by broadcasting,
-    q0 on the solved slab and q1 only at the points q0 accepts.  This is
-    int64 arithmetic only, bound-checked in front, and memory is
-    O(_SLAB * (2b + 1)) whatever k: 9 bytes a point of the solved slab for
-    q0 and its test, besides the hits.  A solved grid of more than
-    ``ENUMERATION_CAP`` points raises ``ResourceLimitError`` before
-    anything is allocated, so the cap bounds the time.  Every hit is
-    re-checked with the GoldenInt cofactor determinant.  Every candidate
-    is positive semidefinite, which the exact minors of A certify.
+    q1(u) = 2 det(A).b.  Such a border has |x_i| <= 2 and |y_i| <= 1, so
+    only that box is scanned.  Proof: A is symmetric with diagonal 2, and
+    A and its conjugate A' are positive definite (every leading principal
+    minor d has d > 0 and d' > 0, checked exactly in front of the grid).
+    Under either real embedding s, det = 0 reads s(w)^T s(A)^-1 s(w) = 2,
+    so Cauchy-Schwarz in the inner product of s(A) gives s(w_i)^2 <= 4.
+    The embeddings of w_i = x + y*tau differ by y*sqrt5 and add to 2x + y,
+    so 5y^2 <= 16 and |2x + y| <= 4.  Each form is quadratic in the last
+    coefficient t, q = c + b*t + a*t^2, so t is solved rather than scanned:
+    the grid of the 2k - 2 middle coefficients is built one slab of
+    ``_SLAB`` points at a time with its quadratic part and its linear
+    coefficients against the lead and t, and for each lead value every t
+    is tested at once by broadcasting, q0 on the solved slab and q1 only
+    at the points q0 accepts: int64 arithmetic only, bound-checked in
+    front, in O(_SLAB) memory.  A requested grid (2b + 1)^(2k - 1) over
+    ``ENUMERATION_CAP`` points raises ``ResourceLimitError`` first.  Every
+    hit is re-checked with the GoldenInt cofactor determinant.  Every
+    candidate is positive semidefinite: A is positive definite, and det = 0
+    puts 2 - w^T A^{-1} w at 0.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
     k = group.rank
-    side = 2 * coeff_bound + 1
-    volume = side ** (2 * k - 1)
+    volume = (2 * coeff_bound + 1) ** (2 * k - 1)
     if volume > ENUMERATION_CAP:
         raise ResourceLimitError(
             f"generalized-Cartan grid of {volume} points exceeds cap {ENUMERATION_CAP}"
         )
-    det_a = golden_det(cartan(group))
-    target = np.array([2 * det_a.a, 2 * det_a.b], dtype=np.int64)
+    a = cartan(group)
+    minors = [golden_det(tuple(row[:m] for row in a[:m])) for m in range(1, k + 1)]
+    symmetric = all(a[i][i] == GoldenInt(2) and a[i][j] == a[j][i] for i in range(k) for j in range(k))
+    if not (symmetric and all(d.sign() > 0 and d.conj().sign() > 0 for d in minors)):
+        raise AssertionError(f"the {group.value} Cartan matrix is not positive definite")
     forms = quadratic_forms(group)  # column 0 is the lead, column -1 the last
     _require(2 * int(np.abs(forms).sum()) * coeff_bound**2, _INT64_HEADROOM, "Cartan form")
+    det_a = golden_det(a)
+    target = np.array([2 * det_a.a, 2 * det_a.b], dtype=np.int64)
     cross = forms + forms.transpose(0, 2, 1)
 
-    vals = np.arange(-coeff_bound, coeff_bound + 1, dtype=np.int64)
-    last_quad = forms[:, -1, -1, None] * vals**2
-    grid, cells = (side,) * (2 * k - 2), volume // side
+    bounds = np.array([min(coeff_bound, 2), min(coeff_bound, 1)] * k, dtype=np.int64)
+    leads = np.arange(-bounds[0], bounds[0] + 1)
+    lasts = np.arange(-bounds[-1], bounds[-1] + 1)
+    last_quad = forms[:, -1, -1, None] * lasts**2
+    grid = tuple(2 * bounds[1:-1] + 1)
+    cells = int(np.prod(grid))
     hits: list[tuple[int, ...]] = []
     for lo in range(0, cells, _SLAB):
         # one slab of the middle grid, in the C order of np.indices
         flat = np.arange(lo, min(lo + _SLAB, cells))
-        mid = np.stack(np.unravel_index(flat, grid), axis=1) - coeff_bound
+        mid = np.stack(np.unravel_index(flat, grid), axis=1) - bounds[1:-1]
         # per form, over the slab: quadratic part and linear coefficients
         mid_quad = np.stack([((mid @ g) * mid).sum(axis=1) for g in forms[:, 1:-1, 1:-1]])
         lead_lin = cross[:, 0, 1:-1] @ mid.T
         last_lin = cross[:, -1, 1:-1] @ mid.T
-        q = np.empty((len(mid), side), dtype=np.int64)  # form q0, one buffer for every lead
-        for lead in vals.tolist():
+        q = np.empty((len(mid), len(lasts)), dtype=np.int64)  # form q0, one buffer for every lead
+        for lead in leads.tolist():
             c = mid_quad + lead * lead_lin + (forms[:, 0, 0] * lead * lead)[:, None]
             b = last_lin + (cross[:, 0, -1] * lead)[:, None]
-            np.multiply(b[0, :, None], vals, out=q)
+            np.multiply(b[0, :, None], lasts, out=q)
             q += c[0, :, None]
             q += last_quad[0]
             rows, last = np.nonzero(q == target[0])
             # q1 only at the grid points that q0 accepts
-            keep = c[1, rows] + b[1, rows] * vals[last] + last_quad[1, last] == target[1]
+            keep = c[1, rows] + b[1, rows] * lasts[last] + last_quad[1, last] == target[1]
             rows, last = rows[keep], last[keep]
             hits.extend(
-                (lead, *middle, t) for middle, t in zip(mid[rows].tolist(), vals[last].tolist())
+                (lead, *middle, t) for middle, t in zip(mid[rows].tolist(), lasts[last].tolist())
             )
     hits.sort()
 
-    candidates = []
-    for coeffs in hits:
-        it = iter(coeffs)
-        border = tuple(GoldenInt(x, y) for x, y in zip(it, it))
-        matrix = _border_matrix(group, border)
-        if not golden_det(matrix).is_zero():
-            raise AssertionError(f"Schur/cofactor determinant mismatch at {coeffs}")
-        candidates.append(CartanCandidate(coeffs, matrix))
-
-    # A is positive definite (its leading principal minors are > 0), and a
-    # bordered matrix has det = det(A) * (2 - w^T A^{-1} w), so det = 0 puts
-    # its Schur complement at 0: every candidate is positive semidefinite.
-    a = cartan(group)
-    if not all(golden_det(tuple(row[:m] for row in a[:m])).sign() > 0 for m in range(1, k + 1)):
-        raise AssertionError(f"the {group.value} Cartan matrix is not positive definite")
-    return tuple(candidates)
+    candidates = tuple(
+        CartanCandidate(c, _border_matrix(group, OmegaVector.from_flat(group, c).coords)) for c in hits
+    )
+    for c in candidates:
+        if not golden_det(c.matrix).is_zero():
+            raise AssertionError(f"Schur/cofactor determinant mismatch at {c.coeffs}")
+    return candidates
 
 
 # ---------------------------------------------------------------------------

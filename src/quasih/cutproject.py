@@ -59,16 +59,24 @@ def _point(coords) -> CycloInt:
 
 
 @lru_cache(maxsize=None)
+def _decagon_forms() -> tuple[np.ndarray, np.ndarray]:
+    """The forms of ``_window_forms``, Z[tau]-linear in x and n together,
+    compiled once on (p.a, p.b, q.a, q.b, n) rows."""
+
+    def forms(c):
+        return _edge_forms(_point(c[:4]), c[4]) + _edge_forms(_point(c[:4]).star(), c[4])
+
+    return compile_forms(forms, 5)
+
+
 def _window_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The twenty edge forms of x and star(x) against D(n), compiled on
+    """The twenty edge forms of x and star(x) against D(n), read-only on
     (p.a, p.b, q.a, q.b) rows: all are >= 0 exactly when x and star(x)
     both lie in D(n)."""
-
-    def forms(coords):
-        x = _point(coords)
-        return _edge_forms(x, n) + _edge_forms(x.star(), n)
-
-    return compile_forms(forms, 4)
+    m, off = _decagon_forms()
+    off = off + n * m[:, 4]
+    off.setflags(write=False)
+    return m[:, :4], off
 
 
 @lru_cache(maxsize=None)

@@ -141,14 +141,6 @@ def mat_vec(m: Matrix, v: tuple[GoldenInt, ...]) -> tuple[GoldenInt, ...]:
     return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][l] * b[l][j] for l in range(k)), ZERO) for j in range(m))
-        for i in range(n)
-    )
-
-
 def golden_det(m: Matrix) -> GoldenInt:
     """Exact determinant by cofactor expansion; sizes here never exceed 5."""
     k = len(m)

@@ -7,7 +7,10 @@ are the one-value-at-a-time readings of the same definitions.  ``values``,
 ``cyclo_set`` and ``points`` read the package's point arrays as scalars.
 ``word_levels`` and ``word_fragment`` build a fragment level by level from
 its word definition, one reflection ``closure`` per level, and are the
-oracle of ``fragment.generate``.
+oracle of ``fragment.generate``.  ``compose`` and ``identity_operator``
+are the GoldenInt algebra of affine operators, and ``scalar_identities``
+the Coxeter-relation check on them that ``affine.verify_identities`` runs
+on compiled integer matrices.
 """
 
 import cmath
@@ -16,12 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from quasih.cutproject import _edge_forms
-from quasih.golden import TAU, CycloInt, GoldenInt, xi_pow
-from quasih.affine import operators
+from quasih.golden import TAU, ZERO, CycloInt, GoldenInt, xi_pow
+from quasih.affine import AffineOperator, PairIdentity, coxeter_order, extended_cartan, operators
 from quasih import kernel
 from quasih.kernel import ResourceLimitError, apply, isin_sorted, pack_rows, unique_keys, unpack_keys
 from quasih.lineanalysis import _level
-from quasih.rootsystem import AlphaVector, GroupId, OmegaVector, cyclo_from_omega, omega_from_alpha
+from quasih.rootsystem import (
+    AlphaVector,
+    GroupId,
+    OmegaVector,
+    cartan,
+    cyclo_from_omega,
+    golden_identity,
+    mat_vec,
+    omega_from_alpha,
+)
 
 
 @dataclass(frozen=True)
@@ -141,3 +153,44 @@ def word_fragment(group, n: int, cap: int):
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
         prev = level
     return total
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return tuple(
+        tuple(sum((a[i][l] * b[l][j] for l in range(k)), ZERO) for j in range(m))
+        for i in range(n)
+    )
+
+
+def compose(first: AffineOperator, then: AffineOperator) -> AffineOperator:
+    """``first`` after ``then``: (M1, t1) . (M2, t2) = (M1 M2, M1 t2 + t1)."""
+    m = mat_mul(first.matrix, then.matrix)
+    t = mat_vec(first.matrix, then.offset)
+    return AffineOperator(first.group, m, tuple(a + b for a, b in zip(t, first.offset)))
+
+
+def identity_operator(group: GroupId) -> AffineOperator:
+    k = group.rank
+    return AffineOperator(group, golden_identity(k), (ZERO,) * k)
+
+
+def scalar_identities(group: GroupId, extended: bool = False) -> tuple[PairIdentity, ...]:
+    """``affine.verify_identities`` by GoldenInt composition of operators."""
+    ops = operators(group)
+    gens = ((ops.root_reflection,) if extended else ()) + ops.reflections
+    matrix = extended_cartan(group) if extended else cartan(group)
+    identity = identity_operator(group)
+    results = []
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            order = coxeter_order(matrix[i][j])
+            prod = compose(gens[i], gens[j])
+            power = identity
+            minimal = True
+            for _ in range(order - 1):
+                power = compose(power, prod)
+                if power == identity:
+                    minimal = False
+            results.append(PairIdentity(i, j, order, compose(power, prod) == identity, minimal))
+    return tuple(results)

@@ -26,7 +26,6 @@ from quasih.affine import (
     reference_table,
     enumerate_generalized,
     extended_cartan,
-    identity_operator,
     operators,
     verify_conditions,
     verify_identities,
@@ -34,7 +33,7 @@ from quasih.affine import (
 from quasih import kernel
 from quasih.fragment import generate
 from quasih.kernel import ResourceLimitError
-from oracles import points
+from oracles import compose, identity_operator, points, scalar_identities
 
 ALL_GROUPS = (GroupId.A2,) + H_GROUPS
 
@@ -106,7 +105,7 @@ class TestOperators:
     def test_translation_is_affine_reflection_after_root_reflection(self):
         for group in ALL_GROUPS:
             ops = operators(group)
-            composed = ops.affine_reflection.compose(ops.root_reflection)
+            composed = compose(ops.affine_reflection, ops.root_reflection)
             assert composed.matrix == ops.translation.matrix
             assert composed.offset == ops.translation.offset
 
@@ -114,13 +113,13 @@ class TestOperators:
     def test_reflections_are_involutions(self, group):
         ops = operators(group)
         for r in ops.reflections + (ops.root_reflection, ops.affine_reflection):
-            assert r.compose(r) == identity_operator(group)
+            assert compose(r, r) == identity_operator(group)
 
     def test_translation_never_cycles(self):
         ops = operators(GroupId.H4)
         power = identity_operator(GroupId.H4)
         for _ in range(12):
-            power = power.compose(ops.translation)
+            power = compose(power, ops.translation)
             assert power != identity_operator(GroupId.H4)
 
     def test_translation_commutes_only_with_stabilizers(self):
@@ -131,8 +130,8 @@ class TestOperators:
             t = ops.translation
             ah = highest_root(group)
             for j, r in enumerate(ops.reflections):
-                forward = t.compose(r)
-                backward = r.compose(t)
+                forward = compose(t, r)
+                backward = compose(r, t)
                 commutes = (forward.matrix, forward.offset) == (
                     backward.matrix,
                     backward.offset,
@@ -233,11 +232,40 @@ class TestIdentities:
         for i in range(len(gens)):
             for j in range(i, len(gens)):
                 order = coxeter_order(matrix[i][j])
-                prod = gens[i].compose(gens[j])
+                prod = compose(gens[i], gens[j])
                 power = identity_operator(group)
                 for _ in range(order):
-                    power = power.compose(prod)
+                    power = compose(power, prod)
                 assert power == identity_operator(group)
+
+    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_equals_scalar_composition(self, group, extended):
+        assert verify_identities(group, extended) == scalar_identities(group, extended)
+
+    def test_doubled_order_holds_but_is_not_minimal(self, monkeypatch):
+        # (r_i r_j)^(2M) = 1 as well, but the power M already is the identity
+        order = affine.coxeter_order
+        monkeypatch.setattr(affine, "coxeter_order", lambda entry: 2 * order(entry))
+        pairs = verify_identities(GroupId.H3, extended=True)
+        assert all(p.holds and not p.minimal for p in pairs)
+
+    def test_changed_compiled_entry_breaks_a_relation(self, monkeypatch):
+        # the relations are read off the compiled integer matrices: one
+        # wrong entry in r_1's must show
+        compiled = affine.AffineOperator.compiled
+        r1 = operators(GroupId.H3).reflections[0]
+
+        def wrong(op):
+            m, off = compiled(op)
+            if op == r1:
+                m = m.copy()
+                m[0, 0] += 1
+            return m, off
+
+        monkeypatch.setattr(affine.AffineOperator, "compiled", wrong)
+        for extended in (False, True):
+            assert not all(p.holds for p in verify_identities(GroupId.H3, extended))
 
 
 class TestEnumeration:
@@ -275,6 +303,18 @@ class TestEnumeration:
         entries = ((GoldenInt(2), GoldenInt(-3)), (GoldenInt(-3), GoldenInt(2)))
         monkeypatch.setattr(affine, "cartan", lambda group: entries)
         with pytest.raises(AssertionError, match="not positive definite"):
+            enumerate_generalized.__wrapped__(GroupId.H2, 2)
+
+    def test_block_positive_definite_under_one_embedding_is_refused(self, monkeypatch):
+        # ((2, -x), (-x, 2)) with x = -2 + 2*tau: det = 4 - x^2 is > 0 but
+        # its conjugate is < 0, so the box would not hold; refused before
+        # the forms of the grid are built
+        x = GoldenInt(-2, 2)
+        entries = ((GoldenInt(2), -x), (-x, GoldenInt(2)))
+        assert (4 - x * x).sign() > 0 > (4 - x * x).conj().sign()
+        monkeypatch.setattr(affine, "cartan", lambda group: entries)
+        monkeypatch.setattr(affine, "quadratic_forms", lambda group: pytest.fail("grid work"))
+        with pytest.raises(AssertionError, match="the h2 Cartan matrix is not positive definite"):
             enumerate_generalized.__wrapped__(GroupId.H2, 2)
 
     def test_extended_matrix_is_unique_nonpositive_candidate(self):
@@ -335,6 +375,28 @@ def _det_of_border(group, coeffs):
     it = iter(coeffs)
     border = tuple(GoldenInt(x, y) for x, y in zip(it, it))
     return golden_det(_border_matrix(group, border))
+
+
+class TestEnumerationBox:
+    # every determinant-zero border has |x_i| <= 2 and |y_i| <= 1, so a
+    # bound past 2 finds nothing new
+    @pytest.mark.parametrize(
+        "group,bounds",
+        [(GroupId.H2, range(3, 13)), (GroupId.H3, range(3, 13)), (GroupId.H4, (3, 4))],
+    )
+    def test_bound_past_the_box_finds_nothing_new(self, group, bounds):
+        expect = [c.coeffs for c in enumerate_generalized.__wrapped__(group, 2)]
+        for bound in bounds:
+            assert [c.coeffs for c in enumerate_generalized.__wrapped__(group, bound)] == expect
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_border_outside_the_box_has_nonzero_determinant(self, data):
+        coeffs = list(data.draw(st.tuples(*[st.integers(-4, 4)] * 8)))
+        i = data.draw(st.integers(0, 7))
+        least = 3 if i % 2 == 0 else 2  # x_i at even places, y_i at odd
+        coeffs[i] = data.draw(st.integers(least, 4)) * data.draw(st.sampled_from((-1, 1)))
+        assert not _det_of_border(GroupId.H4, tuple(coeffs)).is_zero()
 
 
 class TestEnumerationCap:

@@ -182,6 +182,33 @@ class TestSigma2D:
         values = kernel.apply(golden.compile_forms(forms, 4), rows)
         assert values.tolist() == [[c for v in forms(p) for c in (v.a, v.b)] for p in coords]
 
+    def test_window_forms_equal_the_per_radius_compile(self):
+        for n in range(1, 22):
+            def forms(c):
+                x = CycloInt(GoldenInt(c[0], c[1]), GoldenInt(c[2], c[3]))
+                return cutproject._edge_forms(x, n) + cutproject._edge_forms(x.star(), n)
+
+            got, want = cutproject._window_forms(n), golden.compile_forms(forms, 4)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert not a.flags.writeable
+
+    def test_window_forms_compile_once(self, monkeypatch):
+        calls = []
+
+        def counted(fn, dims):
+            calls.append(dims)
+            return golden.compile_forms(fn, dims)
+
+        monkeypatch.setattr(cutproject, "compile_forms", counted)
+        cutproject._decagon_forms.cache_clear()
+        try:
+            for n in range(1, 6):
+                cutproject._window_forms(n)
+        finally:
+            cutproject._decagon_forms.cache_clear()
+        assert calls == [5]
+
 
 class TestDeficiencies2D:
     def test_empty_at_one_and_two(self):
