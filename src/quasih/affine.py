@@ -9,14 +9,16 @@ relations multiply their compiled integer forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .golden import GoldenInt, ONE, ZERO, compile_forms
-from .kernel import _INT64_HEADROOM, _SLAB, ResourceLimitError, _require, quadratic_forms
+from .kernel import (
+    _INT64_HEADROOM, _SLAB, ResourceLimitError, _require, quadratic_form_rows, quadratic_forms,
+)
 from .rootsystem import (
     GroupId,
     Matrix,
@@ -194,50 +196,35 @@ def verify_identities(group: GroupId, extended: bool = False) -> tuple[PairIdent
 # ---------------------------------------------------------------------------
 # brute-force enumeration of generalized Cartan matrices
 
-# Largest solved grid (2b + 1)^(2k - 1) the enumeration accepts for bound b;
-# the same value as the cut-and-project box cap.  H4 admits coeff_bound <= 4.
+# Largest requested grid (2b + 1)^(2k - 1) the enumeration accepts for bound
+# b; the same value as the cut-and-project box cap.  H4 admits coeff_bound <= 4.
 ENUMERATION_CAP = 10_000_000
-
-@dataclass(frozen=True)
-class CartanCandidate:
-    coeffs: tuple[int, ...]
-    matrix: Matrix = field(compare=False)
-
-    def border(self) -> tuple[GoldenInt, ...]:
-        it = iter(self.coeffs)
-        return tuple(GoldenInt(x, y) for x, y in zip(it, it))
-
-    def is_nonpositive(self) -> bool:
-        return all(e.sign() <= 0 for e in self.border())
 
 
 @lru_cache(maxsize=8)
-def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> tuple[CartanCandidate, ...]:
-    """All bordered Cartan templates with exact determinant 0.
+def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> np.ndarray:
+    """The borders (x1, y1, ..., xk, yk), |x_i|, |y_i| <= coeff_bound, of
+    the bordered Cartan templates with exact determinant 0, as read-only
+    (N, 2k) int64 rows in lexicographic order.
 
     det of the bordered matrix is 2 det(A) - w^T adj(A) w by the Schur
-    complement, a pair of integer quadratic forms q0, q1 in the 2k border
-    coefficients u = (x1, y1, ..., xk, yk), each |u_i| <= coeff_bound; the
-    determinant vanishes exactly when q0(u) = 2 det(A).a and
-    q1(u) = 2 det(A).b.  Such a border has |x_i| <= 2 and |y_i| <= 1, so
-    only that box is scanned.  Proof: A is symmetric with diagonal 2, and
-    A and its conjugate A' are positive definite (every leading principal
-    minor d has d > 0 and d' > 0, checked exactly in front of the grid).
-    Under either real embedding s, det = 0 reads s(w)^T s(A)^-1 s(w) = 2,
-    so Cauchy-Schwarz in the inner product of s(A) gives s(w_i)^2 <= 4.
-    The embeddings of w_i = x + y*tau differ by y*sqrt5 and add to 2x + y,
-    so 5y^2 <= 16 and |2x + y| <= 4.  Each form is quadratic in the last
-    coefficient t, q = c + b*t + a*t^2, so t is solved rather than scanned:
-    the grid of the 2k - 2 middle coefficients is built one slab of
-    ``_SLAB`` points at a time with its quadratic part and its linear
-    coefficients against the lead and t, and for each lead value every t
-    is tested at once by broadcasting, q0 on the solved slab and q1 only
-    at the points q0 accepts: int64 arithmetic only, bound-checked in
-    front, in O(_SLAB) memory.  A requested grid (2b + 1)^(2k - 1) over
-    ``ENUMERATION_CAP`` points raises ``ResourceLimitError`` first.  Every
-    hit is re-checked with the GoldenInt cofactor determinant.  Every
-    candidate is positive semidefinite: A is positive definite, and det = 0
-    puts 2 - w^T A^{-1} w at 0.
+    complement, so it vanishes exactly when ``quadratic_form_rows`` gives
+    2 det(A) for w_i = x_i + y_i*tau.  Such a border has |x_i| <= 2,
+    |y_i| <= 1 and |2x_i + y_i| <= 4, so only that box is scanned.  Proof:
+    A is symmetric with diagonal 2, and A and its conjugate A' are positive
+    definite (every leading principal minor d has d > 0 and d' > 0, checked
+    exactly in front of the box).  Under either real embedding s, det = 0
+    reads s(w)^T s(A)^-1 s(w) = 2, so Cauchy-Schwarz in the inner product
+    of s(A) gives s(w_i)^2 <= 4.  The embeddings of w_i differ by y_i*sqrt5
+    and add to 2x_i + y_i, so 5y_i^2 <= 16 and |2x_i + y_i| <= 4.  The
+    rows of the box are index tuples into the admitted (x, y) pairs, whose
+    C order from ``np.indices`` is lexicographic, tested ``_SLAB`` rows at
+    a time in int64, bound-checked in front.  A requested grid
+    (2b + 1)^(2k - 1) over ``ENUMERATION_CAP`` points raises
+    ``ResourceLimitError`` first.  Every hit is re-checked with the
+    GoldenInt cofactor determinant.  Every candidate is positive
+    semidefinite: A is positive definite, and det = 0 puts
+    2 - w^T A^{-1} w at 0.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -252,50 +239,24 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> tuple[CartanC
     symmetric = all(a[i][i] == GoldenInt(2) and a[i][j] == a[j][i] for i in range(k) for j in range(k))
     if not (symmetric and all(d.sign() > 0 and d.conj().sign() > 0 for d in minors)):
         raise AssertionError(f"the {group.value} Cartan matrix is not positive definite")
-    forms = quadratic_forms(group)  # column 0 is the lead, column -1 the last
+    forms = quadratic_forms(group)
     _require(2 * int(np.abs(forms).sum()) * coeff_bound**2, _INT64_HEADROOM, "Cartan form")
     det_a = golden_det(a)
-    target = np.array([2 * det_a.a, 2 * det_a.b], dtype=np.int64)
-    cross = forms + forms.transpose(0, 2, 1)
-
-    bounds = np.array([min(coeff_bound, 2), min(coeff_bound, 1)] * k, dtype=np.int64)
-    leads = np.arange(-bounds[0], bounds[0] + 1)
-    lasts = np.arange(-bounds[-1], bounds[-1] + 1)
-    last_quad = forms[:, -1, -1, None] * lasts**2
-    grid = tuple(2 * bounds[1:-1] + 1)
-    cells = int(np.prod(grid))
-    hits: list[tuple[int, ...]] = []
-    for lo in range(0, cells, _SLAB):
-        # one slab of the middle grid, in the C order of np.indices
-        flat = np.arange(lo, min(lo + _SLAB, cells))
-        mid = np.stack(np.unravel_index(flat, grid), axis=1) - bounds[1:-1]
-        # per form, over the slab: quadratic part and linear coefficients
-        mid_quad = np.stack([((mid @ g) * mid).sum(axis=1) for g in forms[:, 1:-1, 1:-1]])
-        lead_lin = cross[:, 0, 1:-1] @ mid.T
-        last_lin = cross[:, -1, 1:-1] @ mid.T
-        q = np.empty((len(mid), len(lasts)), dtype=np.int64)  # form q0, one buffer for every lead
-        for lead in leads.tolist():
-            c = mid_quad + lead * lead_lin + (forms[:, 0, 0] * lead * lead)[:, None]
-            b = last_lin + (cross[:, 0, -1] * lead)[:, None]
-            np.multiply(b[0, :, None], lasts, out=q)
-            q += c[0, :, None]
-            q += last_quad[0]
-            rows, last = np.nonzero(q == target[0])
-            # q1 only at the grid points that q0 accepts
-            keep = c[1, rows] + b[1, rows] * lasts[last] + last_quad[1, last] == target[1]
-            rows, last = rows[keep], last[keep]
-            hits.extend(
-                (lead, *middle, t) for middle, t in zip(mid[rows].tolist(), lasts[last].tolist())
-            )
-    hits.sort()
-
-    candidates = tuple(
-        CartanCandidate(c, _border_matrix(group, OmegaVector.from_flat(group, c).coords)) for c in hits
-    )
-    for c in candidates:
-        if not golden_det(c.matrix).is_zero():
-            raise AssertionError(f"Schur/cofactor determinant mismatch at {c.coeffs}")
-    return candidates
+    target = (2 * det_a.a, 2 * det_a.b)
+    bx, by = min(coeff_bound, 2), min(coeff_bound, 1)
+    pairs = np.array([(x, y) for x in range(-bx, bx + 1) for y in range(-by, by + 1)
+                      if abs(2 * x + y) <= 4], dtype=np.int64)
+    index = np.indices((len(pairs),) * k, dtype=np.int8).reshape(k, -1).T
+    hits = []
+    for lo in range(0, len(index), _SLAB):
+        slab = pairs[index[lo:lo + _SLAB]].reshape(-1, 2 * k)
+        hits.append(slab[(quadratic_form_rows(group, slab) == target).all(axis=1)])
+    hits = np.concatenate(hits)
+    for row in hits.tolist():
+        if not golden_det(_border_matrix(group, OmegaVector.from_flat(group, row).coords)).is_zero():
+            raise AssertionError(f"Schur/cofactor determinant mismatch at {row}")
+    hits.setflags(write=False)
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +286,9 @@ def reference_table(group: GroupId) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class TableDiff:
-    missing: tuple[tuple[int, ...], ...]
-    extras: tuple[tuple[int, ...], ...]
-    table_count: int
-    enumerated_count: int
-
-    @property
-    def table_covered(self) -> bool:
-        return not self.missing
-
-
-def reference_diff(group: GroupId, coeff_bound: int = 3) -> TableDiff:
-    candidates = enumerate_generalized(group, coeff_bound)
-    found = {c.coeffs for c in candidates}
+def reference_diff(group: GroupId, coeff_bound: int = 3) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(missing, extras): the sorted reference-table rows the enumeration
+    does not find, and the sorted enumerated rows the table lacks."""
+    found = set(map(tuple, enumerate_generalized(group, coeff_bound).tolist()))
     table = set(reference_table(group))
-    missing = tuple(sorted(table - found))
-    extras = tuple(sorted(found - table))
-    return TableDiff(missing, extras, len(table), len(candidates))
+    return tuple(sorted(table - found)), tuple(sorted(found - table))

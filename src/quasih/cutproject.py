@@ -26,13 +26,13 @@ from .kernel import (
     ResourceLimitError,
     _absmax,
     _require,
+    apply,
     box_nonnegative,
     cyclo_rows,
     exact_argmin,
     exact_argsort,
     golden_sign,
     isin_sorted,
-    nonnegative_rows,
     pack_rows,
     unpack_keys,
 )
@@ -132,7 +132,13 @@ def fragment_in_window(fragment: Fragment) -> bool:
     if fragment.n < 1:
         return True
     rows = cyclo_rows(fragment.rows())
-    return len(nonnegative_rows(_window_forms(fragment.n), rows)) == len(rows)
+    m, off = _window_forms(fragment.n)
+    # form by form, so no (rows x forms) array is built
+    for j in range(0, len(off), 2):
+        value = apply((m[j:j + 2], off[j:j + 2]), rows)
+        if (golden_sign(value[:, 0], value[:, 1]) < 0).any():
+            return False
+    return True
 
 
 def min_distance_2d(rows: np.ndarray) -> tuple[GoldenInt, float]:

@@ -74,8 +74,11 @@ class Fragment:
 
     @classmethod
     def from_rows(cls, group: GroupId, n: int, coeffs) -> Fragment:
-        rows = np.asarray(coeffs, dtype=np.int64).reshape(-1, 2 * group.rank)
-        return cls(group, n, kernel.pack_rows(rows))
+        rows = np.asarray(coeffs)
+        cols = 2 * group.rank
+        if rows.ndim != 2 or rows.shape[1] != cols or (rows.size and not np.can_cast(rows.dtype, np.int64)):
+            raise ValueError(f"{group.value} rows are (N, {cols}) integers, not {rows.dtype} {rows.shape}")
+        return cls(group, n, kernel.pack_rows(rows.astype(np.int64)))
 
     @property
     def size(self) -> int:

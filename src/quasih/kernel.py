@@ -104,7 +104,7 @@ def isin_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 # Rows per slab in ``root_sums``, ``orbit_keys`` (whose slabs also start in
 # one 2^20-point window), ``fragment.generate`` (its dominant sums), the
 # sign pass of ``fragment.orbits`` on a fragment that carries no dominant
-# rows, and ``affine.enumerate_generalized``.
+# rows, and the border box that ``affine.enumerate_generalized`` tests.
 _SLAB = 4096
 
 
@@ -187,17 +187,6 @@ def root_sums(roots: np.ndarray, n: int, cap: int) -> list[tuple[np.ndarray, np.
         if seen.size > cap:
             raise ResourceLimitError(f"fragment exceeded cap {cap}")
     return levels
-
-
-def nonnegative_rows(forms, rows: np.ndarray) -> np.ndarray:
-    """The rows, in order, at which every Z[tau] value of the compiled
-    ``forms`` is >= 0; form by form on the rows still inside, so no
-    (rows x forms) array is built."""
-    m, off = forms
-    for j in range(0, len(off), 2):
-        value = apply((m[j:j + 2], off[j:j + 2]), rows)
-        rows = rows[golden_sign(value[:, 0], value[:, 1]) >= 0]
-    return rows
 
 
 def _threshold(base: np.ndarray, step: np.ndarray, bound: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -20,7 +21,6 @@ from quasih.rootsystem import (
 )
 from quasih import affine
 from quasih.affine import (
-    CartanCandidate,
     _border_matrix,
     reference_diff,
     reference_table,
@@ -271,29 +271,63 @@ class TestIdentities:
 class TestEnumeration:
     def test_h2_exact_table(self):
         result = enumerate_generalized(GroupId.H2, 3)
-        assert [c.coeffs for c in result] == list(reference_table(GroupId.H2))
+        assert _coeffs(result) == list(reference_table(GroupId.H2))
 
     def test_first_table_row_present(self):
         result = enumerate_generalized(GroupId.H2, 3)
-        assert (-2, 0, 0, 1) in {c.coeffs for c in result}
+        assert (-2, 0, 0, 1) in _coeffs(result)
 
     def test_candidates_satisfy_conditions_except_sign(self):
-        for c in enumerate_generalized(GroupId.H2, 2):
-            rep = verify_conditions(c.matrix)
+        for c in _coeffs(enumerate_generalized(GroupId.H2, 2)):
+            rep = verify_conditions(_matrix_of_border(GroupId.H2, c))
             assert rep.diagonal_ok and rep.symmetric_ok and rep.det_zero_ok
 
     def test_sorted_lexicographically(self):
-        coeffs = [c.coeffs for c in enumerate_generalized(GroupId.H3, 2)]
+        coeffs = _coeffs(enumerate_generalized(GroupId.H3, 2))
         assert coeffs == sorted(coeffs)
+
+    @pytest.mark.parametrize("group", H_GROUPS)
+    @pytest.mark.parametrize("bound", (1, 2, 3))
+    def test_rows_rise_strictly(self, group, bound):
+        coeffs = _coeffs(enumerate_generalized(group, bound))
+        assert all(a < b for a, b in zip(coeffs, coeffs[1:]))
+
+    def test_rows_are_read_only_int64(self):
+        rows = enumerate_generalized(GroupId.H3, 3)
+        assert rows.dtype == np.int64 and rows.shape == (30, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0
+        assert enumerate_generalized(GroupId.H3, 3)[0, 0] == rows[0, 0]
+
+    # sha256 of repr([tuple, ...]) of the coefficient lists that the earlier
+    # solved-last-coefficient scan gave; the box scan must give the same
+    @pytest.mark.parametrize("group,bound,count,digest", [
+        (GroupId.H2, 1, 6, "87e242a32cb19864705c4a36acff284b81f4a661eee5acb2e214ba7e1d0e8f38"),
+        (GroupId.H3, 1, 24, "c3c15863bb84d622a8e64392c620e1ca149a43249eb1e8159e0e043cfe0e5324"),
+        (GroupId.H4, 1, 112, "dbecafbd55a7b3f8e1fc1c12eb9de42d1e5bde6743f8cc3e82a689691766fd8b"),
+    ] + [
+        (GroupId.H2, b, 10, "dfa874df7e58f3ae0f6845c6f58be1866e72794927994522ddd908aaaa7ff70b")
+        for b in (2, 3, 4, 12)
+    ] + [
+        (GroupId.H3, b, 30, "a860fa2778fe9dc31ab33f015afc73fc2f7f576f99022b44c5c941d5fcdb9af8")
+        for b in (2, 3, 4, 12)
+    ] + [
+        (GroupId.H4, b, 120, "0a3b236675c3861b6c408cd9abc7433c1ae24a3af596da9d3da1cf1d64b28afe")
+        for b in (2, 3, 4)
+    ])
+    def test_pinned_coefficient_lists(self, group, bound, count, digest):
+        coeffs = _coeffs(enumerate_generalized(group, bound))
+        assert len(coeffs) == count
+        assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("group,count", [(GroupId.H2, 10), (GroupId.H3, 30), (GroupId.H4, 120)])
     def test_psd_count_matches_float_eigenvalues(self, group, count):
         # the float reference the exact count replaced: least eigenvalue >= -1e-9
         res = enumerate_generalized(group, 3)
+        matrices = [_matrix_of_border(group, c) for c in _coeffs(res)]
         by_float = sum(
-            np.linalg.eigvalsh(np.array([[e.embed() for e in row] for row in c.matrix])).min()
-            >= -1e-9
-            for c in res
+            np.linalg.eigvalsh(np.array([[e.embed() for e in row] for row in m])).min() >= -1e-9
+            for m in matrices
         )
         assert by_float == len(res) == count
 
@@ -320,27 +354,26 @@ class TestEnumeration:
     def test_extended_matrix_is_unique_nonpositive_candidate(self):
         for group in H_GROUPS:
             res = enumerate_generalized(group, 3)
-            nonpos = [c for c in res if c.is_nonpositive()]
+            borders = [OmegaVector.from_flat(group, c).coords for c in _coeffs(res)]
+            nonpos = [b for b in borders if all(e.sign() <= 0 for e in b)]
             assert len(nonpos) == 1
-            assert nonpos[0].border() == tuple(extended_cartan(group)[0][1:])
+            assert nonpos[0] == tuple(extended_cartan(group)[0][1:])
 
     def test_h3_diff_finding(self):
         # four reference rows are determinant -8 (inconsistent source
         # data); the other sixteen are all found
-        diff = reference_diff(GroupId.H3, 3)
-        assert diff.table_count == 20
-        assert len(diff.missing) == 4
-        for row in diff.missing:
-            it = iter(row)
-            border = tuple(GoldenInt(x, y) for x, y in zip(it, it))
-            from quasih.affine import _border_matrix
-
-            assert golden_det(_border_matrix(GroupId.H3, border)) == gi(-8)
+        missing, extras = reference_diff(GroupId.H3, 3)
+        assert len(reference_table(GroupId.H3)) == 20
+        assert len(missing) == 4 and missing == tuple(sorted(missing))
+        for row in missing:
+            assert _det_of_border(GroupId.H3, row) == gi(-8)
+        assert extras == tuple(sorted(extras))
+        assert len(extras) == 30 - 16
 
     def test_h4_table_covered(self):
-        diff = reference_diff(GroupId.H4, 3)
-        assert diff.table_covered
-        assert diff.enumerated_count == 120
+        missing, extras = reference_diff(GroupId.H4, 3)
+        assert missing == ()
+        assert len(enumerate_generalized(GroupId.H4, 3)) == 120
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -357,12 +390,12 @@ class TestEnumeration:
         for coeffs in itertools.product(range(-bound, bound + 1), repeat=2 * group.rank):
             if _det_of_border(group, coeffs).is_zero():
                 expect.append(coeffs)
-        assert [c.coeffs for c in enumerate_generalized(group, bound)] == expect
+        assert _coeffs(enumerate_generalized(group, bound)) == expect
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_h4_candidate_exactly_when_determinant_zero(self, data):
-        found = [c.coeffs for c in enumerate_generalized(GroupId.H4, 3)]
+        found = _coeffs(enumerate_generalized(GroupId.H4, 3))
         coeff = st.integers(-3, 3)
         coeffs = data.draw(st.one_of(st.sampled_from(found), st.tuples(*[coeff] * 8)))
         if data.draw(st.booleans()):  # a neighbour of a drawn border
@@ -371,10 +404,16 @@ class TestEnumeration:
         assert (coeffs in found) == _det_of_border(GroupId.H4, coeffs).is_zero()
 
 
+def _coeffs(rows):
+    return [tuple(r) for r in rows.tolist()]
+
+
+def _matrix_of_border(group, coeffs):
+    return _border_matrix(group, OmegaVector.from_flat(group, coeffs).coords)
+
+
 def _det_of_border(group, coeffs):
-    it = iter(coeffs)
-    border = tuple(GoldenInt(x, y) for x, y in zip(it, it))
-    return golden_det(_border_matrix(group, border))
+    return golden_det(_matrix_of_border(group, coeffs))
 
 
 class TestEnumerationBox:
@@ -385,9 +424,9 @@ class TestEnumerationBox:
         [(GroupId.H2, range(3, 13)), (GroupId.H3, range(3, 13)), (GroupId.H4, (3, 4))],
     )
     def test_bound_past_the_box_finds_nothing_new(self, group, bounds):
-        expect = [c.coeffs for c in enumerate_generalized.__wrapped__(group, 2)]
+        expect = _coeffs(enumerate_generalized.__wrapped__(group, 2))
         for bound in bounds:
-            assert [c.coeffs for c in enumerate_generalized.__wrapped__(group, bound)] == expect
+            assert _coeffs(enumerate_generalized.__wrapped__(group, bound)) == expect
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -420,8 +459,8 @@ class TestEnumerationCap:
 
 
 class TestEnumerationSlabs:
-    # the uncached function, with the middle grid cut into small slabs
-    CASES = [(g, b) for g in (GroupId.H2, GroupId.H3) for b in (1, 2, 3)] + [(GroupId.H4, 2)]
+    # the uncached function, with the border box cut into small slabs
+    CASES = [(g, b) for g in (GroupId.H2, GroupId.H3) for b in (1, 2, 3)] + [(GroupId.H4, 2), (GroupId.H4, 3)]
 
     @pytest.mark.parametrize("slab", [1, 5, 7])
     def test_slab_size_does_not_change_the_result(self, monkeypatch, slab):
@@ -429,11 +468,11 @@ class TestEnumerationSlabs:
         monkeypatch.setattr(affine, "_SLAB", slab)
         for case, want in zip(self.CASES, expect):
             got = enumerate_generalized.__wrapped__(*case)
-            assert [c.coeffs for c in got] == [c.coeffs for c in want]
+            assert _coeffs(got) == _coeffs(want)
 
     def test_peak_traced_allocation(self):
-        # one slab of the 7^6 middle grid at a time; the whole grid with
-        # its quadratic parts and (7^6, 7) buffer was 24.2 MB
+        # one slab of _SLAB rows of the 13^4-row H4 box at a time peaks at
+        # 0.88 MB; the whole box as one slab peaks at 4.05 MB
         tracemalloc.start()
         try:
             enumerate_generalized.__wrapped__(GroupId.H4, 3)

@@ -190,6 +190,25 @@ class TestStorage:
         f = Fragment.from_rows(GroupId.H2, 0, rows)
         assert f.rows().tolist() == rows.tolist() and f.size == 3
 
+    def test_from_rows_refuses_a_wrong_width(self):
+        # reshaped, a (4, 3) array would be three H2 points
+        with pytest.raises(ValueError, match=r"\(N, 4\)"):
+            Fragment.from_rows(GroupId.H2, 0, np.zeros((4, 3), dtype=np.int64))
+
+    def test_from_rows_refuses_rows_of_another_rank(self):
+        # reshaped, two H2 rows would be one H4 point
+        with pytest.raises(ValueError, match=r"\(N, 8\)"):
+            Fragment.from_rows(GroupId.H4, 0, np.ones((2, 4), dtype=np.int64))
+
+    def test_from_rows_refuses_non_integer_entries(self):
+        # cast, 0.7 would be 0 and the row the origin
+        with pytest.raises(ValueError, match="float64"):
+            Fragment.from_rows(GroupId.H2, 0, [[0.7, 0, 0, 0]])
+
+    def test_from_rows_admits_no_rows(self):
+        assert Fragment.from_rows(GroupId.H2, 0, np.zeros((0, 4), dtype=np.int64)).size == 0
+        assert Fragment.from_rows(GroupId.H4, 0, np.zeros((0, 8))).size == 0
+
     def test_rows_are_not_keys(self):
         with pytest.raises(TypeError, match="from_rows"):
             Fragment(GroupId.H2, 0, np.zeros((1, 4), dtype=np.int64))
