@@ -308,13 +308,18 @@ def cartesian_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
     H4), bit for bit those of the scalar ``rootsystem.cartesian``: each
     simple-root coordinate a + b*tau over N(det A) is reduced by its gcd as
     ``GoldenRational`` does, embedded as (a + b*PHI) / den, and the model
-    columns are summed term by term from 0.0, the order of ``sum``."""
+    columns are summed term by term from 0.0, the order of ``sum``.  When
+    N(det A) = 1 (H4) every gcd is 1 and dividing by 1 is exact, so the
+    reduction is skipped."""
     forms, norm = _alpha_numerators(group)
     assert norm > 0, f"{group}: N(det A) = {norm}"
     num = apply(forms, x)
     a, b = num[:, 0::2], num[:, 1::2]
-    g = np.gcd(np.gcd(a, b), norm)
-    alpha = (a // g + (b // g) * PHI) / (norm // g)
+    if norm == 1:
+        alpha = a + b * PHI
+    else:
+        g = np.gcd(np.gcd(a, b), norm)
+        alpha = (a // g + (b // g) * PHI) / (norm // g)
     model = _MODELS[group]
     out = np.empty((len(x), len(model[0])))
     for j, column in enumerate(zip(*model)):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import math
+import pickle
+import signal
 from functools import cmp_to_key
 
 import numpy as np
@@ -24,7 +27,7 @@ from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.fragment import generate
 from quasih.kernel import cyclo_rows
 from quasih.lineanalysis import LINE_CAP, deficiencies_1d
-from quasih import serialize
+from quasih import checks, serialize
 from quasih.rootsystem import GroupId, OmegaVector, cartesian, norm_sq
 from quasih.serialize import (
     _decimal_words,
@@ -160,14 +163,18 @@ class TestSchemas:
         assert fragment_svg(f) == fragment_svg(f)
 
 
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    path = [str(Path(quasih.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def _cli_process(*argv, stdout=subprocess.PIPE):
     """A cold ``python -m quasih.cli`` child on this checkout's package,
     its stderr and by default its stdout piped."""
-    path = [str(Path(quasih.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.Popen(
         [sys.executable, "-m", "quasih.cli", *argv],
-        env=env, stdout=stdout, stderr=subprocess.PIPE,
+        env=_package_env(), stdout=stdout, stderr=subprocess.PIPE,
     )
 
 
@@ -499,6 +506,163 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "--only", "nope")
         assert exc.value.code == 1
+
+
+def _timeless(details):
+    if isinstance(details, dict):
+        return {k: _timeless(v) for k, v in details.items() if k != "elapsed"}
+    return details
+
+
+def _comparable(results):
+    """Names, verdicts and details of check results, every timing dropped."""
+    return [(r.name, r.passed, _timeless(r.details)) for r in results]
+
+
+def _no_fork():
+    raise AssertionError("run_checks forked")
+
+
+@pytest.fixture(scope="module")
+def serial_checks():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        mp.setattr(os, "fork", _no_fork, raising=False)
+        return _comparable(checks.run_checks())
+
+
+class TestTwoProcessChecks:
+    # two CPUs are granted by patching the affinity, so the forked path runs
+    # on any host with fork; the head is every check before checks._CHILD_FROM
+    HEAD = list(checks.check_names()[:checks.check_names().index(checks._CHILD_FROM)])
+    TAIL = list(checks.check_names()[len(HEAD):])
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """Grant two CPUs and count, in this process, the checks it runs and
+        the children it forks and reaps; ``in_child`` runs in each child
+        right after the fork."""
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        log = {"ran": [], "forked": [], "reaped": {}, "in_child": lambda: None}
+        for name in checks.check_names():
+            def logged(_fn=checks._REGISTRY[name], _name=name, **kwargs):
+                log["ran"].append(_name)
+                return _fn(**kwargs)
+            monkeypatch.setitem(checks._REGISTRY, name, logged)
+        real_fork, real_waitpid = os.fork, os.waitpid
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                log["in_child"]()
+            log["forked"].append(pid)
+            return pid
+
+        def waitpid(pid, options):
+            reaped, status = real_waitpid(pid, options)
+            log["reaped"][reaped] = status
+            return reaped, status
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        return log
+
+    def test_equals_serial(self, serial_checks, forked):
+        results = checks.run_checks()
+        assert _comparable(results) == serial_checks
+        # the parent ran exactly the head, the child the rest, and was reaped
+        assert forked["ran"] == self.HEAD
+        [pid] = forked["forked"]
+        assert os.WIFEXITED(forked["reaped"][pid]) and os.WEXITSTATUS(forked["reaped"][pid]) == 0
+
+    @pytest.mark.parametrize("in_child", ["exit", "torn_pickle"])
+    def test_child_returning_nothing_leaves_parent_to_run_all(self, serial_checks, forked,
+                                                             in_child):
+        def torn(obj, file):
+            file.write(pickle.dumps(obj)[:-3])
+            file.flush()
+            os._exit(0)
+
+        forked["in_child"] = {
+            "exit": lambda: os._exit(0),
+            "torn_pickle": lambda: setattr(pickle, "dump", torn),
+        }[in_child]
+        results = checks.run_checks()
+        assert _comparable(results) == serial_checks
+        assert forked["ran"] == self.HEAD + self.TAIL
+
+    def test_child_dying_midway_leaves_parent_to_run_the_rest(self, serial_checks, forked,
+                                                              monkeypatch):
+        parent = os.getpid()
+        victim = self.TAIL[2]
+        real = checks._REGISTRY[victim]
+
+        def dies_in_child(**kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(**kwargs)
+
+        monkeypatch.setitem(checks._REGISTRY, victim, dies_in_child)
+        results = checks.run_checks()
+        assert _comparable(results) == serial_checks
+        # the child returned the two checks before the victim
+        assert forked["ran"] == self.HEAD + self.TAIL[2:]
+
+    def test_failed_fork_leaves_parent_to_run_all(self, serial_checks, forked, monkeypatch):
+        def out_of_processes():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", out_of_processes)
+        assert _comparable(checks.run_checks()) == serial_checks
+        assert forked["ran"] == self.HEAD + self.TAIL
+
+    def test_interrupt_kills_and_reaps_the_child(self, forked, monkeypatch):
+        def interrupted(**kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(checks._REGISTRY, self.HEAD[0], interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            checks.run_checks()
+        [pid] = forked["forked"]
+        status = forked["reaped"][pid]
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+    @pytest.mark.parametrize("env", ["only", "one_cpu", "one_cpu_count", "no_fork"])
+    def test_serial_paths_never_fork(self, serial_checks, monkeypatch, env):
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if env == "only":
+            [result] = checks.run_checks(only="decompose")
+            assert _comparable([result]) == [r for r in serial_checks if r[0] == "decompose"]
+            return
+        if env == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif env == "one_cpu_count":  # no affinity call (macOS): the CPU count decides
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.delattr(os, "fork")
+        assert _comparable(checks.run_checks()) == serial_checks
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_no_child_outlives_run_checks(self):
+        # a fresh interpreter, so no other test's children are about
+        script = (
+            "import os\n"
+            "from quasih import checks\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "assert len(checks.run_checks()) == len(checks.check_names())\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('reaped')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"reaped\n"
 
 
 class TestReadme:
