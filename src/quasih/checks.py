@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .golden import CycloInt, GoldenInt, TAU, xi_pow
+from .golden import CycloInt, GoldenInt, TAU, cyclo_str, xi_pow
 from .rootsystem import (
     AlphaVector,
     GroupId,
@@ -38,18 +38,17 @@ from .affine import (
     verify_conditions,
     verify_identities,
 )
-from .fragment import cached_fragment, check_tenfold, generate_rootsum, orbits
+from .fragment import _XI_ROTATION, cached_fragment, check_tenfold, generate_rootsum, orbits
 from .lineanalysis import (
-    decompose,
     deficiencies_1d,
     levels,
     line_bruteforce,
     line_closed_form,
     min_distance_compare,
     mn_nn,
-    rootsum_witnesses,
     scaling_check,
     sigma_1d,
+    two_line_split,
 )
 from .cutproject import deficiency_rows_2d, fragment_in_window, min_distance_2d, sigma_2d
 from .kernel import apply, cyclo_rows, golden_sign, pack_rows, unpack_keys
@@ -404,13 +403,14 @@ def _cut2d(coeff_bound: int = 3):
 def _decompose(coeff_bound: int = 3):
     checked = 0
     for n in range(5):
-        witnesses = rootsum_witnesses(n)
-        for point, beta in witnesses.items():
-            d = decompose(point, n, beta)
-            rebuilt = (CycloInt.from_golden(d.y) + xi_pow(1) * d.z) * xi_pow(d.sector)
-            if rebuilt != point or d.cost_y > n or d.cost_z > n:
-                return False, {"failed_at": (n, str(point))}
-            checked += 1
+        points, sector, y, z, level_y, level_z = two_line_split(n)
+        rebuilt = np.hstack([y, z])  # y + z*xi as (p.a, p.b, q.a, q.b) rows
+        for s in range(9):  # times xi^sector, one compiled rotation by xi at a time
+            rebuilt[sector > s] = apply(_XI_ROTATION, rebuilt[sector > s])
+        bad = (rebuilt != points).any(axis=1) | (sector < 0) | (sector > 9) | (level_y > n) | (level_z > n)
+        if bad.any():
+            return False, {"failed_at": (n, cyclo_str(*points[bad.argmax()].tolist()))}
+        checked += len(points)
     return True, {"points_checked": checked}
 
 
@@ -427,20 +427,14 @@ def _star(coeff_bound: int = 3):
     delta_fixed = root_images == root_set
     anchors = xi_pow(0).star() == xi_pow(0) and xi_pow(4).star() == xi_pow(8)
     rng = random.Random(192837)
-    semilinear = True
-    for _ in range(1000):
-        a = GoldenInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        x = CycloInt(
-            GoldenInt(rng.randint(-50, 50), rng.randint(-50, 50)),
-            GoldenInt(rng.randint(-50, 50), rng.randint(-50, 50)),
-        )
-        y = CycloInt(
-            GoldenInt(rng.randint(-50, 50), rng.randint(-50, 50)),
-            GoldenInt(rng.randint(-50, 50), rng.randint(-50, 50)),
-        )
-        if (x * a + y).star() != x.star() * a.conj() + y.star():
-            semilinear = False
-            break
+
+    def draw():
+        return GoldenInt(rng.randint(-50, 50), rng.randint(-50, 50))
+
+    semilinear = all(  # a, x, y drawn in that order, each coefficient in turn
+        (x * a + y).star() == x.star() * a.conj() + y.star()
+        for a, x, y in ((draw(), CycloInt(draw(), draw()), CycloInt(draw(), draw())) for _ in range(1000))
+    )
     ok = delta_fixed and anchors and semilinear
     return ok, {"delta2_fixed": delta_fixed, "anchors": anchors, "semilinear": semilinear}
 

@@ -10,6 +10,7 @@ formatted.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -221,5 +222,12 @@ def main(argv: list[str] | None = None) -> int:
     return handler(args)
 
 
+def run() -> int:
+    """The ``quasih`` script and ``python -m quasih.cli``: ``main`` with the
+    import heap frozen, so no collection walks it again, not even at exit."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -16,13 +16,12 @@ floats only propose the sort order and appear in diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .fragment import DEFAULT_CAP
-from .golden import TAU, CycloInt, GoldenInt, compile_forms, xi_pow
+from .golden import TAU, GoldenInt, compile_forms, xi_pow
 from .kernel import (
     apply,
     box_nonnegative,
@@ -143,66 +142,38 @@ def mn_nn(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # two-line decomposition of planar points
 
-class DecompositionError(ValueError):
-    """No witness satisfied the level bound (impossible for valid input)."""
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    y: GoldenInt
-    z: GoldenInt
-    sector: int
-    cost_y: int
-    cost_z: int
-
-
-def decompose(x: CycloInt, n: int, witness: tuple[int, int, int, int, int]) -> Decomposition:
-    """Split a fragment point into two adjacent-line components,
-    x = (y + z*xi) * xi^sector with y and the z coefficient both on level n.
-
-    ``witness`` is a root-sum certificate (beta_0..beta_4) over the basis
-    xi^0..xi^4 with sum |beta_j| <= n.  Writing xi^2, xi^3, xi^4 in terms
-    of xi^0, xi^1 gives y = (b0 - b2) - (b3 + b4)*tau and
-    z = (b1 + b4) + (b2 + b3)*tau, whose levels ``_level`` computes.
-    Points in the cone between xi^0 and xi^1 split in sector 0; the
-    remaining sectors are reached by ten-fold rotation, which permutes
-    certificates without changing their root count: multiplying the point
-    by xi^-1 = -xi^4 shifts root indices down.
-    """
-    total = sum(xi_pow(j) * w for j, w in enumerate(witness))
-    if total != x:
-        raise ValueError("witness does not sum to the given point")
-    if sum(abs(b) for b in witness) > n:
-        raise ValueError("witness uses more than n roots")
-
-    b0, b1, b2, b3, b4 = witness
-    for sector in range(10):
-        y = GoldenInt(b0 - b2, -(b3 + b4))
-        z = GoldenInt(b1 + b4, b2 + b3)
-        cost_y, cost_z = int(_level(y.a, y.b)), int(_level(z.a, z.b))
-        if cost_y <= n and cost_z <= n:
-            return Decomposition(y, z, sector, cost_y, cost_z)
-        b0, b1, b2, b3, b4 = b1, b2, b3, b4, -b0
-    raise DecompositionError(f"no sector splits {x} on level {n}")
-
-
-def rootsum_witnesses(n: int) -> dict[CycloInt, tuple[int, int, int, int, int]]:
-    """Every fragment point with one root-sum certificate (beta_0..beta_4).
-
-    ``kernel.root_sums`` over the roots xi^0..xi^9 as (p.a, p.b, q.a, q.b)
-    rows; a point's certificate is its parent's plus e_j for xi^j and minus
-    e_j for xi^(j+5) = -xi^j, so sum|beta| is its level, at most n.
-    """
+def two_line_split(n: int) -> tuple[np.ndarray, ...]:
+    """Split every fragment point x of level at most n into two
+    adjacent-line components, x = (y + z*xi) * xi^sector with y and z on
+    level n: read-only int64 (points, sector, y, z, level_y, level_z), the
+    points as (p.a, p.b, q.a, q.b) rows of p + q*xi, y and z as (a, b) rows
+    of a + b*tau, the rest one value per point.  ``kernel.root_sums`` over
+    the roots xi^0..xi^9 gives each point a certificate
+    x = sum_j beta_j xi^j, its parent's plus e_j for xi^j or minus e_j for
+    xi^(j+5) = -xi^j, with sum |beta_j| its level.  As xi^2 = tau*xi - 1,
+    xi^3 = tau*xi - tau and xi^4 = xi - tau, sector 0 reads
+    y = (b0 - b2) - (b3 + b4)*tau and z = (b1 + b4) + (b2 + b3)*tau, and
+    x*xi^-1 = -x*xi^4 has the certificate (b1, b2, b3, b4, -b0), so sector
+    s reads beta shifted s times.  Each point takes the first sector in
+    which both ``_level`` values are at most n."""
     levels = root_sums(_XI_ROWS, n, DEFAULT_CAP)
     step = np.concatenate([np.eye(5, dtype=np.int64), -np.eye(5, dtype=np.int64)])
     betas = [np.zeros((1, 5), dtype=np.int64)]
     for _, parent, root in levels[1:]:
         betas.append(betas[-1][parent] + step[root])
-    rows = unpack_keys(np.concatenate([k for k, _, _ in levels]), 4).tolist()
-    return {
-        CycloInt(GoldenInt(a, b), GoldenInt(c, d)): tuple(beta)
-        for (a, b, c, d), beta in zip(rows, np.concatenate(betas).tolist())
-    }
+    s, j = np.indices((10, 5))
+    b0, b1, b2, b3, b4 = np.moveaxis(np.concatenate(betas)[:, (s + j) % 5] * (-1) ** ((s + j) // 5), -1, 0)
+    y, z = np.stack([b0 - b2, -(b3 + b4)], axis=-1), np.stack([b1 + b4, b2 + b3], axis=-1)
+    level_y, level_z = _level(*np.moveaxis(y, -1, 0)), _level(*np.moveaxis(z, -1, 0))
+    fits = (level_y <= n) & (level_z <= n)
+    if not fits.any(axis=1).all():
+        raise AssertionError(f"a point of level <= {n} splits in no sector")
+    at = np.arange(len(fits)), fits.argmax(axis=1)
+    points = unpack_keys(np.concatenate([k for k, _, _ in levels]), 4)
+    out = points, at[1], y[at], z[at], level_y[at], level_z[at]
+    for x in out:
+        x.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ its word definition, one reflection ``closure`` per level, and are the
 oracle of ``fragment.generate``.  ``compose`` and ``identity_operator``
 are the GoldenInt algebra of affine operators, and ``scalar_identities``
 the Coxeter-relation check on them that ``affine.verify_identities`` runs
-on compiled integer matrices.
+on compiled integer matrices.  ``rootsum_witnesses`` and ``decompose``
+are the scalar two-line decomposition, one CycloInt point at a time, that
+``lineanalysis.two_line_split`` runs on arrays.
 """
 
 import cmath
@@ -22,8 +24,11 @@ from quasih.cutproject import _edge_forms
 from quasih.golden import TAU, ZERO, CycloInt, GoldenInt, xi_pow
 from quasih.affine import AffineOperator, PairIdentity, coxeter_order, extended_cartan, operators
 from quasih import kernel
-from quasih.kernel import ResourceLimitError, apply, isin_sorted, pack_rows, unique_keys, unpack_keys
-from quasih.lineanalysis import _level
+from quasih.kernel import (
+    ResourceLimitError, apply, isin_sorted, pack_rows, root_sums, unique_keys, unpack_keys,
+)
+from quasih import lineanalysis
+from quasih.lineanalysis import _XI_ROWS, _level
 from quasih.rootsystem import (
     AlphaVector,
     GroupId,
@@ -194,3 +199,65 @@ def scalar_identities(group: GroupId, extended: bool = False) -> tuple[PairIdent
                     minimal = False
             results.append(PairIdentity(i, j, order, compose(power, prod) == identity, minimal))
     return tuple(results)
+
+
+class DecompositionError(ValueError):
+    """No witness satisfied the level bound (impossible for valid input)."""
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    y: GoldenInt
+    z: GoldenInt
+    sector: int
+    cost_y: int
+    cost_z: int
+
+
+def decompose(x: CycloInt, n: int, witness: tuple[int, int, int, int, int]) -> Decomposition:
+    """Split a fragment point into two adjacent-line components,
+    x = (y + z*xi) * xi^sector with y and the z coefficient both on level n.
+
+    ``witness`` is a root-sum certificate (beta_0..beta_4) over the basis
+    xi^0..xi^4 with sum |beta_j| <= n.  Writing xi^2, xi^3, xi^4 in terms
+    of xi^0, xi^1 gives y = (b0 - b2) - (b3 + b4)*tau and
+    z = (b1 + b4) + (b2 + b3)*tau, whose levels ``_level`` computes.
+    Points in the cone between xi^0 and xi^1 split in sector 0; the
+    remaining sectors are reached by ten-fold rotation, which permutes
+    certificates without changing their root count: multiplying the point
+    by xi^-1 = -xi^4 shifts root indices down.
+    """
+    total = sum(xi_pow(j) * w for j, w in enumerate(witness))
+    if total != x:
+        raise ValueError("witness does not sum to the given point")
+    if sum(abs(b) for b in witness) > n:
+        raise ValueError("witness uses more than n roots")
+
+    b0, b1, b2, b3, b4 = witness
+    for sector in range(10):
+        y = GoldenInt(b0 - b2, -(b3 + b4))
+        z = GoldenInt(b1 + b4, b2 + b3)
+        cost_y, cost_z = int(_level(y.a, y.b)), int(_level(z.a, z.b))
+        if cost_y <= n and cost_z <= n:
+            return Decomposition(y, z, sector, cost_y, cost_z)
+        b0, b1, b2, b3, b4 = b1, b2, b3, b4, -b0
+    raise DecompositionError(f"no sector splits {x} on level {n}")
+
+
+def rootsum_witnesses(n: int) -> dict[CycloInt, tuple[int, int, int, int, int]]:
+    """Every fragment point with one root-sum certificate (beta_0..beta_4).
+
+    ``kernel.root_sums`` over the roots xi^0..xi^9 as (p.a, p.b, q.a, q.b)
+    rows; a point's certificate is its parent's plus e_j for xi^j and minus
+    e_j for xi^(j+5) = -xi^j, so sum|beta| is its level, at most n.
+    """
+    levels = root_sums(_XI_ROWS, n, lineanalysis.DEFAULT_CAP)
+    step = np.concatenate([np.eye(5, dtype=np.int64), -np.eye(5, dtype=np.int64)])
+    betas = [np.zeros((1, 5), dtype=np.int64)]
+    for _, parent, root in levels[1:]:
+        betas.append(betas[-1][parent] + step[root])
+    rows = unpack_keys(np.concatenate([k for k, _, _ in levels]), 4).tolist()
+    return {
+        CycloInt(GoldenInt(a, b), GoldenInt(c, d)): tuple(beta)
+        for (a, b, c, d), beta in zip(rows, np.concatenate(betas).tolist())
+    }

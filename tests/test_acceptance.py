@@ -43,16 +43,15 @@ from quasih.affine import (
 from quasih.fragment import check_tenfold, generate, generate_rootsum, orbits
 from oracles import cyclo_points, cyclo_set, points, values
 from quasih.lineanalysis import (
-    decompose,
     deficiencies_1d,
     levels,
     line_bruteforce,
     line_closed_form,
     min_distance_compare,
     mn_nn,
-    rootsum_witnesses,
     scaling_check,
     sigma_1d,
+    two_line_split,
 )
 from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.checks import WORD_TABLE, evaluate_word
@@ -224,13 +223,15 @@ def test_criterion_11_window_containment(q2, sigma):
 
 def test_criterion_12_decomposition(q2):
     for n in range(5):
-        witnesses = rootsum_witnesses(n)
-        assert set(witnesses) == set(cyclo_points(q2[n]))
-        for point, beta in witnesses.items():
-            d = decompose(point, n, beta)
-            assert d.cost_y <= n and d.cost_z <= n
-            rebuilt = (CycloInt.from_golden(d.y) + xi_pow(1) * d.z) * xi_pow(d.sector)
-            assert rebuilt == point
+        points, sector, y, z, level_y, level_z = two_line_split(n)
+        split = {
+            CycloInt(GoldenInt(a, b), GoldenInt(c, d)): (CycloInt(GoldenInt(*yy), GoldenInt(*zz)), s)
+            for (a, b, c, d), yy, zz, s in zip(points.tolist(), y.tolist(), z.tolist(), sector.tolist())
+        }
+        assert set(split) == set(cyclo_points(q2[n])) and len(split) == len(points)
+        assert (level_y <= n).all() and (level_z <= n).all()
+        for point, (yz, s) in split.items():
+            assert yz * xi_pow(s) == point
 
 
 def test_criterion_13_scaling_and_repetitivity():

@@ -416,6 +416,42 @@ def _det_of_border(group, coeffs):
     return golden_det(_matrix_of_border(group, coeffs))
 
 
+class TestBorderDeterminants:
+    # the int64 Leibniz sum against the GoldenInt cofactor recursion
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_golden_det(self, data):
+        group = data.draw(st.sampled_from(H_GROUPS))
+        found = _coeffs(enumerate_generalized(group, 3))
+        coeff = st.integers(-60, 60)
+        rows = data.draw(st.lists(st.one_of(st.sampled_from(found), st.tuples(*[coeff] * (2 * group.rank))),
+                                  min_size=1, max_size=8))
+        got = affine.border_dets(group, np.array(rows, dtype=np.int64)).tolist()
+        assert [GoldenInt(*d) for d in got] == [_det_of_border(group, r) for r in rows]
+
+    def test_entries_at_the_int64_bound(self):
+        # H4: 5! * 3^4 * e^5 < 2^62 holds for e = 800 and fails for e = 900
+        row = (800, -800) * 4
+        [got] = affine.border_dets(GroupId.H4, np.array([row])).tolist()
+        assert GoldenInt(*got) == _det_of_border(GroupId.H4, row)
+        with pytest.raises(ResourceLimitError, match="Leibniz determinant: coefficient bound"):
+            affine.border_dets(GroupId.H4, np.array([(900, 0) * 4]))
+
+    def test_corrupted_hit_is_refused(self, monkeypatch):
+        # the first row of the H2 box, (-2, 0, -2, 0), planted as a hit
+        real = affine.quadratic_form_rows
+        target = 2 * golden_det(cartan(GroupId.H2))
+
+        def planted(group, slab):
+            q = real(group, slab).copy()
+            q[0] = target.a, target.b
+            return q
+
+        monkeypatch.setattr(affine, "quadratic_form_rows", planted)
+        with pytest.raises(AssertionError, match=r"^Schur/cofactor determinant mismatch at \[-2, 0, -2, 0\]$"):
+            enumerate_generalized.__wrapped__(GroupId.H2, 2)
+
+
 class TestEnumerationBox:
     # every determinant-zero border has |x_i| <= 2 and |y_i| <= 1, so a
     # bound past 2 finds nothing new

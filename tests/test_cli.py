@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 import quasih
+from quasih import cli
 from quasih.cli import main
 from quasih.cutproject import deficiencies_2d, sigma_2d
 from quasih.fragment import generate
@@ -176,6 +178,27 @@ def _cli_process(*argv, stdout=subprocess.PIPE):
         [sys.executable, "-m", "quasih.cli", *argv],
         env=_package_env(), stdout=stdout, stderr=subprocess.PIPE,
     )
+
+
+class TestImportHeapFreeze:
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        code, out, _ = run_cli(capsys, "generate", "--group", "h2", "--n", "2")
+        assert code == 0 and out
+        assert gc.get_freeze_count() == before
+
+    def test_script_freezes_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        assert cli.run() == 7 and calls == ["freeze", "main"]
+
+    def test_cold_process_prints_the_in_process_bytes(self, capsys):
+        _, expect, _ = run_cli(capsys, "generate", "--group", "h2", "--n", "2")
+        proc = _cli_process("generate", "--group", "h2", "--n", "2")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b""
+        assert out == expect.encode()
 
 
 _needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

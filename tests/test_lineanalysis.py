@@ -10,19 +10,18 @@ from quasih.rootsystem import GroupId
 from quasih import kernel, lineanalysis
 from quasih.fragment import ResourceLimitError, generate
 from quasih.lineanalysis import (
-    DecompositionError,
-    decompose,
     deficiencies_1d,
     levels,
     line_bruteforce,
     line_closed_form,
     min_distance_compare,
     mn_nn,
-    rootsum_witnesses,
     scaling_check,
     sigma_1d,
+    two_line_split,
 )
-from oracles import cyclo_points, line_contains, values
+from quasih import checks
+from oracles import cyclo_points, decompose, line_contains, rootsum_witnesses, values
 
 
 def gset(pairs):
@@ -294,7 +293,14 @@ class TestMnNn:
             mn_nn(0)
 
 
+def _cyclo(row):
+    a, b, c, d = row
+    return CycloInt(GoldenInt(a, b), GoldenInt(c, d))
+
+
 class TestDecompose:
+    # decompose and rootsum_witnesses are the scalar oracle of tests/oracles.py;
+    # two_line_split is the array split that verify runs
     def test_trivial_split(self):
         x = xi_pow(0) + xi_pow(1)
         d = decompose(x, 2, (1, 1, 0, 0, 0))
@@ -307,14 +313,26 @@ class TestDecompose:
 
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive_over_fragment(self, n):
+        points, sector, y, z, level_y, level_z = two_line_split(n)
+        assert {_cyclo(r) for r in points.tolist()} == set(cyclo_points(generate(GroupId.H2, n)))
+        assert len(points) == generate(GroupId.H2, n).size
+        for row, s, yy, zz in zip(points.tolist(), sector.tolist(), y.tolist(), z.tolist()):
+            rebuilt = CycloInt(GoldenInt(*yy), GoldenInt(*zz)) * xi_pow(s)
+            assert rebuilt == _cyclo(row)
+            assert line_contains(GoldenInt(*yy), n) and line_contains(GoldenInt(*zz), n)
+        assert (level_y <= n).all() and (level_z <= n).all()
+
+    @given(st.integers(0, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_array_split_equals_scalar_oracle(self, n):
         witnesses = rootsum_witnesses(n)
-        assert set(witnesses) == set(cyclo_points(generate(GroupId.H2, n)))
-        for point, beta in witnesses.items():
-            d = decompose(point, n, beta)
-            rebuilt = (CycloInt.from_golden(d.y) + xi_pow(1) * d.z) * xi_pow(d.sector)
-            assert rebuilt == point
-            assert d.cost_y <= n and d.cost_z <= n
-            assert line_contains(d.y, n) and line_contains(d.z, n)
+        points, sector, y, z, level_y, level_z = two_line_split(n)
+        assert len(points) == len(witnesses)
+        for row, s, yy, zz, ly, lz in zip(points.tolist(), sector.tolist(), y.tolist(), z.tolist(),
+                                          level_y.tolist(), level_z.tolist()):
+            point = _cyclo(row)
+            d = decompose(point, n, witnesses[point])
+            assert (s, GoldenInt(*yy), GoldenInt(*zz), ly, lz) == (d.sector, d.y, d.z, d.cost_y, d.cost_z)
 
     def test_certificate_size_is_the_bfs_level(self):
         # level of a point: the least number of roots xi^0..xi^9 summing to it
@@ -333,15 +351,24 @@ class TestDecompose:
     def test_witness_cap(self, monkeypatch):
         # 1, 11 and 61 points up to levels 0, 1 and 2
         monkeypatch.setattr("quasih.lineanalysis.DEFAULT_CAP", 60)
-        assert len(rootsum_witnesses(1)) == 11
+        assert len(two_line_split(1)[0]) == 11
         with pytest.raises(ResourceLimitError, match=r"^fragment exceeded cap 60$"):
-            rootsum_witnesses(2)
+            two_line_split(2)
 
     def test_components_on_their_levels(self):
-        witnesses = rootsum_witnesses(3)
-        for point, beta in witnesses.items():
-            d = decompose(point, 3, beta)
-            assert line_contains(d.y, d.cost_y) and line_contains(d.z, d.cost_z)
+        _, _, y, z, level_y, level_z = two_line_split(3)
+        for yy, zz, ly, lz in zip(y.tolist(), z.tolist(), level_y.tolist(), level_z.tolist()):
+            assert line_contains(GoldenInt(*yy), ly) and line_contains(GoldenInt(*zz), lz)
+            assert not line_contains(GoldenInt(*yy), ly - 1) and not line_contains(GoldenInt(*zz), lz - 1)
+
+    def test_read_only_int64(self):
+        for x in two_line_split(2):
+            assert x.dtype == np.int64 and not x.flags.writeable
+
+    def test_no_fitting_sector_raises(self, monkeypatch):
+        monkeypatch.setattr(lineanalysis, "_level", lambda u, v: np.full(np.shape(u), 99))
+        with pytest.raises(AssertionError, match="splits in no sector"):
+            two_line_split(2)
 
     def test_rejects_bad_witness(self):
         with pytest.raises(ValueError):
@@ -357,6 +384,48 @@ class TestDecompose:
         d = decompose(xi_pow(2), 1, (0, 0, 1, 0, 0))
         assert d.sector != 0
         assert not line_contains(TAU, 1)
+
+
+class TestDecomposeCheck:
+    def _run(self):
+        [result] = checks.run_checks(only="decompose")
+        return result
+
+    def test_planted_bad_certificate_fails(self, monkeypatch):
+        # the first point of level 1 in key order, -xi^0, gets the certificate of -xi^1
+        real = lineanalysis.root_sums
+
+        def planted(*args):
+            levels = real(*args)
+            if len(levels) > 1:
+                keys, parent, root = levels[1]
+                root = root.copy()
+                root[0] = (root[0] + 1) % 10
+                levels[1] = keys, parent, root
+            return levels
+
+        monkeypatch.setattr(lineanalysis, "root_sums", planted)
+        result = self._run()
+        assert not result.passed and result.details == {"failed_at": (1, str(-xi_pow(0)))}
+
+    @pytest.mark.parametrize("n,at,column,value", [
+        (1, -1, 1, None),   # the last point turned once more
+        (0, 0, 1, 10),      # the origin, in a sector outside 0..9
+        (2, 5, 4, 3),       # a level above n
+    ])
+    def test_planted_bad_split_fails(self, monkeypatch, n, at, column, value):
+        real = checks.two_line_split
+
+        def planted(m):
+            out = [x.copy() for x in real(m)]
+            if m == n:
+                out[column][at] = out[column][at] + 1 if value is None else value
+            return tuple(out)
+
+        monkeypatch.setattr(checks, "two_line_split", planted)
+        result = self._run()
+        point = _cyclo(real(n)[0][at].tolist())
+        assert not result.passed and result.details == {"failed_at": (n, str(point))}
 
 
 class TestScaling:
