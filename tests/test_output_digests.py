@@ -31,7 +31,10 @@ frontier closure; it is hashed as it is written and has no ``CHUNK_ROWS``
 and 9,008 shells, so the colours wrap) and ``generate --group h4 --n 4
 --format json`` were recorded before orbits and shells were read off the
 dominant rows that ``generate`` holds; they too are hashed as they are
-written, with no ``CHUNK_ROWS`` = 7 copy.  Any change to a rendered byte (point order, a float digit, JSON
+written, with no ``CHUNK_ROWS`` = 7 copy.  ``generate --group h2 --n 16
+--format json`` (93,161 points, 9,389 orbits and 3,978 shells, so the
+orbits/shells tail spans ten chunks of ``CHUNK_ROWS``) was recorded, hashed
+as it is written, before that tail was written chunk by chunk.  Any change to a rendered byte (point order, a float digit, JSON
 layout) fails here.
 """
 
@@ -110,6 +113,7 @@ LARGE_DIGEST = (
 STREAMED_DIGESTS = (
     ("generate --group h2 --n 20 --format svg", "9751c304360ab683e7701ac389be663e7b7ff13c7d0518fdf31dc0b1062817a9"),
     ("generate --group h4 --n 4 --format json", "50cf9e65fcc080dfb501551e5008dac4a272747d6857850fbc0b787bf6a95858"),
+    ("generate --group h2 --n 16 --format json", "a015feab42e744372abebafe1f14edd8faaf9858013625afb394f6fe4e6ed109"),
 )
 
 
