@@ -219,8 +219,9 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> np.ndarray:
     of s(A) gives s(w_i)^2 <= 4.  The embeddings of w_i differ by y_i*sqrt5
     and add to 2x_i + y_i, so 5y_i^2 <= 16 and |2x_i + y_i| <= 4.  The
     rows of the box are index tuples into the admitted (x, y) pairs, whose
-    C order from ``np.indices`` is lexicographic, tested ``_SLAB`` rows at
-    a time in int64, bound-checked in front.  A requested grid
+    C order from ``np.indices`` is lexicographic, tested a quarter of
+    ``_SLAB`` rows at a time in int64 (1,024 rows of the H4 box keep each
+    temporary at 64 kB), bound-checked in front.  A requested grid
     (2b + 1)^(2k - 1) over ``ENUMERATION_CAP`` points raises
     ``ResourceLimitError`` first.  Every hit is re-checked with the
     Leibniz determinant of ``border_dets``.  Every candidate is positive
@@ -248,9 +249,9 @@ def enumerate_generalized(group: GroupId, coeff_bound: int = 3) -> np.ndarray:
     pairs = np.array([(x, y) for x in range(-bx, bx + 1) for y in range(-by, by + 1)
                       if abs(2 * x + y) <= 4], dtype=np.int64)
     index = np.indices((len(pairs),) * k, dtype=np.int8).reshape(k, -1).T
-    hits = []
-    for lo in range(0, len(index), _SLAB):
-        slab = pairs[index[lo:lo + _SLAB]].reshape(-1, 2 * k)
+    hits, step = [], -(-_SLAB // 4)
+    for lo in range(0, len(index), step):
+        slab = pairs[index[lo:lo + step]].reshape(-1, 2 * k)
         hits.append(slab[(quadratic_form_rows(group, slab) == target).all(axis=1)])
     hits = np.concatenate(hits)
     nonzero = border_dets(group, hits).any(axis=1)

@@ -3,8 +3,8 @@ comparisons.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure or resource
 cap.  Output goes to --out when given, stdout otherwise, and is byte-stable
-across runs; fragment CSV and JSON are written chunk by chunk as they are
-formatted.
+across runs; every report but ``verify``'s is written chunk by chunk as it
+is formatted.
 """
 
 from __future__ import annotations
@@ -16,26 +16,18 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .golden import PHI, golden_str
 from .rootsystem import GroupId
 from .fragment import DEFAULT_CAP, ResourceLimitError, cached_fragment, generate
-from .lineanalysis import (
-    LINE_CAP,
-    _level,
-    deficiencies_1d,
-    line_closed_form,
-    mn_nn,
-    sigma_1d,
-)
+from .lineanalysis import LINE_CAP, deficiencies_1d, line_closed_form, mn_nn, sigma_1d
 from .cutproject import deficiency_rows_2d, sigma_2d
 from .checks import check_names, run_checks
 from .serialize import (
     compare_json_chunks,
     fragment_csv_chunks,
     fragment_json_chunks,
-    fragment_svg,
-    line_report_csv,
-    line_report_json,
+    fragment_svg_chunks,
+    line_report_csv_chunks,
+    line_report_json_chunks,
 )
 
 USAGE_ERROR = 1
@@ -122,12 +114,8 @@ def cmd_generate(args) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return CHECK_ERROR
-    if args.format == "csv":
-        _emit(fragment_csv_chunks(fragment, args.normalize), args.out)
-    elif args.format == "json":
-        _emit(fragment_json_chunks(fragment, args.normalize), args.out)
-    else:
-        _emit([fragment_svg(fragment, args.normalize)], args.out)
+    writer = {"csv": fragment_csv_chunks, "json": fragment_json_chunks, "svg": fragment_svg_chunks}
+    _emit(writer[args.format](fragment, args.normalize), args.out)
     return 0
 
 
@@ -164,27 +152,13 @@ def cmd_line(args) -> int:
         sys.stderr.write(f"error: line --n {args.n} exceeds cap {LINE_CAP}\n")
         return CHECK_ERROR
     n = args.n
-    sigma = sigma_1d(n)
+    values, missing = line_closed_form(n), deficiencies_1d(n)
+    if args.format == "csv":
+        _emit(line_report_csv_chunks(values, missing), args.out)
+        return 0
     m_n, n_n = mn_nn(n)
-    rows = line_closed_form(n)
-    values = [
-        {"value": golden_str(a, b), "level": level, "float": a + b * PHI}
-        for (a, b), level in zip(rows.tolist(), _level(*rows.T).tolist())
-    ]
-    doc = {
-        "n": n,
-        "m_n": m_n,
-        "n_n": n_n,
-        "count": len(values),
-        "sigma_count": len(sigma),
-        "values": values,
-        "deficiencies": [
-            {"value": golden_str(a, b), "float": a + b * PHI}
-            for a, b in deficiencies_1d(n).tolist()
-        ],
-    }
-    text = line_report_json(doc) if args.format == "json" else line_report_csv(doc)
-    _emit([text], args.out)
+    head = {"n": n, "m_n": m_n, "n_n": n_n, "count": len(values), "sigma_count": len(sigma_1d(n))}
+    _emit(line_report_json_chunks(head, values, missing), args.out)
     return 0
 
 

@@ -42,7 +42,7 @@ from math import factorial, prod
 import numpy as np
 
 from . import kernel
-from .golden import XI, CycloInt, GoldenInt, GoldenRational, compile_forms
+from .golden import XI, CycloInt, GoldenInt, compile_forms
 from .kernel import ResourceLimitError
 from .rootsystem import GroupId, cartan, golden_det, roots_omega
 from .affine import operators
@@ -239,18 +239,30 @@ def shell_keys(group: GroupId, dominant: np.ndarray) -> tuple[np.ndarray, np.nda
     return keys, np.argsort(kernel.exact_argsort(q[:, 0], q[:, 1]))
 
 
-def shells(fragment: Fragment) -> tuple[list[GoldenRational], np.ndarray]:
+def shells(fragment: Fragment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concentric shells: the distinct exact squared norms of a W-invariant
-    fragment in ascending order, and the int64 number of points at each,
-    the sizes of the orbits of that norm."""
+    fragment in ascending order, as (S, 2) int64 numerators (a, b) of
+    a + b*tau and (S,) int64 denominators (``_quotients``), and the int64
+    number of points at each, the sizes of the orbits of that norm."""
     group = fragment.group
     dominant, sizes = orbits(fragment)
     keys, rank = shell_keys(group, dominant)
     counts = np.zeros(len(keys), dtype=np.int64)
     np.add.at(counts, rank[np.searchsorted(keys, norm_keys(group, dominant))], sizes)
     det = golden_det(cartan(group)) * (2 if group.is_h else 1)
-    q = kernel.unpack_keys(keys[np.argsort(rank)], 2)
-    return [GoldenRational(GoldenInt(a, b)) / det for a, b in q.tolist()], counts
+    return *_quotients(kernel.unpack_keys(keys[np.argsort(rank)], 2), det), counts
+
+
+def _quotients(q: np.ndarray, det: GoldenInt) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 2) int64 rows q of a + b*tau divided by ``det``, reduced as
+    ``GoldenRational(GoldenInt(a, b)) / det`` reduces them: q * conj(det)
+    over N(det), the sign moved to the numerator, and the gcd of the
+    numerator's coefficients and the denominator divided out, so 0 is 0/1.
+    Returns the numerator rows and the positive denominators."""
+    norm = det.norm()
+    num = kernel.apply(compile_forms(lambda x: (GoldenInt(*x) * det.conj() * (1 if norm > 0 else -1),), 2), q)
+    g = np.gcd(np.gcd(num[:, 0], num[:, 1]), abs(norm))
+    return num // g[:, None], abs(norm) // g
 
 
 def _xi_times(x):

@@ -68,7 +68,8 @@ def pack_rows(x: np.ndarray) -> np.ndarray:
         )
     keys = np.zeros(len(x), dtype=np.uint64)
     for c in range(cols):
-        keys = (keys << np.uint64(width)) | (x[:, c] + half).astype(np.uint64)
+        keys <<= np.uint64(width)
+        keys |= (x[:, c].astype(np.int64, copy=False) + half).view(np.uint64)
     return keys
 
 
@@ -101,10 +102,11 @@ def isin_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[at] == keys
 
 
-# Rows per slab in ``root_sums``, ``orbit_keys`` (whose slabs also start in
-# one 2^20-point window), ``fragment.generate`` (its dominant sums), the
-# sign pass of ``fragment.orbits`` on a fragment that carries no dominant
-# rows, and the border box that ``affine.enumerate_generalized`` tests.
+# Rows per slab: the frontier rows of ``root_sums``, the dominant rows of
+# ``orbit_keys`` (whose orbits also start in one 2^20-point window), the
+# sums D_m + W.t of ``fragment.generate``, the sign pass of
+# ``fragment.orbits`` on a fragment that carries no dominant rows, and, a
+# quarter of it, the border box that ``affine.enumerate_generalized`` tests.
 _SLAB = 4096
 
 

@@ -31,8 +31,9 @@ import math
 import numpy as np
 
 from .fragment import Fragment, norm_keys, orbits, shell_keys, shells
-from .golden import cyclo_str
+from .golden import PHI, cyclo_str, golden_str
 from .kernel import cartesian_rows
+from .lineanalysis import _level
 from .rootsystem import GroupId, OmegaVector, cartesian
 
 # Points per streamed chunk: a chunk's text and its temporaries are the
@@ -196,41 +197,65 @@ def fragment_csv(fragment: Fragment, normalize: bool = True) -> str:
     return "".join(fragment_csv_chunks(fragment, normalize))
 
 
+def _slabs(*arrays):
+    """The arrays cut in step into slabs of ``CHUNK_ROWS`` rows."""
+    for start in range(0, len(arrays[0]), CHUNK_ROWS):
+        yield [a[start:start + CHUNK_ROWS] for a in arrays]
+
+
+def _json_list(name: str, entries):
+    """``"name": [...]`` as a member of an object at ``indent=2``, from
+    texts that each hold a run of entries, every entry led by ",\n    ":
+    the first "," is dropped, and no entries print "[]"."""
+    yield ',\n  "%s": [' % name
+    empty = True
+    for text in entries:
+        yield text[1:] if empty else text
+        empty = False
+    yield "]" if empty else "\n  ]"
+
+
+def _pairs(ints: np.ndarray) -> list:
+    """The pieces of a list of [a, b] pairs at indent 8, from the
+    (N, 2k, w) words of N rows (a1, b1, ..., ak, bk)."""
+    pieces = []
+    for i in range(0, ints.shape[1], 2):
+        pieces += ["\n        [\n          ", ints[:, i], ",\n          ", ints[:, i + 1], "\n        ],"]
+    pieces[-1] = "\n        ]"
+    return pieces
+
+
 def fragment_json_chunks(fragment: Fragment, normalize: bool = True):
     """The JSON text in pieces, byte for byte ``json.dumps(doc, indent=2)``:
-    the head and the orbits/shells tail go through ``json.dumps``, each
-    chunk of points through the word columns of that layout; floats print
-    as ``json`` prints them, the repr of round(c, 12) + 0.0."""
+    the head through ``json.dumps``, then each chunk of points, orbits and
+    shells through the word columns of that layout; floats print as
+    ``json`` prints them, the repr of round(c, 12) + 0.0."""
     k = fragment.group.rank
-    head = json.dumps({"group": fragment.group.value, "n": fragment.n}, indent=2)
-    yield head[:-2] + ',\n  "points": ['
-    first = True
-    for block, carts in _chunks(fragment, normalize):
-        ints, floats = _int_words(block), _decimal_words(carts, 12, shortest=True)
-        pieces = [',\n    {\n      "omega": [']
-        for i in range(k):
-            pieces += ["\n        [\n          ", ints[:, 2 * i], ",\n          ",
-                       ints[:, 2 * i + 1], "\n        ]" + ("," if i < k - 1 else "")]
-        pieces.append('\n      ],\n      "cart": [')
-        for i in range(k):
-            pieces += ["\n        ", floats[:, i], "," if i < k - 1 else ""]
-        text = _text(*pieces, "\n      ]\n    }")
-        yield text[1:] if first else text
-        first = False
-    dominant, sizes = orbits(fragment)
-    norms, counts = shells(fragment)
-    tail = {
-        "orbits": [
-            {"dominant": d, "size": size}
-            for d, size in zip(dominant.reshape(len(dominant), k, 2).tolist(), sizes.tolist())
-        ],
-        "shells": [
-            {"norm_num": [norm.num.a, norm.num.b], "norm_den": norm.den, "count": count}
-            for norm, count in zip(norms, counts.tolist())
-        ],
-    }
-    close = "\n  ]" if fragment.size else "]"
-    yield close + ",\n" + json.dumps(tail, indent=2)[2:] + "\n"
+
+    def points():
+        for block, carts in _chunks(fragment, normalize):
+            floats = _decimal_words(carts, 12, shortest=True)
+            pieces = [p for i in range(k) for p in ("\n        ", floats[:, i], ",")][:-1]
+            yield _text(',\n    {\n      "omega": [', *_pairs(_int_words(block)),
+                        '\n      ],\n      "cart": [', *pieces, "\n      ]\n    }")
+
+    def orbit_entries():
+        for dominant, sizes in _slabs(*orbits(fragment)):
+            yield _text(',\n    {\n      "dominant": [', *_pairs(_int_words(dominant)),
+                        '\n      ],\n      "size": ', _int_words(sizes), "\n    }")
+
+    def shell_entries():
+        for num, den, counts in _slabs(*shells(fragment)):
+            num = _int_words(num)
+            yield _text(',\n    {\n      "norm_num": [\n        ', num[:, 0], ",\n        ", num[:, 1],
+                        '\n      ],\n      "norm_den": ', _int_words(den), ',\n      "count": ',
+                        _int_words(counts), "\n    }")
+
+    yield json.dumps({"group": fragment.group.value, "n": fragment.n}, indent=2)[:-2]
+    yield from _json_list("points", points())
+    yield from _json_list("orbits", orbit_entries())
+    yield from _json_list("shells", shell_entries())
+    yield "\n}\n"
 
 
 def fragment_json(fragment: Fragment, normalize: bool = True) -> str:
@@ -280,39 +305,48 @@ def compare_json_chunks(head: dict, rows):
     followed by "deficiencies": the text of each (p.a, p.b, q.a, q.b) row,
     ``CHUNK_ROWS`` rows a piece.  The text holds only [-+*()0-9a-z], which
     JSON quotes without escapes."""
-    yield json.dumps(head, indent=2)[:-2] + ',\n  "deficiencies": ['
-    sep = "\n"
-    for start in range(0, len(rows), CHUNK_ROWS):
-        yield sep + ",\n".join(
-            ['    "%s"' % cyclo_str(*r) for r in rows[start:start + CHUNK_ROWS].tolist()]
-        )
-        sep = ",\n"
-    yield ("\n  ]" if len(rows) else "]") + "\n}\n"
+    yield json.dumps(head, indent=2)[:-2]
+    yield from _json_list("deficiencies", (
+        "".join(',\n    "%s"' % cyclo_str(*r) for r in chunk.tolist()) for chunk, in _slabs(rows)))
+    yield "\n}\n"
 
 
-def line_report_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` and a newline, for the ``line``
-    report: its scalar head through ``json.dumps``, then each entry of
-    "values" and "deficiencies" through one template of that layout.
-    Floats print as ``json`` prints them, by ``float.__repr__``; a
-    ``golden_str`` text holds only [-+*0-9a-z], which needs no escapes."""
-    head = {k: v for k, v in doc.items() if k not in ("values", "deficiencies")}
-    value = '    {\n      "value": "%s",\n      "level": %d,\n      "float": %r\n    }'
-    deficiency = '    {\n      "value": "%s",\n      "float": %r\n    }'
-    lists = (
-        ("values", [value % (e["value"], e["level"], e["float"]) for e in doc["values"]]),
-        ("deficiencies", [deficiency % (e["value"], e["float"]) for e in doc["deficiencies"]]),
-    )
-    parts = [json.dumps(head, indent=2)[:-2]]
-    for key, entries in lists:
-        items = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-        parts.append(',\n  "%s": %s' % (key, items))
-    return "".join(parts) + "\n}\n"
+def _line_entries(rows):
+    """(``golden_str`` text, level, float a + b*PHI) of each (a, b) row of
+    the ``line`` report, ``CHUNK_ROWS`` rows a piece."""
+    for chunk, in _slabs(rows):
+        yield zip([golden_str(a, b) for a, b in chunk.tolist()], _level(*chunk.T).tolist(),
+                  (chunk[:, 0] + chunk[:, 1] * PHI).tolist())
 
 
-def line_report_csv(doc: dict) -> str:
-    """The ``line`` report as CSV; a float rounding to -0 prints as 0."""
-    lines = ["kind,value,level,float\n"]
-    lines += ["point,%s,%d,%.12f\n" % (e["value"], e["level"], e["float"]) for e in doc["values"]]
-    lines += ["deficiency,%s,,%.12f\n" % (e["value"], e["float"]) for e in doc["deficiencies"]]
-    return "".join(lines).replace(",-0.000000000000", ",0.000000000000")
+def line_report_json_chunks(head: dict, values: np.ndarray, deficiencies: np.ndarray):
+    """``json.dumps(doc, indent=2)`` and a newline, in pieces, for the
+    ``line`` report: ``head`` through ``json.dumps``, then "values" (with
+    the level of each) and "deficiencies" from their (a, b) rows, each
+    entry through one template of that layout.  Floats print as ``json``
+    prints them, by ``float.__repr__``; a ``golden_str`` text holds only
+    [-+*0-9a-z], which needs no escapes."""
+    value = ',\n    {\n      "value": "%s",\n      "level": %d,\n      "float": %r\n    }'
+    deficiency = ',\n    {\n      "value": "%s",\n      "float": %r\n    }'
+    yield json.dumps(head, indent=2)[:-2]
+    yield from _json_list("values", ("".join(value % e for e in run) for run in _line_entries(values)))
+    yield from _json_list("deficiencies", (
+        "".join(deficiency % (text, x) for text, _, x in run) for run in _line_entries(deficiencies)))
+    yield "\n}\n"
+
+
+def line_report_json(head: dict, values: np.ndarray, deficiencies: np.ndarray) -> str:
+    return "".join(line_report_json_chunks(head, values, deficiencies))
+
+
+def line_report_csv_chunks(values: np.ndarray, deficiencies: np.ndarray):
+    """The ``line`` report as CSV, in pieces; a float rounding to -0
+    prints as 0."""
+    yield "kind,value,level,float\n"
+    for template, rows in (("point,%s,%d,%.12f\n", values), ("deficiency,%s,%.0s,%.12f\n", deficiencies)):
+        for run in _line_entries(rows):
+            yield "".join(template % e for e in run).replace(",-0.000000000000", ",0.000000000000")
+
+
+def line_report_csv(values: np.ndarray, deficiencies: np.ndarray) -> str:
+    return "".join(line_report_csv_chunks(values, deficiencies))

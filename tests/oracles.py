@@ -4,7 +4,8 @@ The float and exact decagon membership tests, the closed-form line
 membership, the inverse of ``cyclo_from_omega`` and the cyclotomic image
 of an H2 fragment.  The package decides all of these on int64 rows; these
 are the one-value-at-a-time readings of the same definitions.  ``values``,
-``cyclo_set`` and ``points`` read the package's point arrays as scalars.
+``cyclo_set`` and ``points`` read the package's point arrays as scalars,
+and ``norms`` the shell norms of ``fragment.shells``.
 ``word_levels`` and ``word_fragment`` build a fragment level by level from
 its word definition, one reflection ``closure`` per level, and are the
 oracle of ``fragment.generate``.  ``compose`` and ``identity_operator``
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quasih.cutproject import _edge_forms
-from quasih.golden import TAU, ZERO, CycloInt, GoldenInt, xi_pow
+from quasih.golden import TAU, ZERO, CycloInt, GoldenInt, GoldenRational, xi_pow
 from quasih.affine import AffineOperator, PairIdentity, coxeter_order, extended_cartan, operators
 from quasih import kernel
 from quasih.kernel import (
@@ -92,6 +93,16 @@ def omega_from_cyclo(x: CycloInt) -> OmegaVector:
 def values(rows) -> tuple[GoldenInt, ...]:
     """(N, 2) rows (a, b) as the values a + b*tau, in row order."""
     return tuple(GoldenInt(a, b) for a, b in rows.tolist())
+
+
+def norms(num, den) -> list[GoldenRational]:
+    """The (a, b) numerator rows over the denominators as scalars, each
+    checked to be already in the form ``GoldenRational`` reduces it to."""
+    out = []
+    for (a, b), d in zip(num.tolist(), den.tolist()):
+        out.append(GoldenRational(GoldenInt(a, b), d))
+        assert (out[-1].num, out[-1].den) == (GoldenInt(a, b), d)
+    return out
 
 
 def cyclo_set(keys) -> set[CycloInt]:

@@ -507,8 +507,9 @@ class TestEnumerationSlabs:
             assert _coeffs(got) == _coeffs(want)
 
     def test_peak_traced_allocation(self):
-        # one slab of _SLAB rows of the 13^4-row H4 box at a time peaks at
-        # 0.88 MB; the whole box as one slab peaks at 4.05 MB
+        # slabs of _SLAB // 4 rows of the 13^4-row H4 box: the call peaks at
+        # 1.34 MB (1.54 MB with slabs of _SLAB rows); the whole box as one
+        # slab peaks at 4.05 MB
         tracemalloc.start()
         try:
             enumerate_generalized.__wrapped__(GroupId.H4, 3)

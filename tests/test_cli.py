@@ -260,6 +260,35 @@ class TestWriterMemory:
             tracemalloc.stop()
         assert peak < 3 * 2**20
 
+    @staticmethod
+    def _traced_peak(run):
+        # run once to fill every cache, then trace a second run
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_json_tail_streams_in_chunks(self):
+        # 3,124 orbits: one dict per orbit and shell and one json.dumps of
+        # the tail traced 6.7 MB
+        f = generate(GroupId.H2, 12)
+        assert self._traced_peak(lambda: [None for _ in fragment_json_chunks(f)]) < 3 * 2**20
+
+    def test_line_report_streams_in_chunks(self, hashed_main):
+        # 50,301 values and their deficiencies as one list of dicts and one
+        # joined string traced 50 MB
+        assert self._traced_peak(lambda: hashed_main(["line", "--n", str(LINE_CAP)])) < 3 * 2**20
+
+    def test_cli_svg_streams_in_chunks(self, hashed_main, monkeypatch):
+        # the whole document joined before it was written traced 3.47 MB
+        f = generate(GroupId.H2, 12)
+        monkeypatch.setattr(cli, "generate", lambda *args, **kwargs: f)
+        argv = ["generate", "--group", "h2", "--n", "12", "--format", "svg"]
+        assert self._traced_peak(lambda: hashed_main(argv)) < 3 * 2**20
+
 
 def _near(draw, value, ulps=3):
     """``value`` or a neighbour at most ``ulps`` doubles away, either sign."""

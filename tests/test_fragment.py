@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasih import kernel
@@ -16,6 +16,8 @@ from quasih.rootsystem import (
     AlphaVector,
     GroupId,
     OmegaVector,
+    cartan,
+    golden_det,
     norm_sq,
     omega_from_alpha,
     roots_omega,
@@ -26,6 +28,7 @@ from quasih.fragment import (
     Fragment,
     ResourceLimitError,
     _orbit_sizes,
+    _quotients,
     check_tenfold,
     generate,
     generate_rootsum,
@@ -33,7 +36,7 @@ from quasih.fragment import (
     shells,
 )
 from quasih.serialize import fragment_svg
-from oracles import closure, cyclo_points, points, word_fragment, word_levels
+from oracles import closure, cyclo_points, norms, points, word_fragment, word_levels
 
 
 @pytest.fixture(scope="module")
@@ -392,8 +395,8 @@ class TestCarriedRows:
         for got, want in zip(orbits(f), orbits(guarded)):
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
-        (norms, counts), (want_norms, want_counts) = shells(f), shells(guarded)
-        assert norms == want_norms
+        (num, den, counts), (want_num, want_den, want_counts) = shells(f), shells(guarded)
+        assert norms(num, den) == norms(want_num, want_den)
         assert counts.dtype == want_counts.dtype == np.int64
         assert np.array_equal(counts, want_counts)
 
@@ -434,27 +437,28 @@ class TestShellOrder:
         f = generate(group, n)
         scalar = Counter(norm_sq(p) for p in points(f))
         distinct = sorted(scalar, key=cmp_to_key(lambda s, t: (s - t).sign()))
-        norms, counts = shells(f)
-        assert norms == distinct
+        num, den, counts = shells(f)
+        assert norms(num, den) == distinct
         assert counts.dtype == np.int64
         assert counts.tolist() == [scalar[v] for v in distinct]
 
 
 class TestShells:
     def test_q2_1_shells(self, q2):
-        norms, counts = shells(q2[1])
+        num, den, counts = shells(q2[1])
         assert counts.tolist() == [1, 10]
-        assert norms == [GoldenRational(0), GoldenRational(1)]
+        assert norms(num, den) == [GoldenRational(0), GoldenRational(1)]
 
     def test_q2_0_single_shell(self, q2):
-        assert shells(q2[0])[1].tolist() == [1]
+        assert shells(q2[0])[2].tolist() == [1]
 
     def test_outermost_shell_is_decagon_at_n(self, q2):
         for n in (1, 2, 3, 4):
-            norms, counts = shells(q2[n])
-            assert norms[-1] == GoldenRational(n * n)
+            num, den, counts = shells(q2[n])
+            outer = norms(num, den)[-1]
+            assert outer == GoldenRational(n * n)
             assert counts[-1] == 10
-            members = [p for p in points(q2[n]) if norm_sq(p) == norms[-1]]
+            members = [p for p in points(q2[n]) if norm_sq(p) == outer]
             dom = [p for p in members if p.is_dominant()]
             scaled = omega_from_alpha(
                 AlphaVector.make(GroupId.H2, (TAU * n, TAU * n))
@@ -462,12 +466,53 @@ class TestShells:
             assert dom == [scaled]
 
     def test_shells_partition(self, q2):
-        assert shells(q2[3])[1].sum() == q2[3].size
+        assert shells(q2[3])[2].sum() == q2[3].size
 
     def test_sorted_ascending(self, q2):
-        norms = shells(q2[4])[0]
-        for a, b in zip(norms, norms[1:]):
+        values = norms(*shells(q2[4])[:2])
+        for a, b in zip(values, values[1:]):
             assert (b - a).sign() > 0
+
+
+def _scalar_quotients(rows, det):
+    return [(w.num, w.den) for w in (GoldenRational(GoldenInt(a, b)) / det for a, b in rows)]
+
+
+def _array_quotients(rows, det):
+    num, den = _quotients(np.array(rows, dtype=np.int64).reshape(-1, 2), det)
+    assert num.dtype == den.dtype == np.int64 and (den > 0).all()
+    return [(GoldenInt(*n), d) for n, d in zip(num.tolist(), den.tolist())]
+
+
+# (a, b) rows: any, zero, and multiples k * (a, b) that share factors with
+# the denominators (N(det) is 9, 20, 16 and 4 for A2, H2, H3 and H4)
+_coefficient = st.integers(-2**31, 2**31)
+_quotient_rows = st.lists(st.one_of(
+    st.tuples(_coefficient, _coefficient),
+    st.just((0, 0)),
+    st.builds(lambda a, b, k: (a * k, b * k), st.integers(-99, 99), st.integers(-99, 99),
+              st.sampled_from((2, 3, 4, 5, 6, 8, 9, 10, 16, 20, 60))),
+), min_size=1, max_size=30)
+
+
+class TestQuotients:
+    """The array reduction of the shell norms against
+    ``GoldenRational(GoldenInt(a, b)) / det``, row by row."""
+
+    @pytest.mark.parametrize("group", list(GroupId))
+    @given(rows=_quotient_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_group_determinants(self, group, rows):
+        det = golden_det(cartan(group)) * (2 if group.is_h else 1)
+        assert _array_quotients(rows, det) == _scalar_quotients(rows, det)
+
+    @given(rows=_quotient_rows, det=st.builds(GoldenInt, st.integers(-12, 12), st.integers(-12, 12)).filter(
+        lambda d: not d.is_zero()))
+    @example(rows=[(0, 0), (3, -5)], det=GoldenInt(0, 1))  # N(tau) = -1: the sign moves up
+    @example(rows=[(4, 8), (0, 0)], det=GoldenInt(2, 4))  # N = -4: sign and gcd
+    @settings(max_examples=200, deadline=None)
+    def test_any_determinant(self, rows, det):
+        assert _array_quotients(rows, det) == _scalar_quotients(rows, det)
 
 
 class TestTenfold:

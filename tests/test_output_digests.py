@@ -40,7 +40,6 @@ layout) fails here.
 
 import hashlib
 import json
-import sys
 
 import pytest
 
@@ -125,35 +124,14 @@ def test_stdout_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-class _HashingStdout:
-    """A stdout that keeps only the sha256 of the text written to it."""
-
-    def __init__(self):
-        self.sha = hashlib.sha256()
-
-    def writelines(self, chunks):
-        for text in chunks:
-            self.sha.update(text.encode())
-
-    def flush(self):
-        pass
-
-
-def _hashed_digest(monkeypatch, argv):
-    sink = _HashingStdout()
-    monkeypatch.setattr(sys, "stdout", sink)
-    assert main(argv.split()) == 0
-    return sink.sha.hexdigest()
-
-
-def test_large_stdout_digest(monkeypatch):
+def test_large_stdout_digest(hashed_main):
     argv, digest = LARGE_DIGEST
-    assert _hashed_digest(monkeypatch, argv) == digest
+    assert hashed_main(argv.split()) == (0, digest)
 
 
 @pytest.mark.parametrize("argv,digest", STREAMED_DIGESTS, ids=[argv for argv, _ in STREAMED_DIGESTS])
-def test_streamed_stdout_digest(monkeypatch, argv, digest):
-    assert _hashed_digest(monkeypatch, argv) == digest
+def test_streamed_stdout_digest(hashed_main, argv, digest):
+    assert hashed_main(argv.split()) == (0, digest)
 
 
 def _drop_elapsed(x):
@@ -175,14 +153,15 @@ def test_verify_report_digest(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGEST
 
 
-CHUNKED = [(argv, digest) for argv, digest in DIGESTS if argv.startswith(("compare", "generate"))]
+CHUNKED = [(argv, digest) for argv, digest in DIGESTS if argv.startswith(("compare", "generate", "line"))]
 
 
 @pytest.mark.parametrize("argv,digest", CHUNKED, ids=[argv for argv, _ in CHUNKED])
 def test_small_chunks_keep_the_digest(capsys, monkeypatch, argv, digest):
     # 7 rows a chunk: chunk boundaries, the negative-zero fix and the JSON
     # separators between chunks all land inside these outputs (for compare,
-    # the deficiency list; for svg, the circles)
+    # the deficiency list; for line, the values and deficiencies; for svg,
+    # the circles; for json, the points, orbits and shells)
     monkeypatch.setattr(serialize, "CHUNK_ROWS", 7)
     code = main(argv.split())
     out = capsys.readouterr().out
