@@ -4,12 +4,15 @@ Every writer is a pure function from values to text; point order comes from
 the canonical fragment ordering and floats are printed with fixed width, so
 repeated runs produce byte-identical output.
 
-The fragment writers stream: ``fragment_csv_chunks``,
-``fragment_json_chunks`` and ``fragment_svg_chunks`` yield the text
-``CHUNK_ROWS`` points at a time, reading each slab of rows off the
-fragment's packed keys (``Fragment.rows``), and ``fragment_csv``,
-``fragment_json`` and ``fragment_svg`` join the same chunks; the
-``compare`` report streams the same way from the deficiency rows.  A
+Every writer streams: ``fragment_csv_chunks``, ``fragment_json_chunks``
+and ``fragment_svg_chunks`` yield the text ``CHUNK_ROWS`` points at a
+time, reading each slab of rows off the fragment's packed keys
+(``Fragment.rows``), and the JSON orbits/shells tail ``CHUNK_ROWS``
+entries at a time from the ``orbits`` and ``shells`` arrays; the
+``compare`` and ``line`` reports stream the same way from their rows, so
+no per-entry Python object outlives its chunk.  ``fragment_csv``,
+``fragment_json``, ``fragment_svg``, ``line_report_json`` and
+``line_report_csv`` join the same chunks into one string.  A
 chunk's Cartesian coordinates come from ``kernel.cartesian_rows`` on the
 slab; H2 keeps the scalar ``cartesian`` per point, as its planar map is
 not one of the orthonormal models.  The fragment writers print a chunk
@@ -20,7 +23,7 @@ side by side, and one compress drops the NUL padding.  A float whose
 decimal the tables cannot settle exactly takes Python's own text, so the
 bytes are those of ``"%d"``, ``"%.12f"``, ``"%.3f"`` and
 ``repr(round(c, 12) + 0.0)``.  The ``compare`` and ``line`` reports write
-their fixed JSON layout one template per entry.
+their fixed layout one template per entry.
 """
 
 from __future__ import annotations
@@ -343,6 +346,7 @@ def line_report_csv_chunks(values: np.ndarray, deficiencies: np.ndarray):
     """The ``line`` report as CSV, in pieces; a float rounding to -0
     prints as 0."""
     yield "kind,value,level,float\n"
+    # "%.0s" prints a deficiency's level as nothing
     for template, rows in (("point,%s,%d,%.12f\n", values), ("deficiency,%s,%.0s,%.12f\n", deficiencies)):
         for run in _line_entries(rows):
             yield "".join(template % e for e in run).replace(",-0.000000000000", ",0.000000000000")
