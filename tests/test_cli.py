@@ -273,17 +273,17 @@ class TestWriterMemory:
 
     def test_json_tail_streams_in_chunks(self):
         # 3,124 orbits: one dict per orbit and shell and one json.dumps of
-        # the tail traced 6.7 MB
+        # the tail traced 7.0 MB
         f = generate(GroupId.H2, 12)
         assert self._traced_peak(lambda: [None for _ in fragment_json_chunks(f)]) < 3 * 2**20
 
     def test_line_report_streams_in_chunks(self, hashed_main):
         # 50,301 values and their deficiencies as one list of dicts and one
-        # joined string traced 50 MB
+        # joined string traced 51 MB
         assert self._traced_peak(lambda: hashed_main(["line", "--n", str(LINE_CAP)])) < 3 * 2**20
 
     def test_cli_svg_streams_in_chunks(self, hashed_main, monkeypatch):
-        # the whole document joined before it was written traced 3.47 MB
+        # the whole document joined before it was written traced 3.5 MB
         f = generate(GroupId.H2, 12)
         monkeypatch.setattr(cli, "generate", lambda *args, **kwargs: f)
         argv = ["generate", "--group", "h2", "--n", "12", "--format", "svg"]

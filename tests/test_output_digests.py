@@ -32,10 +32,10 @@ and 9,008 shells, so the colours wrap) and ``generate --group h4 --n 4
 --format json`` were recorded before orbits and shells were read off the
 dominant rows that ``generate`` holds; they too are hashed as they are
 written, with no ``CHUNK_ROWS`` = 7 copy.  ``generate --group h2 --n 16
---format json`` (93,161 points, 9,389 orbits and 3,978 shells, so the
-orbits/shells tail spans ten chunks of ``CHUNK_ROWS``) was recorded, hashed
-as it is written, before that tail was written chunk by chunk.  Any change to a rendered byte (point order, a float digit, JSON
-layout) fails here.
+--format json`` (93,161 points; its 9,389 orbits and 3,978 shells span ten
+and four chunks of ``CHUNK_ROWS``) was recorded, hashed as it is written,
+before the orbits/shells tail was written chunk by chunk.  Any change to a
+rendered byte (point order, a float digit, JSON layout) fails here.
 """
 
 import hashlib
