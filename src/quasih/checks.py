@@ -12,7 +12,7 @@ import os
 import pickle
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -54,14 +54,6 @@ from .cutproject import deficiency_rows_2d, fragment_in_window, min_distance_2d,
 from .kernel import apply, cyclo_rows, golden_sign, pack_rows, unpack_keys
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    elapsed: float
-    details: dict = field(default_factory=dict)
-
-
 _REGISTRY: dict[str, Callable[[], tuple[bool, dict]]] = {}
 
 
@@ -84,10 +76,18 @@ def check_names() -> tuple[str, ...]:
 _CHILD_FROM = "decompose"
 
 
-def run_checks(only: str | None = None, coeff_bound: int = 3) -> list[CheckResult]:
-    """Run one check, or the whole registry in registry order.  With ``fork``
-    and at least two usable CPUs the whole registry runs in two processes;
-    each ``elapsed`` is the wall time of its check in the process that ran it."""
+def run_checks(only: str | None = None, coeff_bound: int = 3) -> list[dict]:
+    """Run one check, or the whole registry in registry order, and return
+    their report entries, ``{"name", "passed", "elapsed", "details"}``.
+
+    With ``fork`` and at least two usable CPUs the whole registry runs in
+    two processes: the parent runs the head, the checks before
+    ``_CHILD_FROM``, while a forked child runs the tail and pickles all its
+    entries down a pipe as one message.  If that message is missing or torn
+    (the child exited, crashed or was killed at any point), the parent runs
+    the whole tail itself after the head, so the entries are always the
+    one-process ones.  Each ``elapsed`` is the wall time in seconds,
+    rounded to 3 places, of its check in the process that ran it."""
     names = [only] if only else list(_REGISTRY)
     unknown = [n for n in names if n not in _REGISTRY]
     if unknown:
@@ -98,13 +98,10 @@ def run_checks(only: str | None = None, coeff_bound: int = 3) -> list[CheckResul
         cpus = os.cpu_count() or 1
     if only or not hasattr(os, "fork") or cpus < 2:
         return [_run(name, coeff_bound) for name in names]
-    # The head runs here and the tail in a forked child that pickles each
-    # result down a pipe as it finishes.  Whatever the child does not return
-    # whole (it crashed, was killed or its last pickle is torn) runs here
-    # after the head, so the results are always the one-process ones.  The
-    # one other thread after ``import numpy`` is the OpenBLAS pool, whose fork
-    # handler stops it before the fork.
+    # The one other thread after ``import numpy`` is the OpenBLAS pool, whose
+    # fork handler stops it before the fork.
     split = names.index(_CHILD_FROM)
+    head, tail = names[:split], names[split:]
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -119,22 +116,18 @@ def run_checks(only: str | None = None, coeff_bound: int = 3) -> list[CheckResul
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                for name in names[split:]:
-                    pickle.dump(_run(name, coeff_bound), pipe)
-                    pipe.flush()
+                pickle.dump([_run(name, coeff_bound) for name in tail], pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            results = [_run(name, coeff_bound) for name in names[:split]]
-            for _ in names[split:]:
-                try:
-                    results.append(pickle.load(pipe))
-                except (EOFError, pickle.UnpicklingError):  # the child is gone
-                    break
-        results += [_run(name, coeff_bound) for name in names[len(results):]]
+            entries = [_run(name, coeff_bound) for name in head]
+            try:
+                return entries + pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child is gone
+                return entries + [_run(name, coeff_bound) for name in tail]
     except BaseException:
         import signal  # here, so that start-up imports nothing new
 
@@ -142,16 +135,16 @@ def run_checks(only: str | None = None, coeff_bound: int = 3) -> list[CheckResul
         raise
     finally:
         os.waitpid(pid, 0)
-    return results
 
 
-def _run(name: str, coeff_bound: int) -> CheckResult:
+def _run(name: str, coeff_bound: int) -> dict:
     t0 = time.perf_counter()
     try:
         passed, details = _REGISTRY[name](coeff_bound=coeff_bound)
     except Exception as exc:  # a crashed check is a failed check
         passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
-    return CheckResult(name, passed, time.perf_counter() - t0, details)
+    elapsed = round(time.perf_counter() - t0, 3)
+    return {"name": name, "passed": passed, "elapsed": elapsed, "details": details}
 
 
 def _h2(n: int):

@@ -109,11 +109,7 @@ def cmd_generate(args) -> int:
     if args.format == "svg" and group is not GroupId.H2:
         sys.stderr.write("error: svg output is only available for --group h2\n")
         return USAGE_ERROR
-    try:
-        fragment = generate(group, args.n, cap=args.cap)
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return CHECK_ERROR
+    fragment = generate(group, args.n, cap=args.cap)
     writer = {"csv": fragment_csv_chunks, "json": fragment_json_chunks, "svg": fragment_svg_chunks}
     _emit(writer[args.format](fragment, args.normalize), args.out)
     return 0
@@ -123,22 +119,11 @@ def cmd_verify(args) -> int:
     if args.coeff_bound < 1:
         sys.stderr.write("error: --coeff-bound must be positive\n")
         return USAGE_ERROR
-    results = run_checks(only=args.only, coeff_bound=args.coeff_bound)
-    report = {
-        "passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "elapsed": round(r.elapsed, 3),
-                "details": r.details,
-            }
-            for r in results
-        ],
-    }
-    _emit([json.dumps(report, indent=2) + "\n"], args.out)
-    if not report["passed"]:
-        failing = ", ".join(r.name for r in results if not r.passed)
+    entries = run_checks(only=args.only, coeff_bound=args.coeff_bound)
+    passed = all(e["passed"] for e in entries)
+    _emit([json.dumps({"passed": passed, "checks": entries}, indent=2) + "\n"], args.out)
+    if not passed:
+        failing = ", ".join(e["name"] for e in entries if not e["passed"])
         sys.stderr.write(f"verification failed: {failing}\n")
         return CHECK_ERROR
     return 0
@@ -167,13 +152,9 @@ def cmd_compare(args) -> int:
         sys.stderr.write("error: --n must be positive\n")
         return USAGE_ERROR
     n = args.n
-    try:
-        sigma = sigma_2d(n)
-        fragment = cached_fragment(GroupId.H2, n)
-        missing = deficiency_rows_2d(n)
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return CHECK_ERROR
+    sigma = sigma_2d(n)
+    fragment = cached_fragment(GroupId.H2, n)
+    missing = deficiency_rows_2d(n)
     head = {
         "group": args.group,
         "n": n,
@@ -193,7 +174,11 @@ def main(argv: list[str] | None = None) -> int:
         "line": cmd_line,
         "compare": cmd_compare,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ResourceLimitError as exc:  # a cap refused the request
+        sys.stderr.write(f"error: {exc}\n")
+        return CHECK_ERROR
 
 
 def run() -> int:

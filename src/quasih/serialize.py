@@ -101,11 +101,10 @@ def _int_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def _decimal_words(c: np.ndarray, places: int, shortest: bool = False,
-                   signed_zero: bool = False) -> np.ndarray:
+def _decimal_words(c: np.ndarray, places: int, shortest: bool = False) -> np.ndarray:
     """c.shape + (w,) words of float64 values: ``"%.{places}f" % v``, or
     with ``shortest`` ``repr(round(v, places) + 0.0)``; a value that rounds
-    to zero prints unsigned unless ``signed_zero`` (``places`` is 3 or 12).
+    to zero prints unsigned (``places`` is 3 or 12).
 
     k = rint(v * 10**places) is exact where the product lies at least one
     ``np.spacing`` from a half-integer: the product is off by at most half
@@ -126,7 +125,7 @@ def _decimal_words(c: np.ndarray, places: int, shortest: bool = False,
         table &= (k == 0) | (np.abs(k) >= scale // 10_000)
     whole, frac = np.divmod(np.abs(np.where(table, k, 0.0)).astype(np.int64), scale)
     words = np.zeros(c.shape + (2 + -(-places // 4),), np.uint32)
-    words[..., 0] = np.where(np.signbit(c) if signed_zero else k < 0, _MINUS, 0)
+    words[..., 0] = np.where(k < 0, _MINUS, 0)
     words[..., 1] = _POINT[whole]
     if places == 3:
         words[..., 2] = _TAIL3[frac]
@@ -141,12 +140,9 @@ def _decimal_words(c: np.ndarray, places: int, shortest: bool = False,
             words[..., 2:] = _FULL[groups]
     python = np.nonzero(~table)
     if len(python[0]):
-        texts = []
-        for v in c[python].tolist():
-            text = repr(round(v, places) + 0.0) if shortest else "%.*f" % (places, v)
-            if not signed_zero and text.startswith("-") and not text.strip("-0."):
-                text = text[1:]
-            texts.append(text)
+        texts = [repr(round(v, places) + 0.0) if shortest else "%.*f" % (places, v)
+                 for v in c[python].tolist()]
+        texts = [t[1:] if t.startswith("-") and not t.strip("-0.") else t for t in texts]
         width = max(words.shape[-1], *(-(-len(t) // 4) for t in texts))
         words = np.concatenate([words, np.zeros(c.shape + (width - words.shape[-1],), np.uint32)], axis=-1)
         words[python] = [_words(t, width) for t in texts]
@@ -293,7 +289,7 @@ def fragment_svg_chunks(fragment: Fragment, normalize: bool = True):
         shell = rank[np.searchsorted(keys, norm_keys(group, fragment.rows(start, start + len(xy))))]
         start += len(xy)
         xy = np.stack([500.0 + scale * xy[:, 0], 500.0 - scale * xy[:, 1]], axis=1)
-        xy = _decimal_words(xy, 3, signed_zero=True)
+        xy = _decimal_words(xy, 3)
         yield _text('\n<circle cx="', xy[:, 0], '" cy="', xy[:, 1], '" r="4" fill="',
                     _COLOR_WORDS[shell % len(_SHELL_COLORS)], '"/>')
     yield "\n</svg>\n"

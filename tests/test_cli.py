@@ -10,6 +10,7 @@ from pathlib import Path
 
 import math
 import pickle
+import re
 import signal
 from functools import cmp_to_key
 
@@ -348,8 +349,9 @@ class TestDecimalText:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(decimal_values(3), min_size=1, max_size=40))
     def test_fixed_3_is_percent_f(self, values):
-        expected = "".join("%.3f\n" % v for v in values)
-        assert _rows(_decimal_words(np.array(values), 3, signed_zero=True)) == expected
+        expected = ["%.3f" % v for v in values]
+        expected = [t[1:] if t == "-0.000" else t for t in expected]
+        assert _rows(_decimal_words(np.array(values), 3)) == "".join(t + "\n" for t in expected)
 
     def test_chunk_of_cells_keeps_its_rows_and_columns(self):
         c = np.array([[1.5, -0.0], [1e-5, 1234.5]])
@@ -393,6 +395,17 @@ class TestDecimalText:
         )
         svg = fragment_svg(fragment)
         assert svg[svg.index("\n<circle"):] == circles + "\n</svg>\n"
+
+    @pytest.mark.parametrize("normalize", ["true", "false"])
+    def test_svg_cells_lie_in_50_to_950(self, capsys, normalize):
+        # every cell is 500 +- scale*x with |scale*x| <= 450, so none rounds
+        # to zero and the "%.3f" cells need no signed-zero rule
+        for n in range(9):
+            code, out, _ = run_cli(capsys, "generate", "--group", "h2", "--n", str(n),
+                                   "--format", "svg", "--normalize", normalize)
+            cells = [float(c) for c in re.findall(r'c[xy]="([^"]*)"', out)]
+            assert code == 0 and len(cells) == 2 * out.count("<circle")
+            assert all(50.0 <= c <= 950.0 for c in cells), n
 
 
 class TestLineCommand:
@@ -567,8 +580,8 @@ def _timeless(details):
 
 
 def _comparable(results):
-    """Names, verdicts and details of check results, every timing dropped."""
-    return [(r.name, r.passed, _timeless(r.details)) for r in results]
+    """Names, verdicts and details of check entries, every timing dropped."""
+    return [(r["name"], r["passed"], _timeless(r["details"])) for r in results]
 
 
 def _no_fork():
@@ -629,38 +642,24 @@ class TestTwoProcessChecks:
         [pid] = forked["forked"]
         assert os.WIFEXITED(forked["reaped"][pid]) and os.WEXITSTATUS(forked["reaped"][pid]) == 0
 
-    @pytest.mark.parametrize("in_child", ["exit", "torn_pickle"])
-    def test_child_returning_nothing_leaves_parent_to_run_all(self, serial_checks, forked,
-                                                             in_child):
+    @pytest.mark.parametrize("in_child", ["exit", "torn_pickle", "dies_midway"])
+    def test_child_failing_leaves_parent_to_run_the_tail(self, serial_checks, forked, in_child):
+        # the child exits at once, tears its one message, or dies at the
+        # third tail check: the parent reruns the whole tail after the head
         def torn(obj, file):
             file.write(pickle.dumps(obj)[:-3])
             file.flush()
             os._exit(0)
 
+        victim = self.TAIL[2]
         forked["in_child"] = {
             "exit": lambda: os._exit(0),
             "torn_pickle": lambda: setattr(pickle, "dump", torn),
+            "dies_midway": lambda: checks._REGISTRY.__setitem__(victim, lambda **kw: os._exit(1)),
         }[in_child]
         results = checks.run_checks()
         assert _comparable(results) == serial_checks
         assert forked["ran"] == self.HEAD + self.TAIL
-
-    def test_child_dying_midway_leaves_parent_to_run_the_rest(self, serial_checks, forked,
-                                                              monkeypatch):
-        parent = os.getpid()
-        victim = self.TAIL[2]
-        real = checks._REGISTRY[victim]
-
-        def dies_in_child(**kwargs):
-            if os.getpid() != parent:
-                os._exit(1)
-            return real(**kwargs)
-
-        monkeypatch.setitem(checks._REGISTRY, victim, dies_in_child)
-        results = checks.run_checks()
-        assert _comparable(results) == serial_checks
-        # the child returned the two checks before the victim
-        assert forked["ran"] == self.HEAD + self.TAIL[2:]
 
     def test_failed_fork_leaves_parent_to_run_all(self, serial_checks, forked, monkeypatch):
         def out_of_processes():

@@ -406,7 +406,7 @@ class TestDecomposeCheck:
 
         monkeypatch.setattr(lineanalysis, "root_sums", planted)
         result = self._run()
-        assert not result.passed and result.details == {"failed_at": (1, str(-xi_pow(0)))}
+        assert not result["passed"] and result["details"] == {"failed_at": (1, str(-xi_pow(0)))}
 
     @pytest.mark.parametrize("n,at,column,value", [
         (1, -1, 1, None),   # the last point turned once more
@@ -425,7 +425,7 @@ class TestDecomposeCheck:
         monkeypatch.setattr(checks, "two_line_split", planted)
         result = self._run()
         point = _cyclo(real(n)[0][at].tolist())
-        assert not result.passed and result.details == {"failed_at": (n, str(point))}
+        assert not result["passed"] and result["details"] == {"failed_at": (n, str(point))}
 
 
 class TestScaling:
