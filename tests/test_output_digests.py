@@ -34,7 +34,10 @@ dominant rows that ``generate`` holds; they too are hashed as they are
 written, with no ``CHUNK_ROWS`` = 7 copy.  ``generate --group h2 --n 16
 --format json`` (93,161 points; its 9,389 orbits and 3,978 shells span ten
 and four chunks of ``CHUNK_ROWS``) was recorded, hashed as it is written,
-before the orbits/shells tail was written chunk by chunk.  Any change to a
+before the orbits/shells tail was written chunk by chunk.  ``generate
+--group h2 --n 24 --format svg --normalize false`` (451,501 points) was
+recorded, hashed as it is written, while the SVG writer still kept every
+chunk's Cartesian rows until it knew the scale.  Any change to a
 rendered byte (point order, a float digit, JSON layout) fails here.
 """
 
@@ -113,6 +116,8 @@ STREAMED_DIGESTS = (
     ("generate --group h2 --n 20 --format svg", "9751c304360ab683e7701ac389be663e7b7ff13c7d0518fdf31dc0b1062817a9"),
     ("generate --group h4 --n 4 --format json", "50cf9e65fcc080dfb501551e5008dac4a272747d6857850fbc0b787bf6a95858"),
     ("generate --group h2 --n 16 --format json", "a015feab42e744372abebafe1f14edd8faaf9858013625afb394f6fe4e6ed109"),
+    ("generate --group h2 --n 24 --format svg --normalize false",
+     "1b3f53736e07bb55e70cbe5933d9b3f4b23497f3edc8299bcdd75e11eecbb17d"),
 )
 
 
