@@ -26,8 +26,10 @@ dominant rows it expanded, one per orbit, in ``dominant``; ``orbits`` and
 ``shells`` read them, as plain arrays, and never the points: orbit sizes
 and squared norms are functions of the dominant rows alone.  A fragment
 built any other way carries no rows, and ``orbits`` first proves it
-W-invariant.  The expansion and the ten-fold check run on keys and slabs
-of rows through ``quasih.kernel``.  A coefficient outside the key range raises
+W-invariant.  ``orbit_rows`` expands a few dominant rows into their
+orbits: W.t for ``generate``, and the outermost shell for the SVG's
+scale.  The expansion and the ten-fold check run on keys and slabs of
+rows through ``quasih.kernel``.  A coefficient outside the key range raises
 ``ResourceLimitError`` instead of wrapping; points of cut-off n have
 coefficients of at most 2n in absolute value, far inside the range at any
 size the cap admits.
@@ -96,8 +98,7 @@ def _translates(group: GroupId) -> tuple[list, np.ndarray]:
     ``roots_omega``, so the root-sum oracle shares nothing with ``generate``."""
     ops = operators(group)
     refl = [r.compiled() for r in ops.reflections]
-    top = kernel.dominant_rows(ops.translation.compiled()[1][None], refl)
-    steps = kernel.unpack_keys(kernel.orbit_keys(top, _orbit_sizes(group, top), refl), 2 * group.rank)
+    steps = orbit_rows(group, kernel.dominant_rows(ops.translation.compiled()[1][None], refl))
     steps.setflags(write=False)
     return refl, steps
 
@@ -183,6 +184,12 @@ def _orbit_sizes(group: GroupId, dominant: np.ndarray) -> np.ndarray:
     return (orders[-1] // orders)[(zero << np.arange(k)).sum(axis=1)]
 
 
+def orbit_rows(group: GroupId, dominant: np.ndarray) -> np.ndarray:
+    """The int64 rows of the W-orbits of the ``dominant`` rows, in key order."""
+    refl = [r.compiled() for r in operators(group).reflections]
+    return kernel.unpack_keys(kernel.orbit_keys(dominant, _orbit_sizes(group, dominant), refl), 2 * group.rank)
+
+
 def orbits(fragment: Fragment) -> tuple[np.ndarray, np.ndarray]:
     """The W-orbits of a W-invariant fragment: its dominant rows, one per
     orbit in key order, as a read-only (k, 2 * rank) int64 array, and their
@@ -228,15 +235,18 @@ def norm_keys(group: GroupId, rows: np.ndarray) -> np.ndarray:
     return kernel.pack_rows(kernel.quadratic_form_rows(group, rows))
 
 
-def shell_keys(group: GroupId, dominant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def shell_keys(group: GroupId, dominant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct ``norm_keys`` of the ``dominant`` rows of a W-invariant
-    fragment, ascending, and the index of each in ascending order of its
-    norm.  The norm is W-invariant, so these hold every row's key.  det > 0
-    for every group, so the norms are in the order of the Z[tau] values q,
-    which ``kernel.exact_argsort`` sorts."""
-    keys = kernel.unique_keys(norm_keys(group, dominant))
+    fragment, ascending, the index of each in ascending order of its norm,
+    and the shell (that index) of each dominant row.  The norm is
+    W-invariant, so these hold every row's key.  det > 0 for every group,
+    so the norms are in the order of the Z[tau] values q, which
+    ``kernel.exact_argsort`` sorts."""
+    norms = norm_keys(group, dominant)
+    keys = kernel.unique_keys(norms)
     q = kernel.unpack_keys(keys, 2)
-    return keys, np.argsort(kernel.exact_argsort(q[:, 0], q[:, 1]))
+    rank = np.argsort(kernel.exact_argsort(q[:, 0], q[:, 1]))
+    return keys, rank, rank[np.searchsorted(keys, norms)]
 
 
 def shells(fragment: Fragment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,9 +256,9 @@ def shells(fragment: Fragment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     number of points at each, the sizes of the orbits of that norm."""
     group = fragment.group
     dominant, sizes = orbits(fragment)
-    keys, rank = shell_keys(group, dominant)
+    keys, rank, shell = shell_keys(group, dominant)
     counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, rank[np.searchsorted(keys, norm_keys(group, dominant))], sizes)
+    np.add.at(counts, shell, sizes)
     det = golden_det(cartan(group)) * (2 if group.is_h else 1)
     return *_quotients(kernel.unpack_keys(keys[np.argsort(rank)], 2), det), counts
 

@@ -27,7 +27,7 @@ import quasih
 from quasih import cli
 from quasih.cli import main
 from quasih.cutproject import deficiencies_2d, sigma_2d
-from quasih.fragment import generate
+from quasih.fragment import Fragment, generate
 from quasih.kernel import cyclo_rows
 from quasih.lineanalysis import LINE_CAP, deficiencies_1d
 from quasih import checks, serialize
@@ -247,6 +247,9 @@ class TestWriterMemory:
         (fragment_csv_chunks, GroupId.H4, 3),
         (fragment_json_chunks, GroupId.H4, 3),
         (fragment_svg_chunks, GroupId.H2, 10),
+        # keeping every chunk's float64 rows until the scale was known
+        # traced 3.97 MB here
+        (fragment_svg_chunks, GroupId.H2, 20),
     ])
     def test_peak_traced_allocation_while_writing(self, writer, group, n):
         # the writers read slabs of CHUNK_ROWS rows: H4 n=3 has 46,321
@@ -395,6 +398,14 @@ class TestDecimalText:
         )
         svg = fragment_svg(fragment)
         assert svg[svg.index("\n<circle"):] == circles + "\n</svg>\n"
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_svg_of_no_points_is_the_bare_canvas(self, normalize):
+        # no outermost shell: the radius defaults to 0.0 and no circle is drawn
+        fragment = Fragment(GroupId.H2, 0, np.zeros(0, np.uint64))
+        assert fragment_svg(fragment, normalize) == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" viewBox="0 0 1000 1000">'
+            '\n<rect width="1000" height="1000" fill="white"/>\n</svg>\n')
 
     @pytest.mark.parametrize("normalize", ["true", "false"])
     def test_svg_cells_lie_in_50_to_950(self, capsys, normalize):
