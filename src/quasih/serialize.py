@@ -6,13 +6,12 @@ repeated runs produce byte-identical output.
 
 Every writer streams: ``fragment_csv_chunks``, ``fragment_json_chunks``
 and ``fragment_svg_chunks`` yield the text ``CHUNK_ROWS`` points at a
-time, reading each slab of rows off the fragment's packed keys
+time in one pass (the SVG takes its scale from the exact outermost shell
+first), reading each slab of rows off the fragment's packed keys
 (``Fragment.rows``), and the JSON orbits/shells tail ``CHUNK_ROWS``
-entries at a time from the ``orbits`` and ``shells`` arrays; the SVG
-takes its scale from the points of the exact outermost shell alone, so it
-too writes in one pass and keeps no rows across chunks; the ``compare``
-and ``line`` reports stream the same way from their rows, so no per-entry
-Python object outlives its chunk.  ``fragment_csv``,
+entries at a time from the ``orbits`` and ``shells`` arrays; the
+``compare`` and ``line`` reports stream the same way from their rows, so
+no per-entry Python object outlives its chunk.  ``fragment_csv``,
 ``fragment_json``, ``fragment_svg``, ``line_report_json`` and
 ``line_report_csv`` join the same chunks into one string.  A
 chunk's Cartesian coordinates come from ``kernel.cartesian_rows`` on the
@@ -167,19 +166,20 @@ def _text(*pieces) -> str:
     return buf[buf != 0].tobytes().decode("ascii")
 
 
+def _cartesian(group: GroupId, block: np.ndarray, normalize: bool) -> np.ndarray:
+    """The float64 Cartesian rows of int64 coefficient rows: the scalar
+    ``cartesian`` for H2, ``kernel.cartesian_rows`` for the others."""
+    if group is GroupId.H2:
+        return np.array([cartesian(OmegaVector.from_flat(group, f), normalize) for f in block.tolist()])
+    return cartesian_rows(group, block)
+
+
 def _chunks(fragment: Fragment, normalize: bool):
     """(int64 coefficient rows, float64 Cartesian rows), CHUNK_ROWS points
     at a time, in fragment order."""
-    group = fragment.group
     for start in range(0, fragment.size, CHUNK_ROWS):
         block = fragment.rows(start, start + CHUNK_ROWS)
-        if group is GroupId.H2:
-            carts = np.array([
-                cartesian(OmegaVector.from_flat(group, f), normalize) for f in block.tolist()
-            ])
-        else:
-            carts = cartesian_rows(group, block)
-        yield block, carts
+        yield block, _cartesian(fragment.group, block, normalize)
 
 
 def fragment_csv_chunks(fragment: Fragment, normalize: bool = True):
@@ -265,30 +265,24 @@ def fragment_json(fragment: Fragment, normalize: bool = True) -> str:
 
 def fragment_svg_chunks(fragment: Fragment, normalize: bool = True):
     """The SVG text in pieces: a 1000x1000 canvas, origin centered,
-    outermost shell at 450 px, 4 px dots colored per shell, and then one
-    piece of circles per chunk, in one pass.  A chunk's shells are its
-    ``norm_keys`` looked up among the ``shell_keys``.
-
-    The scale is set before the first circle from the outermost shell
-    alone: its dominant rows are expanded (``orbit_rows``) and mapped as
-    ``_chunks`` maps them, and the radius is their largest ``math.hypot``,
-    or 0.0 with no points.  That is the largest ``math.hypot`` of the
-    whole fragment: the planar map is a similarity, so the points of one
-    exact shell share one radius, and each float ``math.hypot`` lies
-    within a few ulps of its point's exact radius, while the next shell
-    inward lies far further down.  For ``generate(H2, n)``, n >= 2, the
-    outermost shell is the ten points n * root, and the next one's squared
-    norm is lower by a share (2 - tau)(n - 1) / n**2 (measured through
-    n = 52): 1.2% at n = 30 and 0.72% at n = 52, the largest the cap
-    admits."""
+    outermost shell at 450 px, then one piece of 4 px dots per chunk,
+    colored by its ``norm_keys`` among the ``shell_keys``.  The radius is
+    the largest ``math.hypot`` of the orbits of the outermost shell's
+    dominant rows (``orbit_rows``), mapped by ``_cartesian`` as every
+    chunk is, or 0.0 with no points.  No other point can reach it: the
+    planar map is a similarity, a float ``math.hypot`` is within a few
+    ulps of its exact radius, and the next shell inward is far lower.
+    For ``generate(H2, n)``, n >= 2, the outermost shell is the ten points
+    n * root, and the next one's squared norm is lower by a share
+    (2 - tau)(n - 1) / n**2 (measured through n = 52): 1.2% at n = 30,
+    0.72% at n = 52, the largest the cap admits."""
     group = fragment.group
     if group is not GroupId.H2:
         raise ValueError("SVG rendering is only defined for H2 fragments")
     dominant = orbits(fragment)[0]
     keys, rank, shell = shell_keys(group, dominant)
     outer = orbit_rows(group, dominant[shell == len(keys) - 1])
-    radius = max((math.hypot(*cartesian(OmegaVector.from_flat(group, f), normalize)) for f in outer.tolist()),
-                 default=0.0)
+    radius = max((math.hypot(x, y) for x, y in _cartesian(group, outer, normalize).tolist()), default=0.0)
     scale = 450.0 / radius if radius > 1e-12 else 1.0
     yield (
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" '

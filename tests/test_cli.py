@@ -247,8 +247,8 @@ class TestWriterMemory:
         (fragment_csv_chunks, GroupId.H4, 3),
         (fragment_json_chunks, GroupId.H4, 3),
         (fragment_svg_chunks, GroupId.H2, 10),
-        # keeping every chunk's float64 rows until the scale was known
-        # traced 3.97 MB here
+        # 221,551 points, whose float64 rows alone are 3.5 MB: the svg
+        # keeps none across chunks
         (fragment_svg_chunks, GroupId.H2, 20),
     ])
     def test_peak_traced_allocation_while_writing(self, writer, group, n):
