@@ -508,8 +508,9 @@ class TestEnumerationSlabs:
 
     def test_peak_traced_allocation(self):
         # slabs of _SLAB // 4 rows of the 13^4-row H4 box: the call peaks at
-        # 1.34 MB (1.54 MB with slabs of _SLAB rows); the whole box as one
-        # slab peaks at 4.05 MB
+        # 1.34 MB, and 1.1 MB of that is border_dets re-checking the 120 hits
+        # at once, not the slab (1.54 MB with slabs of _SLAB rows); the whole
+        # box as one slab peaks at 4.05 MB
         tracemalloc.start()
         try:
             enumerate_generalized.__wrapped__(GroupId.H4, 3)

@@ -607,6 +607,22 @@ def serial_checks():
         return _comparable(checks.run_checks())
 
 
+class TestCheckLimits:
+    # run_checks is the one stopwatch: a check fails when its wall time
+    # reaches the limit declared at @_check
+    def test_limit_reached_fails_the_check(self, monkeypatch):
+        [within] = checks.run_checks(only="counts")
+        monkeypatch.setitem(checks._LIMITS, "counts", 0.0)
+        [over] = checks.run_checks(only="counts")
+        assert within["passed"] is True and over["passed"] is False
+        assert isinstance(over["elapsed"], float) and over["elapsed"] >= 0.0
+        assert over["details"] == within["details"] == {"sizes": {0: 1, 1: 11, 2: 61}}
+
+    def test_limits_are_pinned(self):
+        timed = {"counts": 1.0, "identities": 1.0, "line": 10.0, "oracle": 120.0}
+        assert checks._LIMITS == {name: timed.get(name, float("inf")) for name in checks.check_names()}
+
+
 class TestTwoProcessChecks:
     # two CPUs are granted by patching the affinity, so the forked path runs
     # on any host with fork; the head is every check before checks._CHILD_FROM
@@ -652,6 +668,15 @@ class TestTwoProcessChecks:
         assert forked["ran"] == self.HEAD
         [pid] = forked["forked"]
         assert os.WIFEXITED(forked["reaped"][pid]) and os.WEXITSTATUS(forked["reaped"][pid]) == 0
+
+    def test_limit_fails_a_forked_tail_check(self, serial_checks, forked, monkeypatch):
+        # the child applies the limit as the one-process run does
+        monkeypatch.setitem(checks._LIMITS, "scaling", 0.0)
+        results = checks.run_checks()
+        assert forked["ran"] == self.HEAD
+        assert [r["passed"] for r in results if r["name"] == "scaling"] == [False]
+        assert _comparable(results) == [(name, passed and name != "scaling", details)
+                                        for name, passed, details in serial_checks]
 
     @pytest.mark.parametrize("in_child", ["exit", "torn_pickle", "dies_midway"])
     def test_child_failing_leaves_parent_to_run_the_tail(self, serial_checks, forked, in_child):
