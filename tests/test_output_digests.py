@@ -37,8 +37,11 @@ and four chunks of ``CHUNK_ROWS``) was recorded, hashed as it is written,
 before the orbits/shells tail was written chunk by chunk.  ``generate
 --group h2 --n 24 --format svg --normalize false`` (451,501 points) was
 recorded, hashed as it is written, while the SVG writer still kept every
-chunk's Cartesian rows until it knew the scale.  Any change to a
-rendered byte (point order, a float digit, JSON layout) fails here.
+chunk's Cartesian rows until it knew the scale.  ``generate --group h3
+--n 8 --format csv`` (373,789 points; N(det A) = 4) was recorded, hashed
+as it is written, while ``kernel.cartesian_rows`` still reduced every
+alpha coordinate by its gcd with N(det A).  Any change to a rendered byte
+(point order, a float digit, JSON layout) fails here.
 """
 
 import hashlib
@@ -118,6 +121,7 @@ STREAMED_DIGESTS = (
     ("generate --group h2 --n 16 --format json", "a015feab42e744372abebafe1f14edd8faaf9858013625afb394f6fe4e6ed109"),
     ("generate --group h2 --n 24 --format svg --normalize false",
      "1b3f53736e07bb55e70cbe5933d9b3f4b23497f3edc8299bcdd75e11eecbb17d"),
+    ("generate --group h3 --n 8 --format csv", "714a52d9b13b2dd6cae6103ae07d26ff1b5b2cb30f2bc801949e94be2ee17b59"),
 )
 
 
