@@ -293,35 +293,38 @@ def quadratic_form_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
     return np.stack([((x @ g) * x).sum(axis=1) for g in forms], axis=1)
 
 
+def alpha_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
+    """(N, 2k) rows of the simple-root coordinates A^{-1} v of root-lattice
+    rows, exact Z[tau] pairs, those of ``rootsystem.alpha_from_omega``: the
+    numerators adj(A) v conj(det A) divided by N(det A) with one
+    ``np.divmod``.  A row outside the root lattice leaves a remainder and
+    raises ``ValueError``.  When N(det A) = 1 (H4) the numerators are the
+    coordinates."""
+    forms, norm = _alpha_numerators(group)
+    num = apply(forms, x)
+    if norm == 1:
+        return num
+    alpha, rest = np.divmod(num, norm)
+    if rest.any():
+        raise ValueError(f"a row is outside the {group.name} root lattice: N(det A) = {norm} does not divide it")
+    return alpha
+
+
 def cyclo_rows(x: np.ndarray) -> np.ndarray:
     """(N, 4) rows (p.a, p.b, q.a, q.b) of the cyclotomic images p + q*xi
-    of H2 root-lattice rows, those of ``rootsystem.cyclo_from_omega``.  The
-    alpha coordinates are the numerators of A^{-1} v divided exactly by
-    N(det A), and ``rootsystem._cyclo_map`` maps them to the rows."""
-    forms, norm = _alpha_numerators(GroupId.H2)
-    num = apply(forms, x)
-    if (num % norm).any():
-        raise ValueError(f"a row is outside the H2 root lattice: N(det A) = {norm} does not divide it")
-    return apply(_cyclo_map(), num // norm)
+    of H2 root-lattice rows, those of ``rootsystem.cyclo_from_omega``:
+    ``rootsystem._cyclo_map`` of the ``alpha_rows``."""
+    return apply(_cyclo_map(), alpha_rows(GroupId.H2, x))
 
 
 def cartesian_rows(group: GroupId, x: np.ndarray) -> np.ndarray:
-    """(N, dim) Cartesian coordinates of the rows of a model group (A2, H3,
-    H4), bit for bit those of the scalar ``rootsystem.cartesian``: each
-    simple-root coordinate a + b*tau over N(det A) is reduced by its gcd as
-    ``GoldenRational`` does, embedded as (a + b*PHI) / den, and the model
-    columns are summed term by term from 0.0, the order of ``sum``.  When
-    N(det A) = 1 (H4) every gcd is 1 and dividing by 1 is exact, so the
-    reduction is skipped."""
-    forms, norm = _alpha_numerators(group)
-    assert norm > 0, f"{group}: N(det A) = {norm}"
-    num = apply(forms, x)
-    a, b = num[:, 0::2], num[:, 1::2]
-    if norm == 1:
-        alpha = a + b * PHI
-    else:
-        g = np.gcd(np.gcd(a, b), norm)
-        alpha = (a // g + (b // g) * PHI) / (norm // g)
+    """(N, dim) Cartesian coordinates of the root-lattice rows of a model
+    group (A2, H3, H4), bit for bit those of the scalar
+    ``rootsystem.cartesian``: each coordinate a + b*tau of the
+    ``alpha_rows`` is embedded as a + b*PHI, and the model columns are
+    summed term by term from 0.0, the order of ``sum``."""
+    alpha = alpha_rows(group, x)
+    alpha = alpha[:, 0::2] + alpha[:, 1::2] * PHI
     model = _MODELS[group]
     out = np.empty((len(x), len(model[0])))
     for j, column in enumerate(zip(*model)):

@@ -204,16 +204,20 @@ def _slabs(*arrays):
         yield [a[start:start + CHUNK_ROWS] for a in arrays]
 
 
-def _json_list(name: str, entries):
-    """``"name": [...]`` as a member of an object at ``indent=2``, from
-    texts that each hold a run of entries, every entry led by ",\n    ":
-    the first "," is dropped, and no entries print "[]"."""
-    yield ',\n  "%s": [' % name
-    empty = True
-    for text in entries:
-        yield text[1:] if empty else text
-        empty = False
-    yield "]" if empty else "\n  ]"
+def _json_doc(head: dict, *lists):
+    """``json.dumps(doc, indent=2)`` and a newline, in pieces, for the
+    members of ``head`` followed by each ``(name, entries)`` list: its
+    entries come as texts that each hold a run of them, every entry led by
+    ",\n    "; the first "," is dropped, and no entries print "[]"."""
+    yield json.dumps(head, indent=2)[:-2]
+    for name, entries in lists:
+        yield ',\n  "%s": [' % name
+        empty = True
+        for text in entries:
+            yield text[1:] if empty else text
+            empty = False
+        yield "]" if empty else "\n  ]"
+    yield "\n}\n"
 
 
 def _pairs(ints: np.ndarray) -> list:
@@ -252,11 +256,8 @@ def fragment_json_chunks(fragment: Fragment, normalize: bool = True):
                         '\n      ],\n      "norm_den": ', _int_words(den), ',\n      "count": ',
                         _int_words(counts), "\n    }")
 
-    yield json.dumps({"group": fragment.group.value, "n": fragment.n}, indent=2)[:-2]
-    yield from _json_list("points", points())
-    yield from _json_list("orbits", orbit_entries())
-    yield from _json_list("shells", shell_entries())
-    yield "\n}\n"
+    yield from _json_doc({"group": fragment.group.value, "n": fragment.n},
+                         ("points", points()), ("orbits", orbit_entries()), ("shells", shell_entries()))
 
 
 def fragment_json(fragment: Fragment, normalize: bool = True) -> str:
@@ -305,10 +306,8 @@ def compare_json_chunks(head: dict, rows):
     followed by "deficiencies": the text of each (p.a, p.b, q.a, q.b) row,
     ``CHUNK_ROWS`` rows a piece.  The text holds only [-+*()0-9a-z], which
     JSON quotes without escapes."""
-    yield json.dumps(head, indent=2)[:-2]
-    yield from _json_list("deficiencies", (
-        "".join(',\n    "%s"' % cyclo_str(*r) for r in chunk.tolist()) for chunk, in _slabs(rows)))
-    yield "\n}\n"
+    yield from _json_doc(head, ("deficiencies", (
+        "".join(',\n    "%s"' % cyclo_str(*r) for r in chunk.tolist()) for chunk, in _slabs(rows))))
 
 
 def _line_entries(rows):
@@ -328,11 +327,12 @@ def line_report_json_chunks(head: dict, values: np.ndarray, deficiencies: np.nda
     [-+*0-9a-z], which needs no escapes."""
     value = ',\n    {\n      "value": "%s",\n      "level": %d,\n      "float": %r\n    }'
     deficiency = ',\n    {\n      "value": "%s",\n      "float": %r\n    }'
-    yield json.dumps(head, indent=2)[:-2]
-    yield from _json_list("values", ("".join(value % e for e in run) for run in _line_entries(values)))
-    yield from _json_list("deficiencies", (
-        "".join(deficiency % (text, x) for text, _, x in run) for run in _line_entries(deficiencies)))
-    yield "\n}\n"
+    yield from _json_doc(
+        head,
+        ("values", ("".join(value % e for e in run) for run in _line_entries(values))),
+        ("deficiencies", ("".join(deficiency % (text, x) for text, _, x in run)
+                          for run in _line_entries(deficiencies))),
+    )
 
 
 def line_report_json(head: dict, values: np.ndarray, deficiencies: np.ndarray) -> str:

@@ -619,7 +619,7 @@ class TestCheckLimits:
         assert over["details"] == within["details"] == {"sizes": {0: 1, 1: 11, 2: 61}}
 
     def test_limits_are_pinned(self):
-        timed = {"counts": 1.0, "identities": 1.0, "line": 10.0, "oracle": 120.0}
+        timed = {"counts": 1.0, "identities": 1.0, "cartan-tables": 60.0, "line": 10.0, "oracle": 120.0}
         assert checks._LIMITS == {name: timed.get(name, float("inf")) for name in checks.check_names()}
 
 

@@ -702,19 +702,64 @@ class TestCartesian:
         assert cartesian(v) == _reference_cartesian(v)
 
 
-class TestCartesianRows:
-    # A2 has N(det A) = 9 and H3 has 4, so the factors 2 and 3 give shared
-    # factors of numerator and denominator that the gcd must cancel
-    @given(group_rows(bound=40, groups=(GroupId.A2, GroupId.H3, GroupId.H4)),
-           st.sampled_from((1, 2, 3, 6)), st.booleans())
+@st.composite
+def lattice_rows(draw, groups=GROUPS, bound=60):
+    """A group and the int64 omega rows of random root-lattice points, the
+    ``omega_from_alpha`` images of integral alpha rows."""
+    group = draw(st.sampled_from(groups))
+    cols = 2 * group.rank
+    alphas = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+                           min_size=1, max_size=30))
+    points = [omega_from_alpha(AlphaVector(group, tuple(map(GoldenInt, a[0::2], a[1::2])))) for a in alphas]
+    return group, np.array([v.flat() for v in points], dtype=np.int64)
+
+
+# omega_1 lies outside the root lattice of A2, H2 and H3, whose N(det A)
+# are 9, 5 and 4; H4's root lattice is its weight lattice (N(det A) = 1)
+OFF_LATTICE = [(GroupId.A2, 9), (GroupId.H2, 5), (GroupId.H3, 4)]
+
+
+def _with_omega_1(group):
+    """The rows of ``generate(group, 1)`` with omega_1 appended."""
+    rows = generate(group, 1).rows()
+    omega_1 = np.zeros((1, rows.shape[1]), dtype=np.int64)
+    omega_1[0, 0] = 1
+    return np.concatenate([rows, omega_1])
+
+
+class TestAlphaRows:
+    @given(lattice_rows())
     @settings(max_examples=80)
-    def test_bitwise_equal_to_scalar(self, case, factor, normalize):
+    def test_equals_alpha_from_omega(self, case):
         group, rows = case
-        rows = rows * factor
+        expect = []
+        for row in rows.tolist():
+            for c in alpha_from_omega(OmegaVector.from_flat(group, row)):
+                expect += [c.as_golden().a, c.as_golden().b]
+        assert kernel.alpha_rows(group, rows).ravel().tolist() == expect
+
+    @pytest.mark.parametrize("group,norm", OFF_LATTICE)
+    def test_row_outside_the_root_lattice_raises(self, group, norm):
+        rows = _with_omega_1(group)
+        kernel.alpha_rows(group, rows[:-1])
+        with pytest.raises(ValueError, match=rf"{group.name} root lattice: N\(det A\) = {norm} "):
+            kernel.alpha_rows(group, rows)
+
+
+class TestCartesianRows:
+    @given(lattice_rows(groups=(GroupId.A2, GroupId.H3, GroupId.H4), bound=40), st.booleans())
+    @settings(max_examples=80)
+    def test_bitwise_equal_to_scalar(self, case, normalize):
+        group, rows = case
         got = kernel.cartesian_rows(group, rows).tolist()
         for row, cart in zip(rows.tolist(), got):
             expect = cartesian(OmegaVector.from_flat(group, row), normalize)
             assert [c.hex() for c in cart] == [c.hex() for c in expect]
+
+    @pytest.mark.parametrize("group", [GroupId.A2, GroupId.H3])
+    def test_row_outside_the_root_lattice_raises(self, group):
+        with pytest.raises(ValueError, match="root lattice"):
+            kernel.cartesian_rows(group, _with_omega_1(group))
 
     @pytest.mark.parametrize("group", [GroupId.A2, GroupId.H3, GroupId.H4])
     def test_fragment_rows_bitwise_equal(self, group):
